@@ -1,7 +1,7 @@
 """Trace-sum permutation polynomials over GF(q^e), q = 2^s.
 
 Layers: gf2poly (bit-packed GF(2)[x]), field (flat extension contexts and
-elements), scan (vectorized whole-field evaluation), poly (sparse/dense/
+elements), scan (vectorized whole-field evaluation), poly (dense/
 2-linearized/expression-tree polynomials), permtest (permutation tests),
 gnq (the g_(n,q) family and verification pipelines), cli (command line).
 """
@@ -15,19 +15,18 @@ from .gnq import (CorollaryReport, DesirableTriple, T1Report, T2Conditions,
 from .permtest import (PPReport, charsum_pp_test, charsum_single,
                        is_pp_exhaustive, kernel_check_case2, shift_witness)
 from .poly import (Add, Const, DensePolyF2, FrobQ, LinPoly, Mul, PolyExpr,
-                   Pow, S, SparsePoly, Var, build_t1_g, expr_eval,
-                   funcs_equal_pointwise, identity_e1_check, lin_from_expr,
-                   reduce_exponent, sp_add, sp_mul)
+                   Pow, S, Var, build_t1_g, expr_eval, funcs_equal_pointwise,
+                   identity_e1_check, lin_from_expr, reduce_exponent)
 
 __all__ = [
     "Add", "BitPoly", "Const", "CorollaryReport", "DensePolyF2",
     "DesirableTriple", "FieldContext", "FieldElement", "FrobQ", "LinPoly",
-    "Mul", "PPReport", "PolyExpr", "Pow", "S", "SparsePoly", "T1Report",
+    "Mul", "PPReport", "PolyExpr", "Pow", "S", "T1Report",
     "T2Conditions", "Var", "bp_find_irreducible", "bp_is_irreducible",
     "build_t1_g", "charsum_pp_test", "charsum_single", "check_t2_conditions",
     "expr_eval", "funcs_equal_pointwise", "gnq_closed_form",
     "gnq_oracle_check", "gnq_recurrence", "identity_e1_check",
     "is_pp_exhaustive", "kernel_check_case2", "lin_from_expr", "make_field",
     "probe_t1_odd", "reduce_exponent", "search_desirable", "shift_witness",
-    "sp_add", "sp_mul", "verify_corollary", "verify_t1",
+    "verify_corollary", "verify_t1",
 ]

@@ -159,19 +159,6 @@ def frobenius_q(x: FieldElement, i: int) -> FieldElement:
     return y
 
 
-def frob2_inverse(x: FieldElement, j: int) -> FieldElement:
-    """The unique y with y^(2^j) = x, namely x^(2^(m - j mod m))."""
-    if j < 0:
-        raise ValueError("exponent must be nonnegative")
-    r = j % x.ctx.m
-    if r == 0:
-        return x
-    y = x
-    for _ in range(x.ctx.m - r):
-        y = y.square()
-    return y
-
-
 def eval_S(k: int, x: FieldElement) -> FieldElement:
     """S_k(x) = x + x^q + ... + x^(q^(k-1)); the empty sum for k = 0."""
     if k < 0:
@@ -235,13 +222,3 @@ def enumerate_elements(ctx: FieldContext, start: int = 0, stop: int | None = Non
         raise ValueError("bad enumeration range")
     for bits in range(start, stop):
         yield FieldElement(bits, ctx)
-
-
-def subfield_elements(ctx: FieldContext, k: int) -> list[FieldElement]:
-    """All q^k elements of the subfield GF(q^k), in bit-pattern order."""
-    out = [x for x in enumerate_elements(ctx) if in_subfield(x, k)]
-    if len(out) != ctx.q ** k:
-        raise AssertionError(
-            f"subfield GF(q^{k}) has {len(out)} elements, expected {ctx.q ** k}"
-        )
-    return out

@@ -169,26 +169,6 @@ ONE = BitPoly(1)
 X = BitPoly(2)
 
 
-def bp_add(a: BitPoly, b: BitPoly) -> BitPoly:
-    """Coefficientwise sum in GF(2)."""
-    return a + b
-
-
-def bp_mul(a: BitPoly, b: BitPoly) -> BitPoly:
-    """Product in GF(2)[x]."""
-    return a * b
-
-
-def bp_mod(a: BitPoly, m: BitPoly) -> BitPoly:
-    """Remainder of a modulo m, deg r < deg m."""
-    return a % m
-
-
-def bp_divmod(a: BitPoly, m: BitPoly) -> tuple[BitPoly, BitPoly]:
-    """Quotient and remainder of a divided by m."""
-    return divmod(a, m)
-
-
 def bp_gcd(a: BitPoly, b: BitPoly) -> BitPoly:
     """Greatest common divisor via Euclid (monic is automatic over GF(2))."""
     if a.is_zero and b.is_zero:

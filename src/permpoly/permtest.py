@@ -16,7 +16,7 @@ import numpy as np
 
 from . import scan
 from .field import (FieldContext, FieldElement, eval_S, frobenius_q,
-                    subfield_elements, trace_absolute, trace_to_subfield)
+                    trace_absolute, trace_to_subfield)
 
 EXHAUSTIVE_MAX_ORDER = 1 << 30
 CHARSUM_MAX_ORDER = 1 << 12
@@ -148,10 +148,9 @@ def shift_witness(g, a: FieldElement, k: int, ctx: FieldContext,
         raise ValueError("Case-1 hypothesis violated: Tr_(q^e/q^k)(a) = 0")
     gv = scan.field_values(g, ctx, workers=workers).astype(np.uint64)
     mask = np.uint64(_trace_functional_mask(ctx, a))
-    for y in subfield_elements(ctx, k):
-        if not y.bits:
+    for ybits in scan.subfield_elements(ctx, k):
+        if not ybits:
             continue
-        ybits = np.uint64(y.bits)
         constant_one = True
         for start, stop in scan.iter_chunks(ctx.order):
             xs = np.arange(start, stop, dtype=np.uint64)
@@ -161,7 +160,7 @@ def shift_witness(g, a: FieldElement, k: int, ctx: FieldContext,
                 constant_one = False
                 break
         if constant_one:
-            return y
+            return ctx.element(int(ybits))
     return None
 
 

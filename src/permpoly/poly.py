@@ -1,9 +1,7 @@
 """Polynomial objects over GF(q^e) and their whole-field evaluation.
 
-Four representations, each matched to its access pattern:
+Three representations, each matched to its access pattern:
 
-* SparsePoly   -- exponent -> coefficient map, exponents kept reduced
-                  mod x^(q^e) - x.
 * DensePolyF2  -- reduced polynomial with GF(2) coefficients, bit-packed
                   in one int of q^e bits (the shape of g_{n,q}).
 * LinPoly      -- 2-linearized coefficient vector of length m, one entry
@@ -42,97 +40,6 @@ def reduce_exponent(m: int, order: int) -> int:
     if m == 0:
         return 0
     return 1 + (m - 1) % (order - 1)
-
-
-# ---------------------------------------------------------------------------
-# sparse polynomials
-
-
-class SparsePoly:
-    """Reduced sparse polynomial: exponent -> nonzero coefficient."""
-
-    __slots__ = ("terms", "ctx")
-
-    def __init__(self, ctx: FieldContext, terms=()):
-        merged: dict[int, FieldElement] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for exp, coeff in items:
-            if coeff.ctx is not ctx:
-                raise ValueError("coefficient from a different field context")
-            exp = reduce_exponent(exp, ctx.order)
-            prev = merged.get(exp)
-            s = coeff if prev is None else prev + coeff
-            if s.bits:
-                merged[exp] = s
-            elif prev is not None:
-                del merged[exp]
-        object.__setattr__(self, "terms", merged)
-        object.__setattr__(self, "ctx", ctx)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparsePoly is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self.ctx is other.ctx and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ctx._token, tuple(sorted((e, c.bits) for e, c in self.terms.items()))))
-
-    def eval_at(self, x: FieldElement) -> FieldElement:
-        if x.ctx is not self.ctx:
-            raise ValueError("point from a different field context")
-        acc = self.ctx.zero()
-        for exp, coeff in self.terms.items():
-            acc = acc + coeff * x ** exp
-        return acc
-
-    def eval_packed(self, xs, ctx: FieldContext):
-        if ctx is not self.ctx:
-            raise ValueError("context mismatch")
-        res = None
-        for exp, coeff in sorted(self.terms.items()):
-            term = scan.packed_mul(ctx, scan.packed_pow(ctx, xs, exp),
-                                   np.uint64(coeff.bits))
-            res = term if res is None else res ^ term
-        return res if res is not None else np.uint64(0)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "order": self.ctx.order,
-            "terms": [[e, f"0x{c.bits:x}"] for e, c in sorted(self.terms.items())],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict, ctx: FieldContext) -> "SparsePoly":
-        if obj["order"] != ctx.order:
-            raise ValueError("serialized order does not match the context")
-        return cls(ctx, [(e, ctx.element(int(c, 16))) for e, c in obj["terms"]])
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return "+".join(f"{c!r}*x^{e}" for e, c in sorted(self.terms.items(), reverse=True))
-
-
-def sp_add(a: SparsePoly, b: SparsePoly) -> SparsePoly:
-    """Sum with immediate reduction and zero pruning."""
-    if a.ctx is not b.ctx:
-        raise ValueError("operands from different field contexts")
-    terms = list(a.terms.items()) + list(b.terms.items())
-    return SparsePoly(a.ctx, terms)
-
-
-def sp_mul(a: SparsePoly, b: SparsePoly) -> SparsePoly:
-    """Product with immediate exponent reduction mod x^(q^e) - x."""
-    if a.ctx is not b.ctx:
-        raise ValueError("operands from different field contexts")
-    terms = []
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            terms.append((e1 + e2, c1 * c2))
-    return SparsePoly(a.ctx, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +169,6 @@ class DensePolyF2:
             "terms": [[e, "0x1"] for e in self.support()],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict, ctx: FieldContext) -> "DensePolyF2":
-        if obj["order"] != ctx.order:
-            raise ValueError("serialized order does not match the context")
-        bits = 0
-        for e, c in obj["terms"]:
-            if int(c, 16) != 1:
-                raise ValueError("dense GF(2) polynomial with non-GF(2) coefficient")
-            bits ^= 1 << reduce_exponent(e, ctx.order)
-        return cls(ctx, bits)
-
     def __repr__(self):
         n = self.bits.bit_count()
         return f"DensePolyF2({n} terms over {self.ctx!r})"
@@ -401,24 +297,6 @@ class S(PolyExpr):
     child: PolyExpr
 
 
-def _expr_key(node: PolyExpr):
-    if isinstance(node, Var):
-        return ("var",)
-    if isinstance(node, Const):
-        return ("const", node.value.bits)
-    if isinstance(node, Add):
-        return ("add", *(_expr_key(c) for c in node.children))
-    if isinstance(node, Mul):
-        return ("mul", *(_expr_key(c) for c in node.children))
-    if isinstance(node, Pow):
-        return ("pow", node.n, _expr_key(node.child))
-    if isinstance(node, FrobQ):
-        return ("frobq", node.i, _expr_key(node.child))
-    if isinstance(node, S):
-        return ("s", node.k, _expr_key(node.child))
-    raise TypeError(f"unknown expression node {node!r}")
-
-
 def expr_eval(g: PolyExpr, x: FieldElement) -> FieldElement:
     """Recursive evaluation of an expression tree at one point."""
     ctx = x.ctx
@@ -463,7 +341,8 @@ def _is_additive(node: PolyExpr) -> bool:
 
 
 def _additive_matrix(node: PolyExpr, ctx: FieldContext) -> np.ndarray:
-    key = ("expr_mat", _expr_key(node))
+    # frozen nodes hash and compare by structure, so equal trees share a matrix
+    key = ("expr_mat", node)
     cols = ctx._cache.get(key)
     if cols is None:
         cols = scan.linear_matrix(ctx, lambda v: expr_eval(node, v))
@@ -518,19 +397,16 @@ def build_t1_g(k: int, ctx: FieldContext) -> PolyExpr:
     return Add((Pow(S(k + 1, x), 2), Mul((FrobQ(s2k, k), s2k))))
 
 
-def funcs_equal_pointwise(f, g, ctx: FieldContext, workers: int = 1) -> bool:
+def funcs_equal_pointwise(f, g, ctx: FieldContext) -> bool:
     """f(x) = g(x) for every x in the field (exhaustive scan).
 
     For reduced representations this decides congruence mod x^(q^e) - x
-    exactly.  The workers argument is accepted for interface parity; the
-    scan is chunk-ordered either way, so results never depend on it.
+    exactly.
     """
-    del workers
     return scan.values_equal(f, g, ctx)
 
 
-def identity_e1_check(k: int, ctx: FieldContext | None = None,
-                      workers: int = 1) -> bool:
+def identity_e1_check(k: int, ctx: FieldContext | None = None) -> bool:
     """Whole-field check of the squared-trace-sum congruence for g.
 
     Verifies g(x) + g(x)^(q^2k) = (S_2k(x)^(q^(k+1)))^2 together with the
@@ -555,9 +431,9 @@ def identity_e1_check(k: int, ctx: FieldContext | None = None,
     mid2_rhs = Add((Pow(x, 2), Pow(FrobQ(x, k), 2),
                     Pow(s2k, 2), Pow(FrobQ(s2k, k), 2)))
 
-    return (funcs_equal_pointwise(mid1_lhs, mid1_rhs, ctx, workers)
-            and funcs_equal_pointwise(mid2_lhs, mid2_rhs, ctx, workers)
-            and funcs_equal_pointwise(main_lhs, main_rhs, ctx, workers))
+    return (funcs_equal_pointwise(mid1_lhs, mid1_rhs, ctx)
+            and funcs_equal_pointwise(mid2_lhs, mid2_rhs, ctx)
+            and funcs_equal_pointwise(main_lhs, main_rhs, ctx))
 
 
 def lin_from_expr(g: PolyExpr, ctx: FieldContext, rng=None) -> LinPoly:

@@ -224,22 +224,6 @@ def bijection_from_values(values: np.ndarray, order: int,
     return True, None
 
 
-def preimages(f, ctx: FieldContext, target: int, count: int = 2,
-              chunk_size: int | None = None) -> list[int]:
-    """First `count` x (bit patterns) with f(x) == target, in scan order."""
-    evalf = _evaluator(f)
-    found: list[int] = []
-    for start, stop in iter_chunks(ctx.order, chunk_size):
-        xs = np.arange(start, stop, dtype=np.uint64)
-        vals = evalf(xs, ctx)
-        hits = np.nonzero(vals == np.uint64(target))[0]
-        for h in hits:
-            found.append(start + int(h))
-            if len(found) >= count:
-                return found
-    return found
-
-
 def power_table(ctx: FieldContext) -> np.ndarray:
     """Table P with P[d][x] = x^d for the whole field; order <= 4096 only.
 
@@ -278,3 +262,13 @@ def subfield_mask(ctx: FieldContext, k: int) -> np.ndarray:
         mask = np.concatenate(parts)
         ctx._cache[key] = mask
     return mask
+
+
+def subfield_elements(ctx: FieldContext, k: int) -> np.ndarray:
+    """Bit patterns of the q^k elements of GF(q^k), ascending, as uint64."""
+    bits = np.flatnonzero(subfield_mask(ctx, k)).astype(np.uint64)
+    if bits.size != ctx.q ** k:
+        raise AssertionError(
+            f"subfield GF(q^{k}) has {bits.size} elements, expected {ctx.q ** k}"
+        )
+    return bits

@@ -3,11 +3,6 @@ import pytest
 from permpoly.field import make_field
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "long: desk-scale whole-field scans that take tens of seconds")
-
-
 @pytest.fixture(scope="session")
 def f4():
     return make_field(2, 1)

@@ -29,7 +29,8 @@ def test_criterion_01_t1_at_k2_under_one_second():
     report = verify_t1(2)
     elapsed = time.perf_counter() - t0
     assert report.all_ok
-    assert report.pp.is_pp and report.e1_ok and report.gcd1_ok and report.gcd2_ok
+    assert report.pp.is_pp and report.e1_ok and report.gcd1_ok
+    assert report.gcd_case2 == "x^2+1"
     assert elapsed < 1.0, f"k=2 pipeline took {elapsed:.2f}s"
 
 

@@ -158,6 +158,13 @@ def test_modulus_flag_symbolic_and_hex(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_corollary_rejects_modulus(capsys):
+    # the corollary is pinned to GF(4^6) with the default modulus
+    assert cli.main(["verify-corollary", "--modulus", "x^12+x^6+x^4+x+1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--modulus does not apply" in captured.err
+
+
 # --- search ---------------------------------------------------------------
 
 def test_search_csv_and_worker_determinism(capsys):

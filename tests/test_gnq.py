@@ -13,6 +13,7 @@ from permpoly.gnq import (DesirableTriple, check_t2_conditions, gnq_base,
                           verify_t1)
 from permpoly.poly import (DensePolyF2, LinPoly, Pow, S, Var,
                            funcs_equal_pointwise, lin_from_expr, s_dense)
+from permpoly.scan import POWER_TABLE_MAX_ORDER
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -83,6 +84,13 @@ def test_oracle_accepts_recurrence_and_rejects_corruption(f16, f64):
     # a wrong polynomial must fail the identity
     wrong = gnq_recurrence(7, 4, f16) + DensePolyF2.one(f16)
     assert not gnq_oracle_check(7, 4, f16, g=wrong)
+    # GF(4^7) lies above the power-table cap, so x^n runs through packed_pow
+    f47 = make_field(2, 7)
+    assert f47.order > POWER_TABLE_MAX_ORDER
+    for n in (7, 23, 257, 1000):
+        assert gnq_oracle_check(n, 4, f47)
+        wrong = gnq_recurrence(n, 4, f47) + DensePolyF2.one(f47)
+        assert not gnq_oracle_check(n, 4, f47, g=wrong)
 
 
 def test_oracle_in_strictly_larger_field(f4096):

@@ -6,12 +6,14 @@ import random
 
 import pytest
 
-from permpoly.field import (eval_S, frobenius_q, make_field, subfield_elements,
-                            trace_absolute, trace_to_subfield)
+from permpoly import scan
+from permpoly.field import (eval_S, frobenius_q, make_field, trace_absolute,
+                            trace_to_subfield)
 from permpoly.permtest import (CHARSUM_MAX_ORDER, PPReport, charsum_pp_test,
                                charsum_single, is_pp_exhaustive,
                                kernel_check_case2, shift_witness)
-from permpoly.poly import FrobQ, Pow, SparsePoly, Var, build_t1_g, expr_eval
+from permpoly.poly import (Add, Const, FrobQ, Mul, Pow, Var, build_t1_g,
+                           expr_eval)
 
 
 def test_report_json_shape(f16):
@@ -66,7 +68,7 @@ def test_charsum_single_conventions(f16):
 
 def test_charsum_single_detects_constant_map(f16):
     # f = 0: every term is (-1)^0, so the sum stays at the field order
-    zero_map = SparsePoly(f16, ())
+    zero_map = Const(f16.zero())
     a = f16.element(5)
     assert charsum_single(zero_map, a, f16) in (16, -16)
 
@@ -89,8 +91,9 @@ def test_methods_agree_on_random_sparse_polys(f16):
     rng = random.Random(31)
     disagreements = []
     for _ in range(100):
-        p = SparsePoly(f16, [(rng.randrange(1, 15), f16.random_element(rng))
-                             for _ in range(rng.randrange(1, 4))])
+        p = Add(tuple(Mul((Const(f16.random_element(rng)),
+                           Pow(Var(), rng.randrange(1, 15))))
+                      for _ in range(rng.randrange(1, 4))))
         a = is_pp_exhaustive(p, f16)
         b = charsum_pp_test(p, f16, override_ceiling=True)
         if a.is_pp is not b.is_pp:
@@ -149,7 +152,7 @@ def test_kernel_case2_holds_and_is_exact(f4096, f64):
         z = f4096.element(bits)
         if not frobenius_q(eval_S(4, z), 3).bits:
             kernel.append(bits)
-    assert kernel == sorted(w.bits for w in subfield_elements(f4096, 2))
+    assert kernel == scan.subfield_elements(f4096, 2).tolist()
     assert len(kernel) == 16
 
 

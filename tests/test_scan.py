@@ -92,15 +92,6 @@ def test_bijection_from_values_detects_duplicates():
     assert not ok and dup == int(bad[200])
 
 
-def test_preimages_scan_order(f64):
-    cube = Pow(Var(), 3)
-    target = expr_eval(cube, f64.element(5)).bits
-    found = scan.preimages(cube, f64, target, count=3)
-    assert len(found) == 3 and found == sorted(found)
-    for bits in found:
-        assert expr_eval(cube, f64.element(bits)).bits == target
-
-
 def test_power_table_rows(f64):
     table = scan.power_table(f64)
     assert table.shape == (64, 64)
