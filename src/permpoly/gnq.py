@@ -28,7 +28,7 @@ from .gf2poly import ONE as BP_ONE
 from .gf2poly import BitPoly, proof_gcd_case1, proof_gcd_case2
 from .permtest import PPReport, is_pp_exhaustive
 from .poly import (DensePolyF2, LinPoly, build_t1_g, funcs_equal_pointwise,
-                   identity_e1_check, reduce_exponent, s_dense)
+                   identity_e1_check, s_dense)
 
 DEFAULT_MEMO_BOUND = 1 << 20
 
@@ -159,19 +159,14 @@ def gnq_oracle_check(n: int, q: int, ctx: FieldContext,
         g = gnq_recurrence(n, q, ctx)
     gv = g.eval_on_field()
     frob = scan.frobenius_matrix(ctx, 1)
-    n_red = reduce_exponent(n, ctx.order)
     a_bits = scan.subfield_elements(ctx, 1)
-    table = scan.power_table(ctx) if ctx.order <= scan.POWER_TABLE_MAX_ORDER else None
+    xn = scan.packed_pow(ctx, np.arange(ctx.order, dtype=np.uint64), n)
     for start, stop in scan.iter_chunks(ctx.order):
         xs = np.arange(start, stop, dtype=np.uint64)
         lhs = gv[scan.apply_matrix(frob, xs) ^ xs].astype(np.uint64)
         rhs = np.zeros(xs.shape, dtype=np.uint64)
         for ab in a_bits:
-            shifted = xs ^ ab
-            if table is not None:
-                rhs = rhs ^ table[n_red][shifted].astype(np.uint64)
-            else:
-                rhs = rhs ^ scan.packed_pow(ctx, shifted, n_red)
+            rhs ^= xn[xs ^ ab]
         if not np.array_equal(lhs, rhs):
             return False
     return True

@@ -57,14 +57,13 @@ class DensePolyF2:
     Coefficients are bit-packed in one int of q^e bits, index = exponent.
     """
 
-    __slots__ = ("bits", "ctx", "_values")
+    __slots__ = ("bits", "ctx")
 
     def __init__(self, ctx: FieldContext, bits: int):
         if bits < 0 or bits >> ctx.order:
             raise ValueError("coefficient bits exceed the reduced length q^e")
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_values", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensePolyF2 is immutable")
@@ -134,34 +133,20 @@ class DensePolyF2:
         return acc
 
     def eval_on_field(self) -> np.ndarray:
-        """Values at every field element, indexed by bit pattern (cached)."""
-        if self._values is None:
-            ctx = self.ctx
-            supp = self.support()
-            if not supp:
-                vals = np.zeros(ctx.order, dtype=np.uint32)
-            elif ctx.order <= scan.POWER_TABLE_MAX_ORDER:
-                table = scan.power_table(ctx)
-                vals = np.bitwise_xor.reduce(table[supp], axis=0).astype(np.uint32)
-            else:
-                # chunked Horner; slow above the power-table cap but exact
-                vals = np.empty(ctx.order, dtype=np.uint32)
-                top = self.bits.bit_length() - 1
-                for start, stop in scan.iter_chunks(ctx.order):
-                    xs = np.arange(start, stop, dtype=np.uint64)
-                    acc = np.zeros(stop - start, dtype=np.uint64)
-                    for i in range(top, -1, -1):
-                        acc = scan.packed_mul(ctx, acc, xs)
-                        if (self.bits >> i) & 1:
-                            acc = acc ^ np.uint64(1)
-                    vals[start:stop] = acc
-            object.__setattr__(self, "_values", vals)
-        return self._values
+        """Values at every field element, indexed by bit pattern."""
+        ctx = self.ctx
+        if ctx.order <= scan.POWER_TABLE_MAX_ORDER:
+            rows = scan.power_table(ctx)[self.support()]
+            return np.bitwise_xor.reduce(rows, axis=0).astype(np.uint32)
+        return scan.field_values(self, ctx)
 
     def eval_packed(self, xs, ctx: FieldContext):
         if ctx is not self.ctx:
             raise ValueError("context mismatch")
-        return self.eval_on_field()[xs].astype(np.uint64)
+        acc = np.zeros(np.shape(xs), dtype=np.uint64)
+        for d in self.support():
+            acc ^= scan.packed_pow(ctx, xs, d)
+        return acc
 
     def to_json_obj(self) -> dict:
         return {

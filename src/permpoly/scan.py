@@ -3,7 +3,7 @@
 Elements travel as uint64 numpy arrays of bit patterns.  Products before
 reduction need at most 2m-1 <= 59 bits, so everything fits one word.
 Additive (2-linearized) maps are applied through m-column bit matrices;
-general products use per-bit carry-less shift-and-add.
+products use per-bit carry-less shift-and-add, powers discrete-log tables.
 
 Scans are chunked so peak memory stays bounded by a few chunk-sized
 arrays; chunk order is fixed, which keeps multi-worker runs byte-identical
@@ -70,21 +70,46 @@ def packed_square(ctx: FieldContext, a):
     return _reduce(ctx, x)
 
 
+def log_tables(ctx: FieldContext):
+    """Cached (log, antilog) of the least generator g of the nonzero elements.
+
+    antilog[i] = g^i for i < order-1, built by doubling with packed_mul;
+    log[x] = i for x != 0.  Both are uint32, 8 bytes per element.  A
+    candidate is kept only if its powers hit every nonzero element, so a
+    non-generator is never cached: under a non-primitive modulus such as
+    GF(2^8)'s x^8+x^4+x^3+x+1, t = 2 has order 51 and g is 3.
+    """
+    tables = ctx._cache.get("log_tables")
+    if tables is None:
+        order = ctx.order
+        for g in range(2, order) if order > 2 else (1,):
+            antilog = np.ones(order - 1, dtype=np.uint64)
+            step, k = np.uint64(g), 1
+            while k < order - 1:
+                n = min(k, order - 1 - k)
+                antilog[k:k + n] = packed_mul(ctx, antilog[:n], step)
+                step, k = packed_mul(ctx, step, step), k + n
+            log = np.zeros(order, dtype=np.uint32)
+            log[antilog] = np.arange(order - 1, dtype=np.uint32)
+            # a missed x keeps log[x] = 0, and antilog[0] = 1 != x
+            if np.array_equal(antilog[log[1:]], np.arange(1, order)):
+                break
+        else:
+            raise AssertionError(f"no generator of the nonzero elements of {ctx!r}")
+        tables = ctx._cache["log_tables"] = (log, antilog.astype(np.uint32))
+    return tables
+
+
 def packed_pow(ctx: FieldContext, a, n: int):
-    """Elementwise a^n by square-and-multiply, n >= 0 applied literally."""
+    """Elementwise a^n = antilog[log[a] * n mod (order-1)], n >= 0 applied
+    literally: 0^n is 0 for n >= 1, and x^0 = 1 everywhere."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    if n == 0:
-        return (a & np.uint64(0)) ^ np.uint64(1)
-    res = None
-    base = a
-    while n:
-        if n & 1:
-            res = base if res is None else packed_mul(ctx, res, base)
-        n >>= 1
-        if n:
-            base = packed_square(ctx, base)
-    return res
+    log, antilog = log_tables(ctx)
+    cyc = ctx.order - 1
+    idx = log[a].astype(np.uint64) * np.uint64(n % cyc) % np.uint64(cyc)
+    res = antilog[idx].astype(np.uint64)
+    return np.where(a == 0, np.uint64(0), res) if n else res
 
 
 def linear_matrix(ctx: FieldContext, fn) -> np.ndarray:
@@ -225,11 +250,7 @@ def bijection_from_values(values: np.ndarray, order: int,
 
 
 def power_table(ctx: FieldContext) -> np.ndarray:
-    """Table P with P[d][x] = x^d for the whole field; order <= 4096 only.
-
-    Row d is built from row d-1 by one vectorized product, so the table
-    doubles as a self-check of packed_mul against iterated multiplication.
-    """
+    """Table P with P[d][x] = x^d for the whole field; order <= 4096 only."""
     P = ctx._cache.get("power_table")
     if P is None:
         order = ctx.order
@@ -237,12 +258,8 @@ def power_table(ctx: FieldContext) -> np.ndarray:
             raise ValueError(f"power table capped at order {POWER_TABLE_MAX_ORDER}")
         xs = np.arange(order, dtype=np.uint64)
         P = np.empty((order, order), dtype=np.uint16)
-        P[0] = 1
-        row = xs
-        for d in range(1, order):
-            P[d] = row
-            if d + 1 < order:
-                row = packed_mul(ctx, row, xs)
+        for d in range(order):
+            P[d] = packed_pow(ctx, xs, d)
         ctx._cache["power_table"] = P
     return P
 

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from permpoly.field import make_field
+
+# fixed example sequence and no example database: tier-1 runs are reproducible
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

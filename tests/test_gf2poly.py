@@ -1,8 +1,9 @@
-"""gf2poly against small independent oracles (trial division, schoolbook mod)."""
+"""gf2poly against independent oracles: trial division, schoolbook mod, sympy."""
 
 import random
 
 import pytest
+import sympy
 
 from permpoly.gf2poly import (ONE, ZERO, X, BitPoly, bp_find_irreducible, bp_gcd,
                               bp_is_irreducible, proof_gcd_case1, proof_gcd_case2)
@@ -136,3 +137,41 @@ def test_proof_gcd_case2_values():
         assert proof_gcd_case2(k) == BitPoly((1 << k) | 1)
     with pytest.raises(ValueError):
         proof_gcd_case2(0)
+
+
+_T = sympy.Symbol("t")
+
+
+def _sympy_poly(bits):
+    return sympy.Poly([int(c) for c in bin(bits)[2:]], _T, modulus=2)
+
+
+def _sympy_bits(poly):
+    return int("".join(str(int(c) % 2) for c in poly.all_coeffs()), 2)
+
+
+def _ones(lo, hi):
+    # x^lo + x^(lo+1) + ... + x^hi
+    return ((1 << (hi - lo + 1)) - 1) << lo
+
+
+@pytest.mark.parametrize("case, ks, pairs", [
+    (proof_gcd_case1, range(2, 13, 2),
+     lambda k: [(_ones(0, k - 2), (1 << k) | 1),
+                (_ones(2 * k + 2, 3 * k), (1 << k) | 1)]),
+    (proof_gcd_case2, range(1, 13),
+     lambda k: [(_ones(0, 2 * k - 1), (1 << (3 * k)) | 1),
+                (_ones(k + 1, 3 * k), (1 << (3 * k)) | 1)]),
+], ids=["case1", "case2"])
+def test_proof_gcds_match_sympy(case, ks, pairs):
+    for k in ks:
+        got = case(k).bits
+        for a, b in pairs(k):
+            assert got == _sympy_bits(sympy.gcd(_sympy_poly(a), _sympy_poly(b))), (k, a, b)
+
+
+def test_find_irreducible_is_least_by_sympy():
+    for m in range(1, 17):
+        least = next(b for b in range(1 << m, 1 << (m + 1))
+                     if _sympy_poly(b).is_irreducible)
+        assert bp_find_irreducible(m).bits == least, m

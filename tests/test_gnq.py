@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from permpoly import scan
 from permpoly.field import make_field
 from permpoly.gnq import (DesirableTriple, check_t2_conditions, gnq_base,
                           gnq_closed_form, gnq_oracle_check, gnq_recurrence,
@@ -84,7 +85,7 @@ def test_oracle_accepts_recurrence_and_rejects_corruption(f16, f64):
     # a wrong polynomial must fail the identity
     wrong = gnq_recurrence(7, 4, f16) + DensePolyF2.one(f16)
     assert not gnq_oracle_check(7, 4, f16, g=wrong)
-    # GF(4^7) lies above the power-table cap, so x^n runs through packed_pow
+    # GF(4^7) lies above the power-table cap, so g is evaluated through packed_pow
     f47 = make_field(2, 7)
     assert f47.order > POWER_TABLE_MAX_ORDER
     for n in (7, 23, 257, 1000):
@@ -122,6 +123,17 @@ def test_probe_t1_odd_k1_and_gating():
     assert x1 != x2
     with pytest.raises(ValueError):
         probe_t1_odd(2)
+
+
+def test_theorem_pipelines_build_no_log_tables(monkeypatch):
+    # the S-power map is additive maps and one product: no x^d kernel runs,
+    # so the 2^24-element k = 4 scan never pays for 128 MB of log tables
+    def refuse(ctx):
+        raise AssertionError(f"log tables built for {ctx!r}")
+
+    monkeypatch.setattr(scan, "log_tables", refuse)
+    assert verify_t1(2).all_ok
+    assert probe_t1_odd(1).note == "outside theorem hypothesis"
 
 
 def test_corollary_all_steps_and_golden_polynomial():

@@ -6,8 +6,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permpoly.field import eval_S, frobenius_q
+from permpoly.field import eval_S, frobenius_q, make_field
 from permpoly.poly import (Add, Const, DensePolyF2, FrobQ, LinPoly, Mul, Pow,
                            S, Var, build_t1_g, expr_eval,
                            funcs_equal_pointwise, identity_e1_check,
@@ -58,15 +60,41 @@ def test_dense_mul_matches_sparse(f64):
 
 def test_dense_eval_routes_agree(f4096):
     rng = random.Random(24)
-    g = s_dense(f4096, 3) * s_dense(f4096, 4) + DensePolyF2.one(f4096)
+    # eval_on_field reads power-table rows in GF(4^6); above the cap, in GF(4^7),
+    # it runs eval_packed, which XORs packed_pow over the support
+    for ctx in (f4096, make_field(2, 7)):
+        order = ctx.order
+        g = (s_dense(ctx, 3) * s_dense(ctx, 4) + DensePolyF2.one(ctx)
+             + DensePolyF2.from_exponents(ctx, [order - 1, order // 3]))
+        vals = g.eval_on_field()
+        assert vals.dtype == np.uint32 and vals.shape == (order,)
+        for bits in [0, 1, order - 1] + [rng.randrange(order) for _ in range(12)]:
+            assert int(vals[bits]) == g.eval_at(ctx.element(bits)).bits
+        xs = np.array([rng.randrange(order) for _ in range(50)], dtype=np.uint64)
+        packed = g.eval_packed(xs, ctx)
+        for i, b in enumerate(xs):
+            assert int(packed[i]) == int(vals[int(b)])
+        assert not DensePolyF2.zero(ctx).eval_on_field().any()
+
+
+@st.composite
+def _field_and_exponents(draw):
+    s = draw(st.integers(1, 10))
+    e = draw(st.integers(1, 10 // s))
+    order = 1 << (s * e)
+    exps = draw(st.sets(st.integers(0, order - 1), max_size=6))
+    return s, e, exps | {0, order - 1}
+
+
+@settings(max_examples=20)
+@given(_field_and_exponents())
+def test_dense_eval_on_field_matches_horner(case):
+    s, e, exps = case
+    ctx = make_field(s, e)
+    g = DensePolyF2.from_exponents(ctx, exps)
     vals = g.eval_on_field()
-    for _ in range(100):
-        bits = rng.randrange(4096)
-        assert int(vals[bits]) == g.eval_at(f4096.element(bits)).bits
-    xs = np.array([rng.randrange(4096) for _ in range(50)], dtype=np.uint64)
-    packed = g.eval_packed(xs, f4096)
-    for i, b in enumerate(xs):
-        assert int(packed[i]) == int(vals[int(b)])
+    for bits in range(ctx.order):
+        assert int(vals[bits]) == g.eval_at(ctx.element(bits)).bits
 
 
 def test_dense_json_round_trip(f64):

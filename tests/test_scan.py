@@ -15,21 +15,30 @@ def _random_bits(ctx, rng, n):
     return np.array([rng.randrange(ctx.order) for _ in range(n)], dtype=np.uint64)
 
 
-def test_packed_mul_square_pow_match_scalar(f4096):
+# GF(2), GF(2^8) under its non-primitive default modulus, and GF(4^6) and
+# GF(4^7) on either side of the power-table cap
+KERNEL_FIELDS = {"gf2": (1, 1), "gf2_8": (1, 8), "gf4_6": (2, 6), "gf4_7": (2, 7)}
+
+
+@pytest.mark.parametrize("s, e", KERNEL_FIELDS.values(), ids=KERNEL_FIELDS.keys())
+def test_packed_mul_square_pow_match_scalar(s, e):
+    ctx = make_field(s, e)
     rng = random.Random(11)
-    xs = _random_bits(f4096, rng, 200)
-    ys = _random_bits(f4096, rng, 200)
-    prod = scan.packed_mul(f4096, xs, ys)
-    sq = scan.packed_square(f4096, xs)
-    p9 = scan.packed_pow(f4096, xs, 9)
-    p0 = scan.packed_pow(f4096, xs, 0)
+    xs = np.append(np.uint64(0), _random_bits(ctx, rng, 200))
+    ys = _random_bits(ctx, rng, 201)
+    prod = scan.packed_mul(ctx, xs, ys)
+    sq = scan.packed_square(ctx, xs)
     for i in range(len(xs)):
-        a = f4096.element(int(xs[i]))
-        b = f4096.element(int(ys[i]))
+        a = ctx.element(int(xs[i]))
+        b = ctx.element(int(ys[i]))
         assert int(prod[i]) == (a * b).bits
         assert int(sq[i]) == a.square().bits
-        assert int(p9[i]) == (a ** 9).bits
-    assert np.all(np.asarray(p0) == 1)
+    order = ctx.order
+    for n in (0, 1, order - 2, order - 1, order, order + 1, 65921):
+        pn = scan.packed_pow(ctx, xs, n)
+        assert pn.dtype == np.uint64
+        for i in range(len(xs)):
+            assert int(pn[i]) == (ctx.element(int(xs[i])) ** n).bits, (n, int(xs[i]))
 
 
 def test_linear_matrix_requires_additive_map(f64):
@@ -95,13 +104,32 @@ def test_bijection_from_values_detects_duplicates():
 def test_power_table_rows(f64):
     table = scan.power_table(f64)
     assert table.shape == (64, 64)
-    rng = random.Random(14)
-    for _ in range(40):
-        d = rng.randrange(64)
-        x = rng.randrange(64)
-        assert int(table[d][x]) == (f64.element(x) ** d).bits
+    xs = np.arange(64, dtype=np.uint64)
+    for d in range(64):
+        assert np.array_equal(table[d], scan.packed_pow(f64, xs, d))
+        for x in range(64):
+            assert int(table[d][x]) == (f64.element(x) ** d).bits
     with pytest.raises(ValueError):
         scan.power_table(make_field(2, 7))
+
+
+@pytest.mark.parametrize("s, e", KERNEL_FIELDS.values(), ids=KERNEL_FIELDS.keys())
+def test_log_tables_permute_nonzero_elements(s, e):
+    ctx = make_field(s, e)
+    log, antilog = scan.log_tables(ctx)
+    assert log.dtype == antilog.dtype == np.uint32
+    assert np.array_equal(np.sort(antilog), np.arange(1, ctx.order))
+    assert np.array_equal(log[antilog], np.arange(ctx.order - 1))
+    assert scan.log_tables(ctx) is scan.log_tables(ctx)
+
+
+def test_log_tables_skip_non_generator():
+    # x^8+x^4+x^3+x+1 is irreducible but not primitive: t has order 51
+    ctx = make_field(1, 8)
+    assert str(ctx.modulus) == "x^8+x^4+x^3+x+1"
+    assert (ctx.element(2) ** 51).bits == 1
+    _, antilog = scan.log_tables(ctx)
+    assert int(antilog[1]) == 3
 
 
 def test_subfield_mask_matches_in_subfield(f4096):
