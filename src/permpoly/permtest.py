@@ -96,11 +96,9 @@ def charsum_single(f, a: FieldElement, ctx: FieldContext, values=None,
         raise ValueError("character element from a different field context")
     if values is None:
         values = scan.field_values(f, ctx, workers=workers)
-    mask = np.uint64(_trace_functional_mask(ctx, a))
-    ones = 0
-    for start, stop in scan.iter_chunks(len(values)):
-        bits = values[start:stop].astype(np.uint64) & mask
-        ones += int((np.bitwise_count(bits) & np.uint8(1)).sum())
+    # m <= 32, so the mask fits the uint32 values
+    mask = np.uint32(_trace_functional_mask(ctx, a))
+    ones = int((np.bitwise_count(values & mask) & np.uint8(1)).sum())
     return len(values) - 2 * ones
 
 

@@ -383,11 +383,17 @@ def build_t1_g(k: int, ctx: FieldContext) -> PolyExpr:
 
 
 def funcs_equal_pointwise(f, g, ctx: FieldContext) -> bool:
-    """f(x) = g(x) for every x in the field (exhaustive scan).
+    """f(x) = g(x) for every x in the field.
 
-    For reduced representations this decides congruence mod x^(q^e) - x
-    exactly.
+    When both sides are additive expressions, their bit matrices are
+    compared.  This is exact: an additive map is fixed by its images of
+    the basis t^0..t^(m-1), which are the matrix columns, and packed
+    evaluation of an additive node is apply_matrix of that same matrix.
+    Otherwise the whole field is scanned.  For reduced representations
+    either way decides congruence mod x^(q^e) - x exactly.
     """
+    if _is_additive(f) and _is_additive(g):
+        return np.array_equal(_additive_matrix(f, ctx), _additive_matrix(g, ctx))
     return scan.values_equal(f, g, ctx)
 
 
@@ -395,7 +401,9 @@ def identity_e1_check(k: int, ctx: FieldContext | None = None) -> bool:
     """Whole-field check of the squared-trace-sum congruence for g.
 
     Verifies g(x) + g(x)^(q^2k) = (S_2k(x)^(q^(k+1)))^2 together with the
-    two intermediate congruences the derivation chains through.
+    two intermediate congruences the derivation chains through.  Those two
+    are additive, so funcs_equal_pointwise decides them from bit matrices;
+    the main congruence contains a product and is scanned.
     """
     if k < 2 or k % 2:
         raise ValueError("the identity chain follows the theorem hypothesis: even k >= 2")

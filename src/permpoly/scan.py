@@ -154,21 +154,10 @@ def s_matrix(ctx: FieldContext, k: int) -> np.ndarray:
     return cols
 
 
-def trace_bits(ctx: FieldContext, values):
-    """Absolute trace of packed elements, as a 0/1 uint64 array."""
-    from .field import _trace_mask
-
-    v = values & np.uint64(_trace_mask(ctx))
-    for shift in (32, 16, 8, 4, 2, 1):
-        v = v ^ (v >> shift)
-    return v & np.uint64(1)
-
-
-def iter_chunks(total: int, chunk_size: int | None = None):
+def iter_chunks(total: int):
     """Fixed partition of range(total) into [start, stop) chunks."""
-    chunk_size = chunk_size or DEFAULT_CHUNK
-    for start in range(0, total, chunk_size):
-        yield start, min(start + chunk_size, total)
+    for start in range(0, total, DEFAULT_CHUNK):
+        yield start, min(start + DEFAULT_CHUNK, total)
 
 
 def _evaluator(f):
@@ -179,8 +168,7 @@ def _evaluator(f):
     raise TypeError(f"{f!r} is not evaluable on packed element arrays")
 
 
-def field_values(f, ctx: FieldContext, workers: int = 1,
-                 chunk_size: int | None = None) -> np.ndarray:
+def field_values(f, ctx: FieldContext, workers: int = 1) -> np.ndarray:
     """Evaluate f on every field element, in bit-pattern order.
 
     Returns a uint32 array of length ctx.order; entry i is f(element i).
@@ -189,7 +177,7 @@ def field_values(f, ctx: FieldContext, workers: int = 1,
     """
     evalf = _evaluator(f)
     out = np.empty(ctx.order, dtype=np.uint32)
-    chunks = list(iter_chunks(ctx.order, chunk_size))
+    chunks = list(iter_chunks(ctx.order))
 
     def work(span):
         start, stop = span
@@ -208,11 +196,11 @@ def field_values(f, ctx: FieldContext, workers: int = 1,
     return out
 
 
-def values_equal(f, g, ctx: FieldContext, chunk_size: int | None = None) -> bool:
+def values_equal(f, g, ctx: FieldContext) -> bool:
     """Pointwise equality of two evaluables over the whole field."""
     evalf = _evaluator(f)
     evalg = _evaluator(g)
-    for start, stop in iter_chunks(ctx.order, chunk_size):
+    for start, stop in iter_chunks(ctx.order):
         xs = np.arange(start, stop, dtype=np.uint64)
         fv = np.broadcast_to(np.asarray(evalf(xs, ctx)), xs.shape)
         gv = np.broadcast_to(np.asarray(evalg(xs, ctx)), xs.shape)
@@ -221,32 +209,29 @@ def values_equal(f, g, ctx: FieldContext, chunk_size: int | None = None) -> bool
     return True
 
 
-def bijection_from_values(values: np.ndarray, order: int,
-                          chunk_size: int | None = None):
-    """Check that a value array hits every pattern in [0, order) exactly once.
+def bijection_from_values(values: np.ndarray, order: int):
+    """Check that an array of order values hits every pattern in [0, order).
 
-    Marks values in an image bitset chunk by chunk, accounting popcounts so
-    a double hit is caught as soon as it is merged.  Returns (True, None)
-    or (False, duplicated_value).
+    One scatter marks the image.  If every pattern is marked, the order
+    values cover order patterns, so by pigeonhole each is hit exactly
+    once.  Returns (True, None), or (False, dup) with dup the least value
+    hit twice.
     """
+    if len(values) != order:
+        raise ValueError(f"need exactly {order} values, got {len(values)}")
     seen = np.zeros(order, dtype=bool)
-    marked = 0
-    for start, stop in iter_chunks(len(values), chunk_size):
-        chunk = values[start:stop]
-        uniq = np.unique(chunk)
-        if uniq.size != chunk.size:
-            sc = np.sort(chunk)
-            dup = sc[:-1][sc[1:] == sc[:-1]][0]
-            return False, int(dup)
-        hits = seen[uniq]
-        if hits.any():
-            return False, int(uniq[np.argmax(hits)])
-        seen[uniq] = True
-        marked += uniq.size
-    if marked != order:
-        # cannot happen when len(values) == order; kept as accounting guard
-        return False, None
-    return True, None
+    seen[values] = True
+    if seen.all():
+        return True, None
+    # a missed pattern forces a double hit; count hits per value in the
+    # same bytes, saturating at 2, one chunk of values at a time
+    counts = seen.view(np.uint8)
+    counts[:] = 0
+    for start, stop in iter_chunks(order):
+        uniq, hits = np.unique(values[start:stop], return_counts=True)
+        counts[uniq] = np.minimum(counts[uniq] + hits, 2)
+    # argmax returns the first index of the maximum, 2
+    return False, int(np.argmax(counts))
 
 
 def power_table(ctx: FieldContext) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
 from permpoly import scan
@@ -169,6 +170,52 @@ def test_t2_rejects_wrong_candidates(f4096):
     ident = LinPoly(f4096, [f4096.one()] + [f4096.zero()] * (f4096.m - 1))
     conds = check_t2_conditions(ident, 4, 2, f4096)
     assert conds.cond_i and not conds.cond_ii and not conds.pp_verified
+
+
+def _cond_ii_whole_field(L, k, ctx):
+    """Condition (ii) of check_t2_conditions, scanned over every element."""
+    xs = np.arange(ctx.order, dtype=np.uint64)
+    lv = L.eval_packed(xs, ctx)
+    lhs = lv ^ scan.apply_matrix(scan.frobenius_matrix(ctx, 2 * k), lv)
+    sv = scan.apply_matrix(scan.s_matrix(ctx, 2 * k), xs)
+    rhs = scan.packed_square(ctx, sv) ^ scan.packed_square(
+        ctx, scan.apply_matrix(scan.frobenius_matrix(ctx, k + 1), sv))
+    return bool(np.array_equal(lhs, rhs))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_t2_cond_ii_on_basis_matches_whole_field(k):
+    ctx = make_field(2, 3 * k)
+    rng = random.Random(50 + k)
+    # S_(k+1)^2 satisfies (ii); so does its sum with x -> Tr_(q^3k/q^k)(c x),
+    # whose values lie in GF(q^k) and are fixed by x -> x^(q^2k)
+    base = lin_from_expr(Pow(S(k + 1, Var()), 2), ctx).coeffs
+    cases = []
+    for _ in range(8):
+        c = ctx.random_element(rng)
+        coeffs = list(base)
+        for j in range(3):
+            coeffs[2 * k * j] = coeffs[2 * k * j] + c ** (4 ** (k * j))
+        cases.append(LinPoly(ctx, coeffs))
+        cases.append(LinPoly(ctx, [ctx.random_element(rng) for _ in range(ctx.m)]))
+    seen = set()
+    for L in cases:
+        got = check_t2_conditions(L, 4, k, ctx).cond_ii
+        assert got == _cond_ii_whole_field(L, k, ctx)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_t2_cond_ii_fails_on_any_flipped_coefficient_bit(f4096):
+    coeffs = lin_from_expr(Pow(S(3, Var()), 2), f4096).coeffs
+    for i in range(f4096.m):
+        for b in range(f4096.m):
+            flipped = list(coeffs)
+            flipped[i] = f4096.element(coeffs[i].bits ^ (1 << b))
+            L = LinPoly(f4096, flipped)
+            assert not check_t2_conditions(L, 4, 2, f4096).cond_ii, (i, b)
+            if i == b:
+                assert not _cond_ii_whole_field(L, 2, f4096)
 
 
 def test_t2_context_validation(f4096, f64):

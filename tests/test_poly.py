@@ -3,13 +3,15 @@ expression trees, 2-linearized collapse."""
 
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permpoly.field import eval_S, frobenius_q, make_field
+from permpoly import poly, scan
+from permpoly.field import enumerate_elements, eval_S, frobenius_q, make_field
 from permpoly.poly import (Add, Const, DensePolyF2, FrobQ, LinPoly, Mul, Pow,
                            S, Var, build_t1_g, expr_eval,
                            funcs_equal_pointwise, identity_e1_check,
@@ -176,6 +178,74 @@ def test_identity_e1_holds_at_k2_and_gates_odd(f4096):
     for bad in (1, 3, 0):
         with pytest.raises(ValueError):
             identity_e1_check(bad)
+
+
+def _e1_pairs(k, ctx):
+    """The (lhs, rhs) pairs identity_e1_check compares, in order:
+    mid1, mid2 and the main congruence."""
+    pairs = []
+
+    def record(f, g, ctx):
+        pairs.append((f, g))
+        return True
+
+    with mock.patch.object(poly, "funcs_equal_pointwise", record):
+        identity_e1_check(k, ctx)
+    return pairs
+
+
+def test_e1_additive_steps_agree_with_whole_field_scan(f4096):
+    mid1, mid2, _ = _e1_pairs(2, f4096)
+    for lhs, rhs in (mid1, mid2):
+        assert scan.values_equal(lhs, rhs, f4096)
+        assert funcs_equal_pointwise(lhs, rhs, f4096)
+
+
+def test_e1_additive_steps_compare_matrices(f4096, monkeypatch):
+    mid1, mid2, main = _e1_pairs(2, f4096)
+
+    def refuse(*args):
+        raise AssertionError("whole-field scan")
+
+    monkeypatch.setattr(scan, "values_equal", refuse)
+    assert funcs_equal_pointwise(*mid1, f4096)
+    assert funcs_equal_pointwise(*mid2, f4096)
+    with pytest.raises(AssertionError, match="whole-field scan"):
+        funcs_equal_pointwise(*main, f4096)  # g contains a product
+
+
+def _additive_exprs(s, e):
+    def extend(children):
+        return st.one_of(
+            st.lists(children, min_size=1, max_size=3).map(lambda cs: Add(tuple(cs))),
+            st.builds(lambda c, j: Pow(c, 1 << j), children, st.integers(0, 2 * s * e)),
+            st.builds(FrobQ, children, st.integers(0, 2 * e)),
+            st.builds(S, st.integers(0, 2 * e), children),
+        )
+    return st.recursive(st.just(Var()), extend, max_leaves=5)
+
+
+@st.composite
+def _additive_pairs(draw):
+    s, e = draw(st.sampled_from([(2, 3), (1, 8)]))
+    exprs = _additive_exprs(s, e)
+    f = draw(exprs)
+    # half the pairs are equal by construction: x^(2^m) = x, x^(q^e) = x, h + h = 0
+    g = draw(st.one_of(
+        exprs,
+        st.just(Pow(f, 1 << (s * e))),
+        st.builds(lambda i: FrobQ(FrobQ(f, i), e - i), st.integers(0, e)),
+        st.builds(lambda h: Add((h, f, h)), exprs),
+    ))
+    return make_field(s, e), f, g
+
+
+@settings(max_examples=60)
+@given(_additive_pairs())
+def test_additive_matrix_comparison_matches_scans(case):
+    ctx, f, g = case
+    scalar = all(expr_eval(f, x) == expr_eval(g, x) for x in enumerate_elements(ctx))
+    assert funcs_equal_pointwise(f, g, ctx) == scan.values_equal(f, g, ctx) == scalar
 
 
 def test_lin_from_expr_agrees_with_tree(f4096):

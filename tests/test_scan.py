@@ -1,13 +1,15 @@
 """Packed bulk engine cross-validated against scalar field arithmetic."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permpoly import scan
-from permpoly.field import (eval_S, frobenius_q, in_subfield, make_field,
-                            trace_absolute)
+from permpoly.field import eval_S, frobenius_q, in_subfield, make_field
 from permpoly.poly import Pow, S, Var, build_t1_g, expr_eval
 
 
@@ -64,13 +66,6 @@ def test_frobenius_and_s_matrices(f4096):
             assert int(sv[j]) == eval_S(k, f4096.element(int(xs[j]))).bits
 
 
-def test_trace_bits_matches_scalar(f4096):
-    xs = np.arange(512, dtype=np.uint64)
-    tb = scan.trace_bits(f4096, xs)
-    for j in range(512):
-        assert int(tb[j]) == trace_absolute(f4096.element(j))
-
-
 def test_field_values_matches_pointwise_eval(f64):
     g = build_t1_g(1, f64)
     values = scan.field_values(g, f64)
@@ -79,26 +74,62 @@ def test_field_values_matches_pointwise_eval(f64):
         assert int(values[bits]) == expr_eval(g, f64.element(bits)).bits
 
 
-def test_field_values_worker_invariance(f4096):
+def test_field_values_worker_invariance(f4096, monkeypatch):
     expr = Pow(S(4, Var()), 5)
-    base = scan.field_values(expr, f4096, chunk_size=257)
-    for workers in (2, 3, 8):
-        assert np.array_equal(
-            scan.field_values(expr, f4096, workers=workers, chunk_size=257), base)
-    assert np.array_equal(scan.field_values(expr, f4096), base)
+    base = scan.field_values(expr, f4096)
+    monkeypatch.setattr(scan, "DEFAULT_CHUNK", 257)
+    for workers in (1, 2, 3, 8):
+        assert np.array_equal(scan.field_values(expr, f4096, workers=workers), base)
 
 
-def test_bijection_from_values_detects_duplicates():
+def test_bijection_from_values_detects_duplicates(monkeypatch):
     ok, dup = scan.bijection_from_values(np.arange(256, dtype=np.uint32), 256)
     assert ok and dup is None
     perm = np.arange(256, dtype=np.uint32)[::-1].copy()
     assert scan.bijection_from_values(perm, 256) == (True, None)
     bad = perm.copy()
-    bad[7] = bad[200]  # same chunk or across chunks depending on size
-    ok, dup = scan.bijection_from_values(bad, 256, chunk_size=64)
-    assert not ok and dup == int(bad[200])
+    bad[7] = bad[200]
     ok, dup = scan.bijection_from_values(bad, 256)
     assert not ok and dup == int(bad[200])
+    monkeypatch.setattr(scan, "DEFAULT_CHUNK", 64)  # the two hits in different chunks
+    ok, dup = scan.bijection_from_values(bad, 256)
+    assert not ok and dup == int(bad[200])
+
+
+def test_bijection_from_values_needs_order_values():
+    with pytest.raises(ValueError, match="exactly 256 values"):
+        scan.bijection_from_values(np.arange(255, dtype=np.uint32), 256)
+    with pytest.raises(ValueError):
+        scan.bijection_from_values(np.zeros(257, dtype=np.uint32), 256)
+
+
+@st.composite
+def _planted_values(draw):
+    """A permutation of range(order), order <= 2^10, with up to 5 values
+    copied over other positions (a copy onto itself plants nothing)."""
+    order = draw(st.integers(1, 1 << 10))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    values = np.random.default_rng(seed).permutation(order).astype(np.uint32)
+    index = st.integers(0, order - 1)
+    for src, dst in draw(st.lists(st.tuples(index, index), max_size=5)):
+        values[dst] = values[src]
+    return values
+
+
+def _naive_bijection(values):
+    counts = np.bincount(values, minlength=len(values))
+    if (counts == 1).all():
+        return True, None
+    return False, int(np.flatnonzero(counts >= 2)[0])
+
+
+@pytest.mark.parametrize("chunk", [scan.DEFAULT_CHUNK, 64], ids=["one-chunk", "chunk-64"])
+@given(values=_planted_values())
+@settings(max_examples=150)
+def test_bijection_from_values_matches_naive(chunk, values):
+    with mock.patch.object(scan, "DEFAULT_CHUNK", chunk):
+        got = scan.bijection_from_values(values, len(values))
+    assert got == _naive_bijection(values)
 
 
 def test_power_table_rows(f64):
