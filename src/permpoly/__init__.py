@@ -6,7 +6,7 @@ elements), scan (vectorized whole-field evaluation), poly (dense/
 gnq (the g_(n,q) family and verification pipelines), cli (command line).
 """
 
-from .field import FieldContext, FieldElement, make_field
+from .field import FieldContext, FieldElement, UsageError, make_field
 from .gf2poly import BitPoly, bp_find_irreducible, bp_is_irreducible
 from .gnq import (CorollaryReport, DesirableTriple, T1Report, T2Conditions,
                   check_t2_conditions, gnq_closed_form, gnq_oracle_check,
@@ -22,7 +22,8 @@ __all__ = [
     "Add", "BitPoly", "Const", "CorollaryReport", "DensePolyF2",
     "DesirableTriple", "FieldContext", "FieldElement", "FrobQ", "LinPoly",
     "Mul", "PPReport", "PolyExpr", "Pow", "S", "T1Report",
-    "T2Conditions", "Var", "bp_find_irreducible", "bp_is_irreducible",
+    "T2Conditions", "UsageError", "Var", "bp_find_irreducible",
+    "bp_is_irreducible",
     "build_t1_g", "charsum_pp_test", "charsum_single", "check_t2_conditions",
     "expr_eval", "funcs_equal_pointwise", "gnq_closed_form",
     "gnq_oracle_check", "gnq_recurrence", "identity_e1_check",

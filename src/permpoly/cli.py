@@ -3,10 +3,11 @@
 Every subcommand prints machine-readable output (--format json/csv) or a
 human checklist (--format text, the default), and its exit code is 0
 exactly when every assertion in the invoked pipeline passed.  Usage,
-hypothesis, and parse errors exit 2.  Output ordering is fixed by n or
-element index, never by completion time, so --workers N is byte-identical
-to --workers 1; elapsed times are reported as 0 unless --timing is given,
-for the same reason.
+hypothesis, and parse errors (UsageError) exit 2; any other exception is a
+fault of the program and exits 1 with its traceback.  Output ordering is
+fixed by n or element index, never by completion time, so --workers N is
+byte-identical to --workers 1; elapsed times are reported as 0 unless
+--timing is given, for the same reason.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import argparse
 import json
 import random
 import sys
+import traceback
 
 from . import gnq, poly
-from .field import DEGREE_CEILING, make_field
+from .field import DEGREE_CEILING, UsageError, make_field
 from .gf2poly import BitPoly, proof_gcd_case1, proof_gcd_case2
 
 EXIT_OK = 0
@@ -34,7 +36,7 @@ HARD_DEGREE_CAP = 32
 #                             atom := x | S(INT) | frob(expr, INT) | (expr)
 
 
-class LSpecError(ValueError):
+class LSpecError(UsageError):
     def __init__(self, pos: int, msg: str):
         self.pos = pos
         super().__init__(f"L-spec parse error at position {pos}: {msg}")
@@ -148,7 +150,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise UsageError(f"expected a boolean, got {text!r}")
 
 
 _CONFIG_KEYS = {
@@ -173,25 +175,35 @@ _CONFIG_KEYS = {
 
 def _load_config(path: str) -> dict:
     options: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+    try:
+        with open(path) as fh:
+            lines = list(fh)
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
             options[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from exc
     return options
 
 
 def _parse_modulus(text: str) -> BitPoly:
-    if text.lower().startswith("0x"):
-        return BitPoly(int(text, 16))
-    return BitPoly.from_string(text)
+    try:
+        if text.lower().startswith("0x"):
+            return BitPoly(int(text, 16))
+        return BitPoly.from_string(text)
+    except ValueError as exc:
+        raise UsageError(f"--modulus: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +221,11 @@ def _b(ok: bool) -> str:
 def _emit(args, text: str) -> None:
     data = text if text.endswith("\n") else text + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise UsageError(str(exc)) from exc
+        with fh:
             fh.write(data)
     else:
         sys.stdout.write(data)
@@ -230,7 +246,7 @@ def _require(args, *names):
     for name in names:
         if getattr(args, name) is None:
             flag = "--from" if name == "n_from" else "--to" if name == "n_to" else f"--{name}"
-            raise ValueError(f"{flag} is required (flag or config file)")
+            raise UsageError(f"{flag} is required (flag or config file)")
 
 
 def _modulus_of(args) -> BitPoly | None:
@@ -269,7 +285,7 @@ def cmd_verify_t1(args) -> int:
 
 def cmd_verify_corollary(args) -> int:
     if args.modulus:
-        raise ValueError("--modulus does not apply: the corollary runs over GF(4^6) "
+        raise UsageError("--modulus does not apply: the corollary runs over GF(4^6) "
                          "with the default modulus")
     report = gnq.verify_corollary(workers=args.workers, timing=args.timing)
     if args.format == "json":
@@ -311,7 +327,7 @@ def cmd_probe_t1_odd(args) -> int:
 def cmd_identities(args) -> int:
     _require(args, "k")
     if args.k < 2 or args.k % 2:
-        raise ValueError("the identity chain follows the theorem hypothesis: even k >= 2")
+        raise UsageError("the identity chain follows the theorem hypothesis: even k >= 2")
     ctx = make_field(2, 3 * args.k, modulus=_modulus_of(args),
                      max_degree=args.max_degree)
     ok = poly.identity_e1_check(args.k, ctx)
@@ -327,7 +343,7 @@ def cmd_identities(args) -> int:
 def cmd_gcd(args) -> int:
     _require(args, "k")
     if args.k < 1:
-        raise ValueError("--k must be >= 1")
+        raise UsageError("--k must be >= 1")
     case2 = str(proof_gcd_case2(args.k))
     case1 = str(proof_gcd_case1(args.k)) if args.k >= 2 else None
     if args.format == "json":
@@ -398,7 +414,7 @@ def cmd_search(args) -> int:
     _require(args, "q", "e", "n_from", "n_to")
     s = gnq._q_exponent(args.q)
     if args.n_from < 1 or args.n_to < args.n_from:
-        raise ValueError("need 1 <= --from <= --to")
+        raise UsageError("need 1 <= --from <= --to")
     n_from = args.n_from
     if args.resume is not None:
         n_from = max(n_from, args.resume + 1)
@@ -520,7 +536,7 @@ def _merge_config(args) -> None:
         if getattr(args, key, None) is None:
             setattr(args, key, value)
     if args.format is not None and args.format not in ("text", "json", "csv"):
-        raise ValueError(f"config format must be text, json, or csv, not {args.format!r}")
+        raise UsageError(f"config format must be text, json, or csv, not {args.format!r}")
 
 
 def _apply_defaults(args) -> None:
@@ -533,7 +549,7 @@ def _apply_defaults(args) -> None:
     if not hasattr(args, "memo_bound"):
         args.memo_bound = None
     if args.workers < 1:
-        raise ValueError("--workers must be >= 1")
+        raise UsageError("--workers must be >= 1")
 
 
 def main(argv=None) -> int:
@@ -547,14 +563,15 @@ def main(argv=None) -> int:
         _merge_config(args)
         _apply_defaults(args)
         return args.func(args)
-    except LSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, AssertionError) as exc:
         print(f"verification aborted: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -21,6 +21,13 @@ DEGREE_CEILING = 30
 _ctx_counter = itertools.count()
 
 
+class UsageError(ValueError):
+    """A caller's parameter lies outside what a pipeline accepts: q, the
+    field degree or modulus, k, n, or the L map.  The command line reports
+    it as a usage error (exit 2); any other exception there is a fault of
+    the program (exit 1)."""
+
+
 class FieldContext:
     """Immutable description of GF(q^e), q = 2^s, with its modulus."""
 
@@ -130,10 +137,10 @@ def make_field(s: int, e: int, modulus: BitPoly | None = None,
     scans and bitsets would outgrow desk-scale memory.
     """
     if s < 1 or e < 1:
-        raise ValueError("need s >= 1 and e >= 1")
+        raise UsageError("need s >= 1 and e >= 1")
     m = s * e
     if m > max_degree:
-        raise ValueError(
+        raise UsageError(
             f"degree {m} = {s}*{e} exceeds ceiling {max_degree}; scans over "
             f"2^{m} elements would exhaust desk-scale memory (raise max_degree "
             f"to override)"
@@ -142,9 +149,9 @@ def make_field(s: int, e: int, modulus: BitPoly | None = None,
         modulus = bp_find_irreducible(m)
     else:
         if modulus.is_zero or modulus.degree != m:
-            raise ValueError(f"modulus must have degree {m}, got {modulus}")
+            raise UsageError(f"modulus must have degree {m}, got {modulus}")
         if not bp_is_irreducible(modulus):
-            raise ValueError(f"modulus {modulus} is reducible")
+            raise UsageError(f"modulus {modulus} is reducible")
     return FieldContext(s, e, modulus)
 
 

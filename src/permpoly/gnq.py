@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import scan
-from .field import (FieldContext, enumerate_elements, eval_S, frobenius_q,
-                    make_field)
+from .field import (FieldContext, UsageError, enumerate_elements, eval_S,
+                    frobenius_q, make_field)
 from .gf2poly import ONE as BP_ONE
 from .gf2poly import BitPoly, proof_gcd_case1, proof_gcd_case2
 from .permtest import PPReport, is_pp_exhaustive
@@ -36,7 +36,7 @@ DEFAULT_MEMO_BOUND = 1 << 20
 def _q_exponent(q: int) -> int:
     s = q.bit_length() - 1
     if q < 2 or q != 1 << s:
-        raise ValueError(f"q must be a power of 2, got {q}")
+        raise UsageError(f"q must be a power of 2, got {q}")
     return s
 
 
@@ -87,7 +87,7 @@ def gnq_recurrence(n: int, q: int, ctx: FieldContext,
     defining identity is checked separately by gnq_oracle_check.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise UsageError("n must be nonnegative")
     if ctx.q != q:
         raise ValueError(f"context has q={ctx.q}, not {q}")
     memo: dict[int, DensePolyF2] = ctx._cache.setdefault(("gnq_memo", q), {})
@@ -152,7 +152,7 @@ def gnq_oracle_check(n: int, q: int, ctx: FieldContext,
     x -> x^q + x, independently of how g was built.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise UsageError("n must be nonnegative")
     if ctx.q != q:
         raise ValueError(f"context has q={ctx.q}, not {q}")
     if g is None:
@@ -209,7 +209,7 @@ def verify_t1(k: int, workers: int = 1, timing: bool = False,
     """Exhaustively verify that S_(k+1)^2 + S_(2k)^(q^k+1) permutes GF(4^(3k)),
     together with the identity and gcd facts its proof leans on."""
     if k < 2 or k % 2:
-        raise ValueError(
+        raise UsageError(
             "theorem hypothesis requires even k >= 2 (use probe_t1_odd for exploration)"
         )
     kwargs: dict = {"modulus": modulus}
@@ -230,7 +230,7 @@ def probe_t1_odd(k: int, workers: int = 1, timing: bool = False,
     Records whatever the scan finds; asserts nothing.
     """
     if k < 1 or k % 2 == 0:
-        raise ValueError("the probe is for odd k; verify_t1 covers the theorem's even case")
+        raise UsageError("the probe is for odd k; verify_t1 covers the theorem's even case")
     ctx = make_field(2, 3 * k, modulus=modulus)
     g = build_t1_g(k, ctx)
     report = is_pp_exhaustive(g, ctx, workers=workers, timing=timing)
@@ -351,7 +351,7 @@ def check_t2_conditions(L: LinPoly, q: int, k: int, ctx: FieldContext,
     images = np.atleast_1d(np.asarray(L.eval_packed(sub_bits, ctx), dtype=np.uint64))
     cond_i = (bool(scan.subfield_mask(ctx, k)[images].all())
               and scan.bijection_from_values(np.searchsorted(sub_bits, images),
-                                             sub_bits.size)[0])
+                                             sub_bits.size))
 
     xs = np.uint64(1) << np.arange(ctx.m, dtype=np.uint64)
     lv = L.eval_packed(xs, ctx)
@@ -411,8 +411,7 @@ def search_desirable(q: int, e: int, n_from: int, n_to: int,
 
     def test_one(n: int) -> DesirableTriple | None:
         g = gnq_recurrence(n, q, ctx)
-        ok, _ = scan.bijection_from_values(g.eval_on_field(), ctx.order)
-        if not ok:
+        if not scan.bijection_from_values(g.eval_on_field(), ctx.order):
             return None
         if not gnq_oracle_check(n, q, ctx, g=g):
             raise RuntimeError(

@@ -61,19 +61,21 @@ class PPReport:
 
 def is_pp_exhaustive(f, ctx: FieldContext, workers: int = 1,
                      timing: bool = False) -> PPReport:
-    """Decide bijectivity by marking every image value exactly once.
+    """Decide bijectivity by marking every image value once (pigeonhole).
 
-    A duplicated value aborts the marking pass; the collision pair is
-    then reconstructed from the value array.
+    Only a map that fails pays for its witness: the least value hit
+    twice, and the two least elements that map to it, are then read off
+    the value array.
     """
     if ctx.order > EXHAUSTIVE_MAX_ORDER:
         raise ValueError(f"field order {ctx.order} exceeds the exhaustive-scan ceiling")
     t0 = time.perf_counter()
     values = scan.field_values(f, ctx, workers=workers)
-    ok, dup = scan.bijection_from_values(values, ctx.order)
+    ok = scan.bijection_from_values(values, ctx.order)
     elapsed = int((time.perf_counter() - t0) * 1000) if timing else 0
     if ok:
         return PPReport(True, "exhaustive", repr(ctx), elapsed_ms=elapsed)
+    dup = scan.collision_witness(values, ctx.order)
     hits = np.flatnonzero(values == np.uint32(dup))[:2]
     pair = (ctx.element(int(hits[0])), ctx.element(int(hits[1])))
     return PPReport(False, "exhaustive", repr(ctx), witness=ctx.element(int(dup)),

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scan
-from .field import (FieldContext, FieldElement, eval_S, frobenius_q,
-                    make_field)
+from .field import (FieldContext, FieldElement, UsageError, eval_S,
+                    frobenius_q, make_field)
 
 
 def reduce_exponent(m: int, order: int) -> int:
@@ -136,7 +136,7 @@ class DensePolyF2:
         """Values at every field element, indexed by bit pattern."""
         ctx = self.ctx
         if ctx.order <= scan.POWER_TABLE_MAX_ORDER:
-            rows = scan.power_table(ctx)[self.support()]
+            rows = scan.power_table(ctx, self.support())
             return np.bitwise_xor.reduce(rows, axis=0).astype(np.uint32)
         return scan.field_values(self, ctx)
 
@@ -406,7 +406,7 @@ def identity_e1_check(k: int, ctx: FieldContext | None = None) -> bool:
     the main congruence contains a product and is scanned.
     """
     if k < 2 or k % 2:
-        raise ValueError("the identity chain follows the theorem hypothesis: even k >= 2")
+        raise UsageError("the identity chain follows the theorem hypothesis: even k >= 2")
     if ctx is None:
         ctx = make_field(2, 3 * k)
     x = Var()
@@ -459,7 +459,7 @@ def lin_from_expr(g: PolyExpr, ctx: FieldContext, rng=None) -> LinPoly:
             return acc
         if isinstance(node, Pow):
             if node.n < 1 or node.n & (node.n - 1):
-                raise ValueError(f"Pow exponent {node.n} is not a power of 2")
+                raise UsageError(f"Pow exponent {node.n} is not a power of 2")
             return twist(build(node.child), node.n.bit_length() - 1)
         if isinstance(node, FrobQ):
             return twist(build(node.child), ctx.s * (node.i % ctx.e))
@@ -469,7 +469,7 @@ def lin_from_expr(g: PolyExpr, ctx: FieldContext, rng=None) -> LinPoly:
             for i in range(node.k):
                 acc = vec_add(acc, twist(child, ctx.s * (i % ctx.e)))
             return acc
-        raise ValueError(f"non-additive node {type(node).__name__} in 2-linearized expression")
+        raise UsageError(f"non-additive node {type(node).__name__} in 2-linearized expression")
 
     lin = LinPoly(ctx, build(g))
     rng = rng or random.Random(0)

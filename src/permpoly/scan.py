@@ -20,7 +20,8 @@ from .field import FieldContext, FieldElement
 
 DEFAULT_CHUNK = 1 << 20
 
-# order up to this bound gets a full (order x order) power-value table
+# order up to this bound gets a per-context (order x order) power-value table,
+# filled one row per exponent read
 POWER_TABLE_MAX_ORDER = 1 << 12
 
 _SPREAD_MASKS = (
@@ -100,16 +101,25 @@ def log_tables(ctx: FieldContext):
     return tables
 
 
-def packed_pow(ctx: FieldContext, a, n: int):
+def packed_pow(ctx: FieldContext, a, n):
     """Elementwise a^n = antilog[log[a] * n mod (order-1)], n >= 0 applied
-    literally: 0^n is 0 for n >= 1, and x^0 = 1 everywhere."""
-    if n < 0:
+    literally: 0^n is 0 for n >= 1, and x^0 = 1 everywhere.
+
+    n is an int or an integer array that broadcasts against a; exponents
+    of shape (k, 1) against a of shape (N,) give k rows of N powers.
+    """
+    if isinstance(n, int):
+        negative = n < 0
+    else:
+        n = np.asarray(n, dtype=np.int64)
+        negative = bool((n < 0).any())
+    if negative:
         raise ValueError("exponent must be nonnegative")
     log, antilog = log_tables(ctx)
     cyc = ctx.order - 1
-    idx = log[a].astype(np.uint64) * np.uint64(n % cyc) % np.uint64(cyc)
-    res = antilog[idx].astype(np.uint64)
-    return np.where(a == 0, np.uint64(0), res) if n else res
+    res = antilog[log[a].astype(np.uint64) * np.uint64(n % cyc) % np.uint64(cyc)]
+    # log[0] = 0 reads 1 at a = 0; 0^n is 1 only for n = 0
+    return np.where(a == 0, np.uint64(n == 0), res.astype(np.uint64))
 
 
 def linear_matrix(ctx: FieldContext, fn) -> np.ndarray:
@@ -209,44 +219,67 @@ def values_equal(f, g, ctx: FieldContext) -> bool:
     return True
 
 
-def bijection_from_values(values: np.ndarray, order: int):
-    """Check that an array of order values hits every pattern in [0, order).
+def bijection_from_values(values: np.ndarray, order: int) -> bool:
+    """Whether an array of order values hits every pattern in [0, order).
 
     One scatter marks the image.  If every pattern is marked, the order
     values cover order patterns, so by pigeonhole each is hit exactly
-    once.  Returns (True, None), or (False, dup) with dup the least value
-    hit twice.
+    once.
     """
     if len(values) != order:
         raise ValueError(f"need exactly {order} values, got {len(values)}")
     seen = np.zeros(order, dtype=bool)
     seen[values] = True
-    if seen.all():
-        return True, None
-    # a missed pattern forces a double hit; count hits per value in the
-    # same bytes, saturating at 2, one chunk of values at a time
-    counts = seen.view(np.uint8)
-    counts[:] = 0
-    for start, stop in iter_chunks(order):
+    return bool(seen.all())
+
+
+def collision_witness(values: np.ndarray, order: int) -> int:
+    """The least value in [0, order) that the array hits twice.
+
+    Hits per value are counted in a saturating uint8 counter, one chunk of
+    values at a time, so memory stays at the counter plus one chunk.
+    """
+    counts = np.zeros(order, dtype=np.uint8)
+    for start, stop in iter_chunks(len(values)):
         uniq, hits = np.unique(values[start:stop], return_counts=True)
         counts[uniq] = np.minimum(counts[uniq] + hits, 2)
-    # argmax returns the first index of the maximum, 2
-    return False, int(np.argmax(counts))
+    # argmax returns the first index of the maximum
+    dup = int(np.argmax(counts))
+    if counts[dup] < 2:
+        raise ValueError("no value is hit twice")
+    return dup
 
 
-def power_table(ctx: FieldContext) -> np.ndarray:
-    """Table P with P[d][x] = x^d for the whole field; order <= 4096 only."""
-    P = ctx._cache.get("power_table")
-    if P is None:
-        order = ctx.order
-        if order > POWER_TABLE_MAX_ORDER:
-            raise ValueError(f"power table capped at order {POWER_TABLE_MAX_ORDER}")
+def power_table(ctx: FieldContext, exponents) -> np.ndarray:
+    """Rows P[i][x] = x^exponents[i] over the whole field; order <= 4096 only.
+
+    The per-context table fills a row the first time it is read, all
+    missing rows of a call in one packed_pow call (in blocks of at most
+    DEFAULT_CHUNK values), so a context pays only for the exponents it
+    reads: 8 KB per row at order 4096.  A row is written before its
+    exponent joins the filled set, so threads sharing the context never
+    read an unfilled row; two threads that fill the same row write the
+    same values.
+    """
+    order = ctx.order
+    if order > POWER_TABLE_MAX_ORDER:
+        raise ValueError(f"power table capped at order {POWER_TABLE_MAX_ORDER}")
+    cached = ctx._cache.get("power_table")
+    if cached is None:
+        # zeroed pages are only committed when a row is written
+        cached = ctx._cache.setdefault(
+            "power_table", (np.zeros((order, order), dtype=np.uint16), set()))
+    table, filled = cached
+    if not filled.issuperset(exponents):
+        missing = set(exponents).difference(filled)
         xs = np.arange(order, dtype=np.uint64)
-        P = np.empty((order, order), dtype=np.uint16)
-        for d in range(order):
-            P[d] = packed_pow(ctx, xs, d)
-        ctx._cache["power_table"] = P
-    return P
+        rows = np.fromiter(missing, dtype=np.int64, count=len(missing))
+        step = max(1, DEFAULT_CHUNK // order)
+        for start in range(0, rows.size, step):
+            block = rows[start:start + step]
+            table[block] = packed_pow(ctx, xs, block[:, None])
+        filled.update(missing)
+    return table[exponents]
 
 
 def subfield_mask(ctx: FieldContext, k: int) -> np.ndarray:

@@ -124,7 +124,7 @@ def test_criterion_10_t2_specializes_to_the_theorem_map():
         ctx, scan.apply_matrix(scan.frobenius_matrix(ctx, 2), sv), sv)
     gv = scan.field_values(build_t1_g(2, ctx), ctx).astype(np.uint64)
     assert np.array_equal(composite, gv)
-    assert scan.bijection_from_values(composite, ctx.order)[0]
+    assert scan.bijection_from_values(composite, ctx.order)
 
 
 _DETERMINISM_COMMANDS = [

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from permpoly import cli
+from permpoly import cli, gnq, scan
 from permpoly.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, LSpecError,
                           parse_lspec)
 from permpoly.poly import Add, FrobQ, Pow, S, Var
@@ -179,6 +179,17 @@ def test_search_csv_and_worker_determinism(capsys):
     assert capsys.readouterr().out == run1
 
 
+def test_search_threads_share_the_power_table(capsys):
+    # worker threads fill power-table rows of one GF(4^6) context concurrently
+    argv = ["search", "--q", "4", "--e", "6", "--from", "1", "--to", "400",
+            "--format", "csv"]
+    assert cli.main(argv + ["--workers", "1"]) == EXIT_OK
+    run1 = capsys.readouterr().out
+    assert cli.main(argv + ["--workers", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == run1
+    assert len(run1.splitlines()) > 10
+
+
 def test_search_resume_skips_and_empty_range(capsys):
     assert cli.main(["search", "--q", "4", "--e", "2", "--from", "1",
                      "--to", "5", "--resume", "5", "--format", "json"]) == EXIT_OK
@@ -241,6 +252,34 @@ def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
     assert cli.main(["gcd", "--k", "2", "--out", str(target)]) == EXIT_OK
     assert capsys.readouterr().out == ""
     assert target.read_text() == "case1: 1, case2: x^2+1\n"
+
+
+def test_internal_value_error_is_a_failure_not_a_usage_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("planted fault")
+
+    monkeypatch.setattr(gnq, "verify_t1", broken)
+    assert cli.main(["verify-t1", "--k", "2"]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "internal error: ValueError: planted fault" in err and "Traceback" in err
+    monkeypatch.setattr(scan, "bijection_from_values", broken)
+    assert cli.main(["search", "--q", "4", "--e", "2", "--from", "1", "--to", "9"]) == EXIT_FAIL
+    assert "planted fault" in capsys.readouterr().err
+    # argument validation inside the pipelines stays a usage error
+    assert cli.main(["search", "--q", "3", "--e", "2", "--from", "1", "--to", "9"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: q must be a power of 2, got 3\n"
+
+
+def test_config_value_and_out_path_errors_are_usage_errors(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("k = two\n")
+    assert cli.main(["gcd", "--config", str(cfg)]) == EXIT_USAGE
+    assert f"{cfg}:1:" in capsys.readouterr().err
+    assert cli.main(["gcd", "--k", "2", "--out", str(tmp_path / "no" / "such.txt")]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    assert cli.main(["gnq", "--n", "7", "--q", "4", "--e", "2",
+                     "--modulus", "0xzz"]) == EXIT_USAGE
+    assert "--modulus" in capsys.readouterr().err
 
 
 def test_workers_validation(capsys):

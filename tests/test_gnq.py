@@ -13,7 +13,7 @@ from permpoly.gnq import (DesirableTriple, check_t2_conditions, gnq_base,
                           gnq_closed_form, gnq_oracle_check, gnq_recurrence,
                           probe_t1_odd, search_desirable, verify_corollary,
                           verify_t1)
-from permpoly.poly import (DensePolyF2, LinPoly, Pow, S, Var,
+from permpoly.poly import (Add, DensePolyF2, LinPoly, Pow, S, Var,
                            funcs_equal_pointwise, lin_from_expr, s_dense)
 from permpoly.scan import POWER_TABLE_MAX_ORDER
 
@@ -241,6 +241,33 @@ def test_search_worker_determinism(f64):
     assert a == b
     ns = [t.n for t in a]
     assert ns == sorted(set(ns))
+
+
+def test_search_fills_only_the_power_rows_it_reads():
+    ctx = make_field(2, 6)
+    search_desirable(4, 6, 1, 50, ctx=ctx)
+    support = set()
+    for n in range(1, 51):
+        support.update(gnq_recurrence(n, 4, ctx).support())
+    _, filled = ctx._cache["power_table"]
+    assert filled == support and len(support) < ctx.order // 10
+
+
+def test_search_and_t2_pay_for_no_collision_witness(f4096, monkeypatch):
+    def refuse(values, order):
+        raise AssertionError("collision witness computed")
+
+    monkeypatch.setattr(scan, "collision_witness", refuse)
+    assert [t.n for t in search_desirable(4, 6, 1, 60, ctx=f4096)] == [
+        t.n for t in search_desirable(4, 6, 1, 60, workers=2, ctx=f4096)]
+    # x^2 + x and 0 map GF(q^k) into itself, so cond_i reaches the bijection check
+    for L in (lin_from_expr(Add((Pow(Var(), 2), Var())), f4096),
+              LinPoly(f4096, [f4096.zero()] * f4096.m)):
+        assert not check_t2_conditions(L, 4, 2, f4096).cond_i
+    assert check_t2_conditions(lin_from_expr(Pow(S(3, Var()), 2), f4096),
+                               4, 2, f4096).pp_verified
+    with pytest.raises(AssertionError, match="collision witness"):
+        probe_t1_odd(1)
 
 
 def test_search_low_n_base_cases_never_hit(f16):

@@ -1,6 +1,8 @@
 """Packed bulk engine cross-validated against scalar field arithmetic."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -83,17 +85,18 @@ def test_field_values_worker_invariance(f4096, monkeypatch):
 
 
 def test_bijection_from_values_detects_duplicates(monkeypatch):
-    ok, dup = scan.bijection_from_values(np.arange(256, dtype=np.uint32), 256)
-    assert ok and dup is None
+    assert scan.bijection_from_values(np.arange(256, dtype=np.uint32), 256) is True
     perm = np.arange(256, dtype=np.uint32)[::-1].copy()
-    assert scan.bijection_from_values(perm, 256) == (True, None)
+    assert scan.bijection_from_values(perm, 256) is True
+    with pytest.raises(ValueError, match="no value is hit twice"):
+        scan.collision_witness(perm, 256)
     bad = perm.copy()
     bad[7] = bad[200]
-    ok, dup = scan.bijection_from_values(bad, 256)
-    assert not ok and dup == int(bad[200])
+    assert scan.bijection_from_values(bad, 256) is False
+    assert scan.collision_witness(bad, 256) == int(bad[200])
     monkeypatch.setattr(scan, "DEFAULT_CHUNK", 64)  # the two hits in different chunks
-    ok, dup = scan.bijection_from_values(bad, 256)
-    assert not ok and dup == int(bad[200])
+    assert scan.bijection_from_values(bad, 256) is False
+    assert scan.collision_witness(bad, 256) == int(bad[200])
 
 
 def test_bijection_from_values_needs_order_values():
@@ -116,32 +119,77 @@ def _planted_values(draw):
     return values
 
 
-def _naive_bijection(values):
-    counts = np.bincount(values, minlength=len(values))
-    if (counts == 1).all():
-        return True, None
-    return False, int(np.flatnonzero(counts >= 2)[0])
-
-
 @pytest.mark.parametrize("chunk", [scan.DEFAULT_CHUNK, 64], ids=["one-chunk", "chunk-64"])
 @given(values=_planted_values())
 @settings(max_examples=150)
 def test_bijection_from_values_matches_naive(chunk, values):
+    counts = np.bincount(values, minlength=len(values))
     with mock.patch.object(scan, "DEFAULT_CHUNK", chunk):
-        got = scan.bijection_from_values(values, len(values))
-    assert got == _naive_bijection(values)
+        ok = scan.bijection_from_values(values, len(values))
+        assert ok is bool((counts == 1).all())
+        if ok:
+            with pytest.raises(ValueError):
+                scan.collision_witness(values, len(values))
+        else:
+            dup = int(np.flatnonzero(counts >= 2)[0])
+            assert scan.collision_witness(values, len(values)) == dup
 
 
-def test_power_table_rows(f64):
-    table = scan.power_table(f64)
-    assert table.shape == (64, 64)
+def test_power_table_rows(monkeypatch):
+    monkeypatch.setattr(scan, "DEFAULT_CHUNK", 256)  # missing rows fill 4 at a time
     xs = np.arange(64, dtype=np.uint64)
-    for d in range(64):
-        assert np.array_equal(table[d], scan.packed_pow(f64, xs, d))
-        for x in range(64):
-            assert int(table[d][x]) == (f64.element(x) ** d).bits
-    with pytest.raises(ValueError):
-        scan.power_table(make_field(2, 7))
+    for exponents in ([5], [0, 63], [63, 0, 5, 5, 17], [9, 9, 9],
+                      list(range(64))[::-1], []):
+        ctx = make_field(2, 3)  # fresh context: rows fill as the calls read them
+        for reads in (exponents, exponents[::2], exponents):
+            rows = scan.power_table(ctx, reads)
+            assert rows.shape == (len(reads), 64)
+            for row, d in zip(rows, reads):
+                assert np.array_equal(row, scan.packed_pow(ctx, xs, d))
+                for x in range(64):  # x = 0 included
+                    assert int(row[x]) == (ctx.element(x) ** d).bits, (d, x)
+        assert len(ctx._cache["power_table"][1]) == len(set(exponents))
+
+
+def test_power_table_threads_never_read_an_unfilled_row():
+    ctx = make_field(2, 6)
+    rng = random.Random(14)
+    reads = [[rng.randrange(300) for _ in range(rng.randrange(1, 12))]
+             for _ in range(400)]
+    xs = np.arange(ctx.order, dtype=np.uint64)
+    expect = {d: scan.packed_pow(ctx, xs, d) for d in set().union(*reads)}
+
+    def read(exponents):
+        rows = scan.power_table(ctx, exponents)
+        return all(np.array_equal(row, expect[d]) for row, d in zip(rows, exponents))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(read, r) for r in reads]
+            assert all(f.result(timeout=60) for f in futures)
+    finally:
+        sys.setswitchinterval(old)
+    assert ctx._cache["power_table"][1] == set(expect)
+
+
+def test_power_table_cap():
+    with pytest.raises(ValueError, match="capped at order 4096"):
+        scan.power_table(make_field(2, 7), [1])
+
+
+def test_packed_pow_broadcasts_exponent_rows(f64):
+    xs = np.arange(64, dtype=np.uint64)
+    ns = np.array([0, 1, 62, 63, 64, 65921])
+    rows = scan.packed_pow(f64, xs, ns[:, None])
+    assert rows.shape == (len(ns), 64) and rows.dtype == np.uint64
+    for row, n in zip(rows, ns):
+        assert np.array_equal(row, scan.packed_pow(f64, xs, int(n)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        scan.packed_pow(f64, xs, np.array([[3], [-1]]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        scan.packed_pow(f64, xs, -1)
 
 
 @pytest.mark.parametrize("s, e", KERNEL_FIELDS.values(), ids=KERNEL_FIELDS.keys())
