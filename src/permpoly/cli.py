@@ -384,7 +384,7 @@ def cmd_gnq(args) -> int:
     _require(args, "n", "q", "e")
     ctx = make_field(gnq._q_exponent(args.q), args.e, modulus=_modulus_of(args),
                      max_degree=args.max_degree)
-    bound = args.memo_bound if args.memo_bound else gnq.DEFAULT_MEMO_BOUND
+    bound = args.memo_bound if args.memo_bound is not None else gnq.DEFAULT_MEMO_BOUND
     g = gnq.gnq_recurrence(args.n, args.q, ctx, memo_bound=bound)
     if args.format == "json":
         _emit(args, _dump_json(g.to_json_obj()))
@@ -485,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_probe_t1_odd)
 
     p = sub.add_parser("identities", parents=[common],
-                       help="whole-field check of the squared-trace-sum identity")
+                       help="degree-bounded check of the squared-trace-sum identity")
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=cmd_identities)
 

@@ -22,13 +22,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import scan
-from .field import (FieldContext, UsageError, enumerate_elements, eval_S,
-                    frobenius_q, make_field)
+from .field import FieldContext, UsageError, enumerate_elements, make_field
 from .gf2poly import ONE as BP_ONE
 from .gf2poly import BitPoly, proof_gcd_case1, proof_gcd_case2
 from .permtest import PPReport, is_pp_exhaustive
-from .poly import (DensePolyF2, LinPoly, build_t1_g, funcs_equal_pointwise,
-                   identity_e1_check, s_dense)
+from .poly import (Add, DensePolyF2, FrobQ, LinPoly, Pow, S, Var, build_t1_g,
+                   funcs_equal_pointwise, identity_e1_check, s_dense, t2_map)
 
 DEFAULT_MEMO_BOUND = 1 << 20
 
@@ -88,6 +87,8 @@ def gnq_recurrence(n: int, q: int, ctx: FieldContext,
     """
     if n < 0:
         raise UsageError("n must be nonnegative")
+    if memo_bound < 1:
+        raise UsageError(f"memo bound must be >= 1, got {memo_bound}")
     if ctx.q != q:
         raise ValueError(f"context has q={ctx.q}, not {q}")
     memo: dict[int, DensePolyF2] = ctx._cache.setdefault(("gnq_memo", q), {})
@@ -311,34 +312,12 @@ class T2Conditions:
         }
 
 
-class _LPlusSPower:
-    """Evaluable for f(x) = L(x) + S_2k(x)^(q^k) * S_2k(x)."""
-
-    def __init__(self, L: LinPoly, k: int):
-        self.L = L
-        self.k = k
-
-    def eval_packed(self, xs, ctx: FieldContext):
-        sv = scan.apply_matrix(scan.s_matrix(ctx, 2 * self.k), xs)
-        prod = scan.packed_mul(
-            ctx, scan.apply_matrix(scan.frobenius_matrix(ctx, self.k), sv), sv)
-        return self.L.eval_packed(xs, ctx) ^ prod
-
-    def eval_at(self, x):
-        sv = eval_S(2 * self.k, x)
-        return self.L.eval_at(x) + frobenius_q(sv, self.k) * sv
-
-
 def check_t2_conditions(L: LinPoly, q: int, k: int, ctx: FieldContext,
                         workers: int = 1, timing: bool = False) -> T2Conditions:
     """Check the generalized-theorem hypotheses for L over GF(q^(3k)).
 
     (i) L restricted to GF(q^k) is a bijection of GF(q^k); (ii) the
     congruence L + L^(q^2k) = S_2k^2 + (S_2k^(q^(k+1)))^2 holds pointwise.
-    (ii) is checked on the basis t^0..t^(m-1) only.  That is exact: every
-    step of both sides is GF(2)-linear (L, the Frobenius and S matrices,
-    squaring in characteristic 2, XOR), and a GF(2)-linear map is fixed
-    by its images of a basis.
     When both hold, the theorem asserts L + S_2k^(q^k+1) is a PP; that is
     then tested exhaustively and recorded in pp_verified.
     """
@@ -348,23 +327,19 @@ def check_t2_conditions(L: LinPoly, q: int, k: int, ctx: FieldContext,
         raise ValueError("L comes from a different field context")
 
     sub_bits = scan.subfield_elements(ctx, k)
-    images = np.atleast_1d(np.asarray(L.eval_packed(sub_bits, ctx), dtype=np.uint64))
+    images = L.eval_packed(sub_bits, ctx)
     cond_i = (bool(scan.subfield_mask(ctx, k)[images].all())
               and scan.bijection_from_values(np.searchsorted(sub_bits, images),
                                              sub_bits.size))
 
-    xs = np.uint64(1) << np.arange(ctx.m, dtype=np.uint64)
-    lv = L.eval_packed(xs, ctx)
-    lhs = lv ^ scan.apply_matrix(scan.frobenius_matrix(ctx, 2 * k), lv)
-    sv = scan.apply_matrix(scan.s_matrix(ctx, 2 * k), xs)
-    rhs = scan.packed_square(ctx, sv) ^ scan.packed_square(
-        ctx, scan.apply_matrix(scan.frobenius_matrix(ctx, k + 1), sv))
-    cond_ii = bool(np.array_equal(lhs, rhs))
+    s2k = S(2 * k, Var())
+    cond_ii = funcs_equal_pointwise(Add((L, FrobQ(L, 2 * k))),
+                                    Add((Pow(s2k, 2), Pow(FrobQ(s2k, k + 1), 2))), ctx)
 
     pp_report = None
     pp_verified = False
     if cond_i and cond_ii:
-        pp_report = is_pp_exhaustive(_LPlusSPower(L, k), ctx,
+        pp_report = is_pp_exhaustive(t2_map(L, k), ctx,
                                      workers=workers, timing=timing)
         pp_verified = pp_report.is_pp
     return T2Conditions(cond_i, cond_ii, pp_verified, pp_report)

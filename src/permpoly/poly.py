@@ -1,16 +1,17 @@
 """Polynomial objects over GF(q^e) and their whole-field evaluation.
 
-Three representations, each matched to its access pattern:
+Two representations, each matched to its access pattern:
 
 * DensePolyF2  -- reduced polynomial with GF(2) coefficients, bit-packed
                   in one int of q^e bits (the shape of g_{n,q}).
-* LinPoly      -- 2-linearized coefficient vector of length m, one entry
-                  per exponent 2^i.
-* PolyExpr     -- expression tree (Var/Const/Add/Mul/Pow/FrobQ/S) kept
-                  unexpanded so whole-field scans evaluate S-power
+* PolyExpr     -- expression tree (Var/Const/LinPoly/Add/Mul/Pow/FrobQ/S)
+                  kept unexpanded so whole-field scans evaluate S-power
                   combinations in O(k) per point instead of expanding
-                  them into thousands of monomials.
+                  them into thousands of monomials.  LinPoly, the
+                  2-linearized map sum c_i x^(2^i), is one of its leaves.
 
+Whether two maps agree is decided in one place, funcs_equal_pointwise,
+on the points whose Hamming weight is at most their degree bound.
 All values are immutable after construction.
 """
 
@@ -167,13 +168,25 @@ def s_dense(ctx: FieldContext, k: int) -> DensePolyF2:
 
 
 # ---------------------------------------------------------------------------
-# 2-linearized polynomials
+# expression trees
 
 
-class LinPoly:
-    """Additive map sum(c_i x^(2^i)), coefficients indexed by i < m."""
+class PolyExpr:
+    """Base class for expression-tree nodes."""
 
-    __slots__ = ("coeffs", "ctx", "_matrix")
+    __slots__ = ()
+
+    def eval_packed(self, xs, ctx: FieldContext):
+        return _expr_eval_packed(self, xs, ctx)
+
+    def eval_at(self, x: FieldElement) -> FieldElement:
+        return expr_eval(self, x)
+
+
+class LinPoly(PolyExpr):
+    """Leaf for the additive map sum(c_i x^(2^i)), coefficients indexed by i < m."""
+
+    __slots__ = ("coeffs", "ctx")
 
     def __init__(self, ctx: FieldContext, coeffs):
         coeffs = tuple(coeffs)
@@ -184,7 +197,6 @@ class LinPoly:
                 raise ValueError("coefficient from a different field context")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_matrix", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinPoly is immutable")
@@ -204,17 +216,6 @@ class LinPoly:
             y = y.square()
         return acc
 
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            object.__setattr__(self, "_matrix",
-                               scan.linear_matrix(self.ctx, self.eval_at))
-        return self._matrix
-
-    def eval_packed(self, xs, ctx: FieldContext):
-        if ctx is not self.ctx:
-            raise ValueError("context mismatch")
-        return scan.apply_matrix(self.matrix(), xs)
-
     def __eq__(self, other):
         if not isinstance(other, LinPoly):
             return NotImplemented
@@ -226,22 +227,6 @@ class LinPoly:
     def __repr__(self):
         terms = [f"{c!r}*x^(2^{i})" for i, c in enumerate(self.coeffs) if c.bits]
         return "LinPoly(" + (" + ".join(terms) if terms else "0") + ")"
-
-
-# ---------------------------------------------------------------------------
-# expression trees
-
-
-class PolyExpr:
-    """Base class for expression-tree nodes."""
-
-    __slots__ = ()
-
-    def eval_packed(self, xs, ctx: FieldContext):
-        return _expr_eval_packed(self, xs, ctx)
-
-    def eval_at(self, x: FieldElement) -> FieldElement:
-        return expr_eval(self, x)
 
 
 @dataclass(frozen=True)
@@ -291,6 +276,8 @@ def expr_eval(g: PolyExpr, x: FieldElement) -> FieldElement:
         if g.value.ctx is not ctx:
             raise ValueError("constant from a different field context")
         return g.value
+    if isinstance(g, LinPoly):
+        return g.eval_at(x)
     if isinstance(g, Add):
         acc = ctx.zero()
         for c in g.children:
@@ -310,9 +297,36 @@ def expr_eval(g: PolyExpr, x: FieldElement) -> FieldElement:
     raise TypeError(f"unknown expression node {g!r}")
 
 
+def degree_bound(f, m: int) -> int:
+    """Upper bound on the algebraic degree of f as a map of GF(2)^m.
+
+    The algebraic degree of x -> x^d is the binary weight of d, and no
+    map of m bits has degree above m.  Var and LinPoly are additive
+    (degree 1), Const has degree 0, a sum has at most the largest degree
+    of its terms and a product at most the sum of its factors' degrees.
+    Pow n is a product of wt(n) images of its child under x -> x^(2^i),
+    and x^(2^i), FrobQ and S are additive, so they keep the degree.
+    """
+    if isinstance(f, DensePolyF2):
+        return min(max((d.bit_count() for d in f.support()), default=0), m)
+    if isinstance(f, (Var, LinPoly)):
+        return 1
+    if isinstance(f, Const):
+        return 0
+    if isinstance(f, Add):
+        return max((degree_bound(c, m) for c in f.children), default=0)
+    if isinstance(f, Mul):
+        return min(sum(degree_bound(c, m) for c in f.children), m)
+    if isinstance(f, Pow):
+        return min(f.n.bit_count() * degree_bound(f.child, m), m)
+    if isinstance(f, (FrobQ, S)):
+        return degree_bound(f.child, m)
+    raise TypeError(f"no degree bound for {f!r}")
+
+
 def _is_additive(node: PolyExpr) -> bool:
     """True for subtrees denoting GF(2)-additive maps (no Mul, no Const)."""
-    if isinstance(node, Var):
+    if isinstance(node, (Var, LinPoly)):
         return True
     if isinstance(node, Add):
         return all(_is_additive(c) for c in node.children)
@@ -377,33 +391,35 @@ def build_t1_g(k: int, ctx: FieldContext) -> PolyExpr:
         raise ValueError(
             f"context must be GF(4^{3 * k}) (s=2, e={3 * k}), got {ctx!r}"
         )
-    x = Var()
-    s2k = S(2 * k, x)
-    return Add((Pow(S(k + 1, x), 2), Mul((FrobQ(s2k, k), s2k))))
+    return t2_map(Pow(S(k + 1, Var()), 2), k)
+
+
+def t2_map(L: PolyExpr, k: int) -> PolyExpr:
+    """The generalized theorem's map L + S_(2k)^(q^k + 1)."""
+    s2k = S(2 * k, Var())
+    return Add((L, Mul((FrobQ(s2k, k), s2k))))
 
 
 def funcs_equal_pointwise(f, g, ctx: FieldContext) -> bool:
     """f(x) = g(x) for every x in the field.
 
-    When both sides are additive expressions, their bit matrices are
-    compared.  This is exact: an additive map is fixed by its images of
-    the basis t^0..t^(m-1), which are the matrix columns, and packed
-    evaluation of an additive node is apply_matrix of that same matrix.
-    Otherwise the whole field is scanned.  For reduced representations
-    either way decides congruence mod x^(q^e) - x exactly.
+    f + g has degree at most the larger degree bound of the two, so
+    scan.values_equal decides it on the points of Hamming weight up to
+    that bound.  For reduced representations this decides congruence
+    mod x^(q^e) - x exactly.
     """
-    if _is_additive(f) and _is_additive(g):
-        return np.array_equal(_additive_matrix(f, ctx), _additive_matrix(g, ctx))
-    return scan.values_equal(f, g, ctx)
+    degree = max(degree_bound(f, ctx.m), degree_bound(g, ctx.m))
+    return scan.values_equal(f, g, ctx, degree)
 
 
 def identity_e1_check(k: int, ctx: FieldContext | None = None) -> bool:
-    """Whole-field check of the squared-trace-sum congruence for g.
+    """Exact check of the squared-trace-sum congruence for g.
 
     Verifies g(x) + g(x)^(q^2k) = (S_2k(x)^(q^(k+1)))^2 together with the
-    two intermediate congruences the derivation chains through.  Those two
-    are additive, so funcs_equal_pointwise decides them from bit matrices;
-    the main congruence contains a product and is scanned.
+    two intermediate congruences the derivation chains through.  Each is
+    decided by funcs_equal_pointwise: the two intermediate ones are
+    additive (degree 1) and the main one has degree 2, so at most the
+    1 + m + m(m-1)/2 points of Hamming weight <= 2 are evaluated.
     """
     if k < 2 or k % 2:
         raise UsageError("the identity chain follows the theorem hypothesis: even k >= 2")

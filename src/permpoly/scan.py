@@ -170,14 +170,6 @@ def iter_chunks(total: int):
         yield start, min(start + DEFAULT_CHUNK, total)
 
 
-def _evaluator(f):
-    if hasattr(f, "eval_packed"):
-        return f.eval_packed
-    if callable(f):
-        return f
-    raise TypeError(f"{f!r} is not evaluable on packed element arrays")
-
-
 def field_values(f, ctx: FieldContext, workers: int = 1) -> np.ndarray:
     """Evaluate f on every field element, in bit-pattern order.
 
@@ -185,14 +177,13 @@ def field_values(f, ctx: FieldContext, workers: int = 1) -> np.ndarray:
     Chunks are assigned to workers in fixed order, so the result does not
     depend on the worker count.
     """
-    evalf = _evaluator(f)
     out = np.empty(ctx.order, dtype=np.uint32)
     chunks = list(iter_chunks(ctx.order))
 
     def work(span):
         start, stop = span
         xs = np.arange(start, stop, dtype=np.uint64)
-        out[start:stop] = evalf(xs, ctx)
+        out[start:stop] = f.eval_packed(xs, ctx)
 
     # first chunk runs inline to warm the matrix caches before threading
     work(chunks[0])
@@ -206,14 +197,24 @@ def field_values(f, ctx: FieldContext, workers: int = 1) -> np.ndarray:
     return out
 
 
-def values_equal(f, g, ctx: FieldContext) -> bool:
-    """Pointwise equality of two evaluables over the whole field."""
-    evalf = _evaluator(f)
-    evalg = _evaluator(g)
+def values_equal(f, g, ctx: FieldContext, degree: int) -> bool:
+    """Whether f = g on the whole field, given that f + g has algebraic
+    degree at most degree.
+
+    Only the points of Hamming weight <= degree are evaluated; degree
+    >= m scans the whole field.  That is exact (Reed-Muller): write one
+    output bit of h = f + g as a Boolean function of the m input bits.
+    By Moebius inversion its algebraic normal form has the coefficient
+    a_u = XOR of h(v) over the v whose bits lie inside u.  Degree <= d
+    means a_u = 0 for wt(u) > d, and for wt(u) <= d each such v has
+    wt(v) <= d.  So if h vanishes on the points of weight <= d, every
+    coefficient vanishes, and h is zero everywhere.
+    """
     for start, stop in iter_chunks(ctx.order):
         xs = np.arange(start, stop, dtype=np.uint64)
-        fv = np.broadcast_to(np.asarray(evalf(xs, ctx)), xs.shape)
-        gv = np.broadcast_to(np.asarray(evalg(xs, ctx)), xs.shape)
+        xs = xs[np.bitwise_count(xs) <= degree]
+        fv = np.broadcast_to(np.asarray(f.eval_packed(xs, ctx)), xs.shape)
+        gv = np.broadcast_to(np.asarray(g.eval_packed(xs, ctx)), xs.shape)
         if not np.array_equal(fv, gv):
             return False
     return True

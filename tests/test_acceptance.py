@@ -131,8 +131,10 @@ _DETERMINISM_COMMANDS = [
     ["verify-t1", "--k", "2", "--format", "json"],
     ["verify-corollary", "--format", "json"],
     ["identities", "--k", "2", "--format", "csv"],
+    ["identities", "--k", "4", "--format", "json"],
     ["gcd", "--k", "12", "--format", "csv"],
     ["t2", "--k", "2", "--L", "S(3)^2", "--format", "json"],
+    ["t2", "--k", "2", "--L", "x + frob(S(2), 1)", "--format", "json"],
     ["gnq", "--n", "65921", "--q", "4", "--e", "6", "--format", "json"],
     ["oracle", "--n", "2000", "--q", "4", "--e", "3", "--format", "json"],
     ["probe-t1-odd", "--k", "1", "--format", "json"],

@@ -127,6 +127,14 @@ def test_gnq_memo_bound_aborts_as_verification_failure(capsys):
     assert "verification aborted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_gnq_memo_bound_below_one_is_usage_error(capsys, bound):
+    code = cli.main(["gnq", "--n", "65921", "--q", "4", "--e", "6",
+                     "--memo-bound", bound])
+    assert code == EXIT_USAGE
+    assert f"memo bound must be >= 1, got {bound}" in capsys.readouterr().err
+
+
 def test_oracle_roundtrip(capsys):
     assert cli.main(["oracle", "--n", "23", "--q", "4", "--e", "3",
                      "--format", "json"]) == EXIT_OK

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from permpoly import poly, scan
 from permpoly.field import enumerate_elements, eval_S, frobenius_q, make_field
 from permpoly.poly import (Add, Const, DensePolyF2, FrobQ, LinPoly, Mul, Pow,
-                           S, Var, build_t1_g, expr_eval,
+                           S, Var, build_t1_g, degree_bound, expr_eval,
                            funcs_equal_pointwise, identity_e1_check,
                            lin_from_expr, reduce_exponent, s_dense)
 
@@ -204,55 +204,135 @@ def _e1_pairs(k, ctx):
 def test_e1_additive_steps_agree_with_whole_field_scan(f4096):
     mid1, mid2, _ = _e1_pairs(2, f4096)
     for lhs, rhs in (mid1, mid2):
-        assert scan.values_equal(lhs, rhs, f4096)
+        assert scan.values_equal(lhs, rhs, f4096, f4096.m)
         assert funcs_equal_pointwise(lhs, rhs, f4096)
 
 
-def test_e1_additive_steps_compare_matrices(f4096, monkeypatch):
-    mid1, mid2, main = _e1_pairs(2, f4096)
+def _points_per_comparison(pairs, ctx, monkeypatch):
+    """(verdict of funcs_equal_pointwise, number of points both sides were
+    evaluated on) for each pair."""
+    sizes = []
+    eval_packed = poly.PolyExpr.eval_packed
 
-    def refuse(*args):
-        raise AssertionError("whole-field scan")
+    def spy(self, xs, ctx):
+        sizes.append(np.size(xs))
+        return eval_packed(self, xs, ctx)
 
-    monkeypatch.setattr(scan, "values_equal", refuse)
-    assert funcs_equal_pointwise(*mid1, f4096)
-    assert funcs_equal_pointwise(*mid2, f4096)
-    with pytest.raises(AssertionError, match="whole-field scan"):
-        funcs_equal_pointwise(*main, f4096)  # g contains a product
+    monkeypatch.setattr(poly.PolyExpr, "eval_packed", spy)
+    results = []
+    for lhs, rhs in pairs:
+        verdict = funcs_equal_pointwise(lhs, rhs, ctx)
+        # values_equal evaluates lhs, then rhs, on each chunk
+        assert sizes[::2] == sizes[1::2]
+        results.append((verdict, sum(sizes[::2])))
+        sizes.clear()
+    return results
 
 
-def _additive_exprs(s, e):
-    def extend(children):
-        return st.one_of(
-            st.lists(children, min_size=1, max_size=3).map(lambda cs: Add(tuple(cs))),
-            st.builds(lambda c, j: Pow(c, 1 << j), children, st.integers(0, 2 * s * e)),
-            st.builds(FrobQ, children, st.integers(0, 2 * e)),
-            st.builds(S, st.integers(0, 2 * e), children),
-        )
-    return st.recursive(st.just(Var()), extend, max_leaves=5)
+def test_e1_steps_evaluate_only_the_weight_ball(f4096, monkeypatch):
+    # sum over i <= d of C(12, i): d = 1 for mid1 and mid2, d = 2 for the
+    # main congruence, whose g contains a product
+    got = _points_per_comparison(_e1_pairs(2, f4096), f4096, monkeypatch)
+    assert got == [(True, 13), (True, 13), (True, 79)]
+
+
+def _planted_main(k, ctx):
+    """The main congruence, and its rhs with the outer square dropped."""
+    _, _, (lhs, rhs) = _e1_pairs(k, ctx)
+    assert isinstance(rhs, Pow) and rhs.n == 2
+    return lhs, rhs, rhs.child
+
+
+def test_e1_rejects_a_dropped_square(f4096):
+    lhs, _, planted = _planted_main(2, f4096)
+    assert not funcs_equal_pointwise(lhs, planted, f4096)
+    assert not scan.values_equal(lhs, planted, f4096, f4096.m)
+
+
+@pytest.mark.long
+def test_e1_main_congruence_ball_matches_whole_field_at_k4(monkeypatch):
+    ctx = make_field(2, 12)
+    lhs, rhs, planted = _planted_main(4, ctx)
+    # 1 + 24 + 276 points of Hamming weight <= 2
+    assert _points_per_comparison([(lhs, rhs)], ctx, monkeypatch) == [(True, 301)]
+    monkeypatch.undo()
+    assert not funcs_equal_pointwise(lhs, planted, ctx)
+    assert scan.values_equal(lhs, rhs, ctx, ctx.m)
+    assert not scan.values_equal(lhs, planted, ctx, ctx.m)
 
 
 @st.composite
-def _additive_pairs(draw):
+def _maps_and_pairs(draw):
+    """A field, a pair of expression maps over it of any degree (half the
+    pairs equal by construction) and a dense polynomial."""
     s, e = draw(st.sampled_from([(2, 3), (1, 8)]))
-    exprs = _additive_exprs(s, e)
+    ctx = make_field(s, e)
+    elements = st.integers(0, ctx.order - 1).map(ctx.element)
+    leaves = st.one_of(
+        st.just(Var()),
+        elements.map(Const),
+        st.lists(elements, min_size=ctx.m, max_size=ctx.m).map(
+            lambda cs: LinPoly(ctx, cs)),
+    )
+
+    def extend(children):
+        kids = st.lists(children, min_size=1, max_size=3).map(tuple)
+        return st.one_of(
+            kids.map(Add),
+            kids.map(Mul),
+            st.builds(Pow, children, st.integers(0, 2 * ctx.order)),
+            st.builds(FrobQ, children, st.integers(0, 2 * e)),
+            st.builds(S, st.integers(0, 2 * e), children),
+        )
+
+    exprs = st.recursive(leaves, extend, max_leaves=5)
     f = draw(exprs)
-    # half the pairs are equal by construction: x^(2^m) = x, x^(q^e) = x, h + h = 0
+    # x^(2^m) = x, x^(q^e) = x, h + h = 0 and 1 * h = h
     g = draw(st.one_of(
         exprs,
-        st.just(Pow(f, 1 << (s * e))),
+        st.just(Pow(f, ctx.order)),
         st.builds(lambda i: FrobQ(FrobQ(f, i), e - i), st.integers(0, e)),
         st.builds(lambda h: Add((h, f, h)), exprs),
+        st.just(Mul((Const(ctx.one()), f))),
     ))
-    return make_field(s, e), f, g
+    dense = DensePolyF2.from_exponents(
+        ctx, draw(st.sets(st.integers(0, ctx.order - 1), max_size=6)))
+    return ctx, f, g, dense
 
 
-@settings(max_examples=60)
-@given(_additive_pairs())
-def test_additive_matrix_comparison_matches_scans(case):
-    ctx, f, g = case
+def _algebraic_degree(f, ctx):
+    """The largest weight of a monomial in the algebraic normal form of
+    any output bit, from the Moebius transform of the whole value table."""
+    anf = scan.field_values(f, ctx).astype(np.uint64)
+    for i in range(ctx.m):
+        halves = anf.reshape(-1, 2, 1 << i)
+        halves[:, 1, :] ^= halves[:, 0, :]
+    support = np.flatnonzero(anf)
+    return int(np.bitwise_count(support).max()) if support.size else 0
+
+
+@settings(max_examples=80)
+@given(_maps_and_pairs())
+def test_degree_bound_is_sound_and_equality_is_exact(case):
+    ctx, f, g, dense = case
+    for h in (f, g, dense):
+        assert degree_bound(h, ctx.m) >= _algebraic_degree(h, ctx)
     scalar = all(expr_eval(f, x) == expr_eval(g, x) for x in enumerate_elements(ctx))
-    assert funcs_equal_pointwise(f, g, ctx) == scan.values_equal(f, g, ctx) == scalar
+    assert funcs_equal_pointwise(f, g, ctx) == scan.values_equal(f, g, ctx, ctx.m) == scalar
+
+
+def test_degree_bound_of_each_node(f64):
+    x = Var()
+    assert degree_bound(Const(f64.one()), 6) == 0
+    assert degree_bound(Pow(x, 0), 6) == 0
+    assert degree_bound(LinPoly(f64, [f64.one()] * 6), 6) == 1
+    assert degree_bound(S(3, FrobQ(Pow(x, 5), 1)), 6) == 2
+    assert degree_bound(Add((x, Mul((x, x, Pow(x, 7))))), 6) == 5
+    assert degree_bound(Pow(Mul((x, x)), 63), 6) == 6
+    assert degree_bound(DensePolyF2.from_exponents(f64, [0, 3, 62]), 6) == 5
+    assert degree_bound(DensePolyF2.zero(f64), 6) == 0
+    with pytest.raises(TypeError):
+        degree_bound(object(), 6)
 
 
 def test_lin_from_expr_agrees_with_tree(f4096):

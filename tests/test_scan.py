@@ -224,6 +224,6 @@ def test_subfield_mask_matches_in_subfield(f4096):
 def test_values_equal_handles_constants(f64):
     from permpoly.poly import Add, Const
     one = Const(f64.one())
-    assert scan.values_equal(one, one, f64)
-    assert not scan.values_equal(one, Var(), f64)
-    assert scan.values_equal(Add((Var(), Var())), Const(f64.zero()), f64)
+    assert scan.values_equal(one, one, f64, 0)
+    assert not scan.values_equal(one, Var(), f64, 1)
+    assert scan.values_equal(Add((Var(), Var())), Const(f64.zero()), f64, 1)
