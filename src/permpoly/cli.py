@@ -424,7 +424,8 @@ def cmd_search(args) -> int:
         triples = []
     else:
         triples = gnq.search_desirable(args.q, args.e, n_from, args.n_to,
-                                       workers=args.workers, ctx=ctx)
+                                       workers=args.workers, ctx=ctx,
+                                       timing=args.timing)
     if args.format == "json":
         _emit(args, _dump_json([t.to_json_obj() for t in triples]))
     elif args.format == "csv":

@@ -7,15 +7,20 @@ g_(n,q) is pinned down by the defining identity
 
 (char 2, so x^q - x = x^q + x).  Base cases are derived from that
 identity at runtime rather than hardcoded, and every construction path
-can be re-validated against it via gnq_oracle_check.  All polynomials
-are kept reduced mod x^(q^e) - x throughout; unreduced degrees (n up to
-4^8 here) would be astronomically large while the reduced function is
-all that permutation status depends on.
+can be re-validated against it via gnq_oracle_check.  Both sides of the
+identity are constant on each coset x + GF(q) (b^q = b on the left, a
+re-indexed sum on the right), so the oracle evaluates them at one
+representative per coset, which decides the identity at every x.
+
+All polynomials are kept reduced mod x^(q^e) - x throughout; unreduced
+degrees (n up to 4^8 here) would be astronomically large while the
+reduced function is all that permutation status depends on.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -145,12 +150,41 @@ def gnq_closed_form(pairs, q: int, ctx: FieldContext) -> tuple[int, DensePolyF2]
     return n, g
 
 
+def _oracle_points(ctx: FieldContext):
+    """Cached (tq, pts) for gnq_oracle_check: the representatives x of the
+    cosets x + GF(q) are the patterns with no bit at the leading bit of any
+    nonzero a in GF(q), the least element of each coset; tq[i] is
+    x^q + x and pts[:, i] lists x + a over GF(q) for the i-th of them."""
+    cached = ctx._cache.get("oracle_points")
+    if cached is None:
+        a_bits = scan.subfield_elements(ctx, 1)
+        pivots = 0
+        for a in a_bits[1:].tolist():  # ascending from 0
+            pivots |= 1 << (a.bit_length() - 1)
+        xs = np.arange(ctx.order, dtype=np.uint64)
+        reps = xs[(xs & np.uint64(pivots)) == 0]
+        if reps.size != ctx.order // ctx.q:
+            raise AssertionError(
+                f"{reps.size} coset representatives of GF({ctx.q}) in {ctx!r}, "
+                f"expected {ctx.order // ctx.q}"
+            )
+        tq = scan.apply_matrix(scan.frobenius_matrix(ctx, 1), reps) ^ reps
+        cached = ctx._cache["oracle_points"] = (tq, a_bits[:, None] ^ reps)
+    return cached
+
+
 def gnq_oracle_check(n: int, q: int, ctx: FieldContext,
                      g: DensePolyF2 | None = None) -> bool:
-    """Whole-field check of g_(n,q)(x^q + x) = sum over a of (x+a)^n.
+    """Check g_(n,q)(x^q + x) = sum over a in GF(q) of (x+a)^n at every x.
 
     Necessary-condition oracle: it constrains g exactly on the image of
     x -> x^q + x, independently of how g was built.
+
+    Both sides are constant on each coset x + GF(q): on the left,
+    (x+b)^q + (x+b) = x^q + x because b^q = b; on the right, x -> x + b
+    only re-indexes the sum over a.  So evaluating both sides at one
+    representative per coset, order/q points in all, decides the identity
+    on the whole field exactly.
     """
     if n < 0:
         raise UsageError("n must be nonnegative")
@@ -158,17 +192,13 @@ def gnq_oracle_check(n: int, q: int, ctx: FieldContext,
         raise ValueError(f"context has q={ctx.q}, not {q}")
     if g is None:
         g = gnq_recurrence(n, q, ctx)
+    elif g.ctx is not ctx:
+        raise ValueError("g comes from a different field context")
     gv = g.eval_on_field()
-    frob = scan.frobenius_matrix(ctx, 1)
-    a_bits = scan.subfield_elements(ctx, 1)
-    xn = scan.packed_pow(ctx, np.arange(ctx.order, dtype=np.uint64), n)
-    for start, stop in scan.iter_chunks(ctx.order):
-        xs = np.arange(start, stop, dtype=np.uint64)
-        lhs = gv[scan.apply_matrix(frob, xs) ^ xs].astype(np.uint64)
-        rhs = np.zeros(xs.shape, dtype=np.uint64)
-        for ab in a_bits:
-            rhs ^= xn[xs ^ ab]
-        if not np.array_equal(lhs, rhs):
+    tq, pts = _oracle_points(ctx)
+    for start, stop in scan.iter_chunks(tq.size):
+        rhs = np.bitwise_xor.reduce(scan.packed_pow(ctx, pts[:, start:stop], n), axis=0)
+        if not np.array_equal(gv[tq[start:stop]], rhs):
             return False
     return True
 
@@ -358,9 +388,10 @@ class DesirableTriple:
     e: int
     q: int
     verified_by: str
+    elapsed_ms: int = 0
 
-    def csv_line(self, elapsed_ms: int = 0) -> str:
-        return f"{self.n},{self.e},{self.q},{self.verified_by},{elapsed_ms}"
+    def csv_line(self) -> str:
+        return f"{self.n},{self.e},{self.q},{self.verified_by},{self.elapsed_ms}"
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "e": self.e, "q": self.q,
@@ -368,14 +399,15 @@ class DesirableTriple:
 
 
 def search_desirable(q: int, e: int, n_from: int, n_to: int,
-                     workers: int = 1,
-                     ctx: FieldContext | None = None) -> list[DesirableTriple]:
+                     workers: int = 1, ctx: FieldContext | None = None,
+                     timing: bool = False) -> list[DesirableTriple]:
     """Scan n in [n_from, n_to] for g_(n,q) permuting GF(q^e).
 
     Each hit is re-validated against the defining identity before it is
     emitted; an oracle failure would mean the recurrence built the wrong
     polynomial and aborts the search.  Output is ordered by n regardless
-    of worker count.
+    of worker count.  Under timing, a hit's elapsed_ms counts from the
+    start of the scan to its oracle confirmation; otherwise it is 0.
     """
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= n_from <= n_to")
@@ -393,8 +425,10 @@ def search_desirable(q: int, e: int, n_from: int, n_to: int,
                 f"internal inconsistency: g_({n},{q}) passed the PP test "
                 f"but fails the defining identity"
             )
-        return DesirableTriple(n, e, q, "exhaustive")
+        elapsed = int((time.perf_counter() - t0) * 1000) if timing else 0
+        return DesirableTriple(n, e, q, "exhaustive", elapsed)
 
+    t0 = time.perf_counter()
     ns = range(n_from, n_to + 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

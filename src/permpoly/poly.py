@@ -161,10 +161,15 @@ class DensePolyF2:
 
 
 def s_dense(ctx: FieldContext, k: int) -> DensePolyF2:
-    """The trace sum S_k as a reduced dense polynomial."""
+    """The trace sum S_k as a reduced dense polynomial, cached per context
+    (DensePolyF2 is immutable, so every caller may share it)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return DensePolyF2.from_exponents(ctx, (ctx.q ** i for i in range(k)))
+    key = ("s_dense", k)
+    s = ctx._cache.get(key)
+    if s is None:
+        s = ctx._cache[key] = DensePolyF2.from_exponents(ctx, (ctx.q ** i for i in range(k)))
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ stdout/stderr can be asserted exactly.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -196,6 +197,22 @@ def test_search_threads_share_the_power_table(capsys):
     assert cli.main(argv + ["--workers", "2"]) == EXIT_OK
     assert capsys.readouterr().out == run1
     assert len(run1.splitlines()) > 10
+
+
+def test_search_timing_fills_elapsed_ms(capsys, monkeypatch):
+    # a clock that advances one second per read: the scan's start, then one read per hit
+    ticks = iter(range(1 << 20))
+    monkeypatch.setattr(gnq, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    argv = ["search", "--q", "4", "--e", "6", "--from", "65900", "--to", "66000",
+            "--format", "csv"]
+    assert cli.main(argv) == EXIT_OK
+    plain = capsys.readouterr().out.splitlines()
+    assert "65921,6,4,exhaustive,0" in plain
+    assert cli.main(argv + ["--timing"]) == EXIT_OK
+    timed = capsys.readouterr().out.splitlines()
+    assert timed[0] == plain[0] and len(timed) == len(plain) > 1
+    for i, (row, untimed) in enumerate(zip(timed[1:], plain[1:]), start=1):
+        assert row == untimed.removesuffix(",0") + f",{1000 * i}"
 
 
 def test_search_resume_skips_and_empty_range(capsys):

@@ -6,9 +6,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permpoly import scan
+from permpoly import gnq, scan
 from permpoly.field import make_field
+from permpoly.gf2poly import BitPoly
 from permpoly.gnq import (DesirableTriple, check_t2_conditions, gnq_base,
                           gnq_closed_form, gnq_oracle_check, gnq_recurrence,
                           probe_t1_odd, search_desirable, verify_corollary,
@@ -99,6 +102,103 @@ def test_oracle_in_strictly_larger_field(f4096):
     # reductions valid only mod x^(4^3) - x would be exposed over GF(4^6)
     for n in (7, 23, 65, 257, 65921):
         assert gnq_oracle_check(n, 4, f4096)
+
+
+class _Values:
+    """A g stand-in: only ctx and eval_on_field, which is all the oracle reads."""
+
+    def __init__(self, ctx, values):
+        self.ctx, self.values = ctx, values
+
+    def eval_on_field(self):
+        return self.values
+
+
+# GF(2^4), GF(4^2), GF(4^3), GF(8^2)
+_COSET_FIELDS = ((1, 4), (2, 2), (2, 3), (3, 2))
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+@pytest.mark.parametrize("s,e", _COSET_FIELDS)
+def test_oracle_checks_every_coset(s, e, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(scan, "DEFAULT_CHUNK", chunk)
+    ctx = make_field(s, e)
+    q = ctx.q
+    tq, pts = gnq._oracle_points(ctx)
+    assert pts.shape == (q, ctx.order // q)
+    # representatives plus GF(q) hit every pattern exactly once
+    assert np.array_equal(np.sort(pts.ravel()), np.arange(ctx.order))
+    n = 2 * q + 3
+    gv = gnq_recurrence(n, q, ctx).eval_on_field()
+    assert gnq_oracle_check(n, q, ctx, g=_Values(ctx, gv))
+    image = np.unique(tq)
+    assert image.size == ctx.order // q
+    for y in image:
+        wrong = gv.copy()
+        wrong[y] ^= 1
+        assert not gnq_oracle_check(n, q, ctx, g=_Values(ctx, wrong)), y
+
+
+def _oracle_reference(n, g, ctx):
+    """The defining identity at every x, the right side by scalar powers."""
+    q = ctx.q
+    xs = [ctx.element(i) for i in range(ctx.order)]
+    tq = np.array([(x ** q + x).bits for x in xs], dtype=np.uint64)
+    xn = np.array([(x ** n).bits for x in xs], dtype=np.uint64)
+    a_bits = [x.bits for x in xs if x ** q == x]
+    assert len(a_bits) == q
+    idx = np.arange(ctx.order, dtype=np.uint64)
+    rhs = np.zeros(ctx.order, dtype=np.uint64)
+    for a in a_bits:
+        rhs ^= xn[idx ^ np.uint64(a)]
+    return bool(np.array_equal(g.eval_on_field()[tq], rhs))
+
+
+# q <= 32: the base cases cost about q^2 scalar powers each
+@settings(max_examples=40)
+@given(st.sampled_from([(s, e) for s in range(1, 6) for e in range(1, 11) if s * e <= 10]),
+       st.integers(0, 10 ** 5), st.randoms(use_true_random=False))
+def test_oracle_matches_whole_field_reference(se, n, rng):
+    ctx = make_field(*se)
+    g = gnq_recurrence(n, ctx.q, ctx)
+    assert _oracle_reference(n, g, ctx)
+    assert gnq_oracle_check(n, ctx.q, ctx, g=g)
+    flipped = DensePolyF2(ctx, g.bits ^ rng.getrandbits(ctx.order))
+    assert gnq_oracle_check(n, ctx.q, ctx, g=flipped) == _oracle_reference(n, flipped, ctx)
+
+
+def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch):
+    ctx = make_field(2, 3)
+    built = []
+    from_exponents = DensePolyF2.from_exponents.__func__
+
+    def spy(cls, ctx, exponents):
+        exponents = tuple(exponents)
+        built.append(exponents)
+        return from_exponents(cls, ctx, exponents)
+
+    monkeypatch.setattr(DensePolyF2, "from_exponents", classmethod(spy))
+    assert gnq_oracle_check(23, 4, ctx)
+
+    def refuse(cols, x):
+        raise AssertionError("apply_matrix called after the oracle's set-up")
+
+    monkeypatch.setattr(scan, "apply_matrix", refuse)
+    for n in range(2000):
+        assert gnq_oracle_check(n, 4, ctx), n
+    # n < 2000 < 4^6 needs S_1 .. S_5, each built once
+    assert sorted(map(len, built)) == [1, 2, 3, 4, 5]
+
+
+def test_oracle_rejects_a_foreign_g():
+    ctx = make_field(2, 3)
+    other = make_field(2, 3, modulus=BitPoly.from_string("x^6+x^4+x^3+x+1"))
+    assert ctx.modulus != other.modulus
+    with pytest.raises(ValueError, match="context"):
+        gnq_oracle_check(23, 4, ctx, g=gnq_recurrence(23, 4, other))
+    with pytest.raises(ValueError, match="context"):
+        gnq_oracle_check(23, 4, ctx, g=gnq_recurrence(23, 4, make_field(2, 3)))
 
 
 def test_verify_t1_k2_report(f4096):
@@ -290,6 +390,7 @@ def test_search_validation(f64):
 def test_triple_serialization():
     t = DesirableTriple(65921, 6, 4, "exhaustive")
     assert t.csv_line() == "65921,6,4,exhaustive,0"
-    assert t.csv_line(elapsed_ms=12) == "65921,6,4,exhaustive,12"
-    assert t.to_json_obj() == {"n": 65921, "e": 6, "q": 4,
-                               "verified_by": "exhaustive"}
+    timed = DesirableTriple(65921, 6, 4, "exhaustive", elapsed_ms=12)
+    assert timed.csv_line() == "65921,6,4,exhaustive,12"
+    assert t.to_json_obj() == timed.to_json_obj() == {"n": 65921, "e": 6, "q": 4,
+                                                      "verified_by": "exhaustive"}
