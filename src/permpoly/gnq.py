@@ -19,6 +19,7 @@ reduced function is all that permutation status depends on.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -48,6 +49,20 @@ def _q_exponent(q: int) -> int:
 # the g_(n,q) family
 
 
+@functools.lru_cache(maxsize=None)
+def _base_field(s: int) -> FieldContext:
+    return make_field(s, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _power_sum(q: int, t: int) -> int:
+    """Sum over a in GF(q) of a^t, as a bit pattern; once per (q, t) per process."""
+    acc = 0
+    for a in enumerate_elements(_base_field(_q_exponent(q))):
+        acc ^= (a ** t).bits
+    return acc
+
+
 def gnq_base(n: int, q: int, ctx: FieldContext) -> DensePolyF2:
     """Base case 0 <= n <= q-1, derived from the defining identity.
 
@@ -60,22 +75,15 @@ def gnq_base(n: int, q: int, ctx: FieldContext) -> DensePolyF2:
         raise ValueError(f"base case needs 0 <= n <= q-1, got n={n}, q={q}")
     if ctx.q != q:
         raise ValueError(f"context has q={ctx.q}, not {q}")
-    base = make_field(_q_exponent(q), 1)
-    coeffs = []
-    for j in range(n + 1):
-        c = base.zero()
-        if math.comb(n, j) % 2:
-            for a in enumerate_elements(base):
-                c = c + a ** (n - j)
-        coeffs.append(c)
-    if any(c.bits for c in coeffs[1:]):
+    coeffs = [_power_sum(q, n - j) if math.comb(n, j) % 2 else 0 for j in range(n + 1)]
+    if any(coeffs[1:]):
         raise RuntimeError(
             f"expansion of sum (x+a)^{n} over GF({q}) is not constant; "
             f"the defining identity does not yield a base case here"
         )
-    if coeffs[0].bits > 1:
-        raise RuntimeError(f"base constant {coeffs[0]!r} for n={n} lies outside GF(2)")
-    return DensePolyF2(ctx, coeffs[0].bits)
+    if coeffs[0] > 1:
+        raise RuntimeError(f"base constant 0x{coeffs[0]:x} for n={n} lies outside GF(2)")
+    return DensePolyF2(ctx, coeffs[0])
 
 
 def gnq_recurrence(n: int, q: int, ctx: FieldContext,

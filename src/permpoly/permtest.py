@@ -82,12 +82,26 @@ def is_pp_exhaustive(f, ctx: FieldContext, workers: int = 1,
                     counterexample=pair, elapsed_ms=elapsed)
 
 
+def _trace_rows(ctx: FieldContext) -> tuple[int, ...]:
+    """Cached masks of the basis elements: bit j of row i is Tr(t^i * t^j)."""
+    rows = ctx._cache.get("trace_rows")
+    if rows is None:
+        basis = [ctx.element(1 << j) for j in range(ctx.m)]
+        rows = ctx._cache["trace_rows"] = tuple(
+            sum(trace_absolute(u * v) << j for j, v in enumerate(basis)) for u in basis)
+    return rows
+
+
 def _trace_functional_mask(ctx: FieldContext, a: FieldElement) -> int:
-    """Bit mask M with Tr(a*v) = parity(v & M) for every v (trace is F_2-linear)."""
+    """Bit mask M with Tr(a*v) = parity(v & M) for every v (trace is F_2-linear).
+
+    Tr(a*v) is bilinear in (a, v), so M is the XOR of the rows of the
+    basis elements t^i over the set bits i of a.
+    """
     mask = 0
-    for j in range(ctx.m):
-        if trace_absolute(a * ctx.element(1 << j)):
-            mask |= 1 << j
+    for i, row in enumerate(_trace_rows(ctx)):
+        if a.bits >> i & 1:
+            mask ^= row
     return mask
 
 

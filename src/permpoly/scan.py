@@ -7,7 +7,10 @@ products use per-bit carry-less shift-and-add, powers discrete-log tables.
 
 Scans are chunked so peak memory stays bounded by a few chunk-sized
 arrays; chunk order is fixed, which keeps multi-worker runs byte-identical
-to single-worker runs.
+to single-worker runs.  A map of algebraic degree at most 2 is not
+evaluated at every element: field_values assembles its values from three
+tables over pairs of bit blocks and checks them against direct evaluation
+at SPOT_CHECK_POINTS fixed points.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ import numpy as np
 from .field import FieldContext, FieldElement
 
 DEFAULT_CHUNK = 1 << 20
+
+# fixed points at which field_values checks a block-table value array
+# against direct evaluation
+SPOT_CHECK_POINTS = (1 << 12) - 1
 
 # order up to this bound gets a per-context (order x order) power-value table,
 # filled one row per exponent read
@@ -170,13 +177,88 @@ def iter_chunks(total: int):
         yield start, min(start + DEFAULT_CHUNK, total)
 
 
+def _spot_points(m: int) -> np.ndarray:
+    """SPOT_CHECK_POINTS well-spread m-bit patterns: the top m bits of
+    i * 2^64/phi for i = 1, 2, ... (Fibonacci hashing)."""
+    i = np.arange(1, SPOT_CHECK_POINTS + 1, dtype=np.uint64)
+    return (i * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - m)
+
+
+def _block_values(f, ctx: FieldContext, b0: int, b1: int, b2: int) -> np.ndarray:
+    """Values of a map of degree <= 2 from its three pair tables; see
+    field_values.  One eval_packed call fills the tables and the spot
+    check's direct values."""
+    n0, n1, n2 = 1 << b0, 1 << b1, 1 << b2
+    x0 = np.arange(n0, dtype=np.uint64)
+    x2 = np.arange(n2, dtype=np.uint64) << np.uint64(b0 + b1)
+    spots = _spot_points(ctx.m)
+    pts = np.concatenate((
+        np.arange(n0 * n1, dtype=np.uint64),                      # x0 | x1
+        (x2[:, None] | x0).ravel(),                                # x0 | x2
+        np.arange(n1 * n2, dtype=np.uint64) << np.uint64(b0),    # x1 | x2
+        spots,
+    ))
+    vals = np.broadcast_to(np.asarray(f.eval_packed(pts, ctx)), pts.shape)
+    t01, t02, t12, direct = np.split(vals.astype(np.uint32),
+                                     np.cumsum((n0 * n1, n0 * n2, n1 * n2)))
+    t01, t02, t12 = t01.reshape(n1, n0), t02.reshape(n2, n0), t12.reshape(n2, n1)
+    # F(x0), F(x1), F(x2) and F(0) are the pair tables' rows and columns at
+    # 0; fold each into one table so the broadcast makes two passes
+    p01 = t01 ^ t01[0]
+    p12 = t12 ^ t12[0]
+    p02 = t02 ^ t02[:, :1] ^ t01[0, 0]
+    out = np.empty((n2, n1, n0), dtype=np.uint32)
+    np.bitwise_xor(p01, p02[:, None, :], out=out)
+    out ^= p12[:, :, None]
+    out = out.reshape(-1)
+    if not np.array_equal(out[spots], direct):
+        raise AssertionError(
+            f"block tables of a degree-2 map disagree with direct evaluation over {ctx!r}; "
+            f"its degree bound is wrong"
+        )
+    return out
+
+
 def field_values(f, ctx: FieldContext, workers: int = 1) -> np.ndarray:
     """Evaluate f on every field element, in bit-pattern order.
 
     Returns a uint32 array of length ctx.order; entry i is f(element i).
-    Chunks are assigned to workers in fixed order, so the result does not
-    depend on the worker count.
+
+    A map whose poly.degree_bound is at most 2 is assembled from block
+    tables whenever they need fewer points than the field has.  Split the
+    m bits into blocks of b0 = m // 3, b1 = (m - b0) // 2 and b2 = m - b0
+    - b1 bits, x = x0 | x1 | x2.  Every third-order derivative of a map
+    of degree <= 2 vanishes; the one at 0 in the directions x0, x1, x2,
+    which are disjoint, gives
+
+        F(x0+x1+x2) = F(x0+x1) + F(x0+x2) + F(x1+x2)
+                      + F(x0) + F(x1) + F(x2) + F(0).
+
+    The pair tables T01[x1, x0], T02[x2, x0] and T12[x2, x1] hold every
+    term on the right: the single terms and F(0) are their rows and
+    columns at 0, so a constant term needs no special case.  The value
+    array is the broadcast XOR of the terms, shaped (2^b2, 2^b1, 2^b0) in
+    C order, which is bit-pattern order.  The same eval_packed call
+    evaluates f directly at SPOT_CHECK_POINTS fixed points, and any
+    disagreement raises AssertionError.  A wrong array differs from f on
+    at least a 2^-D fraction of the field, D the true degree of f
+    (Reed-Muller distance), so 4095 points miss a wrong bound for D <= 8
+    with probability at most (1 - 2^-8)^4095 < e^-16.
+
+    Other maps are evaluated directly, chunk by chunk.  Chunks are
+    assigned to workers in fixed order, so the result does not depend on
+    the worker count.
     """
+    from .poly import degree_bound
+
+    m = ctx.m
+    b0 = m // 3
+    b1 = (m - b0) // 2
+    b2 = m - b0 - b1
+    block_points = (1 << (b0 + b1)) + (1 << (b0 + b2)) + (1 << (b1 + b2))
+    if block_points + SPOT_CHECK_POINTS < ctx.order and degree_bound(f, m) <= 2:
+        return _block_values(f, ctx, b0, b1, b2)
+
     out = np.empty(ctx.order, dtype=np.uint32)
     chunks = list(iter_chunks(ctx.order))
 

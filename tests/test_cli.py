@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from permpoly import cli, gnq, scan
+from permpoly import cli, gnq, poly, scan
 from permpoly.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, LSpecError,
                           parse_lspec)
 from permpoly.poly import Add, FrobQ, Pow, S, Var
@@ -100,6 +100,21 @@ def test_probe_always_exits_zero(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["is_pp"] is False and obj["note"] == "outside theorem hypothesis"
     assert cli.main(["probe-t1-odd", "--k", "2"]) == EXIT_USAGE
+
+
+def test_probe_with_a_wrong_degree_bound_aborts(capsys, monkeypatch):
+    # x^7 has degree 3; a bound of 2 sends it to the block tables, whose
+    # spot check fails: exit 1, a verification failure, not a usage error
+    cube = Pow(Var(), 7)
+    monkeypatch.setattr(gnq, "build_t1_g", lambda k, ctx: cube)
+    assert cli.main(["probe-t1-odd", "--k", "3"]) == EXIT_OK
+    capsys.readouterr()
+    true_bound = poly.degree_bound
+    monkeypatch.setattr(poly, "degree_bound",
+                        lambda f, m: 2 if f == cube else true_bound(f, m))
+    assert cli.main(["probe-t1-odd", "--k", "3"]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("verification aborted:") and "direct evaluation" in err
 
 
 def test_identities_exits(capsys):

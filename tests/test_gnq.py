@@ -1,8 +1,11 @@
 """The g_(n,q) family and the verification pipelines sitting on top of it."""
 
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from permpoly.gnq import (DesirableTriple, check_t2_conditions, gnq_base,
                           gnq_closed_form, gnq_oracle_check, gnq_recurrence,
                           probe_t1_odd, search_desirable, verify_corollary,
                           verify_t1)
-from permpoly.poly import (Add, DensePolyF2, LinPoly, Pow, S, Var,
+from permpoly.poly import (Add, DensePolyF2, LinPoly, PolyExpr, Pow, S, Var,
                            funcs_equal_pointwise, lin_from_expr, s_dense)
 from permpoly.scan import POWER_TABLE_MAX_ORDER
 
@@ -33,6 +36,33 @@ def test_base_cases_from_defining_identity(f16):
         gnq_base(-1, 4, f16)
     with pytest.raises(ValueError):
         gnq_base(1, 2, f16)  # context carries q = 4
+
+
+def test_base_constant_is_one_exactly_at_q_minus_1():
+    # sum over a in GF(q) of a^t is 1 for t = q - 1 and 0 for 0 <= t < q - 1,
+    # so for n < q the expansion is constant and equals 1 iff n = q - 1
+    for s in range(1, 9):
+        q = 1 << s
+        ctx = make_field(s, 1)
+        assert [gnq_base(n, q, ctx).bits for n in range(q)] == [0] * (q - 1) + [1], q
+
+
+def test_base_field_built_once_per_q(monkeypatch):
+    contexts = {s: (make_field(s, 1), make_field(s, 2)) for s in (1, 2, 3)}
+    built = []
+
+    def spy(s, e, *args, **kwargs):
+        built.append((s, e))
+        return make_field(s, e, *args, **kwargs)
+
+    gnq._base_field.cache_clear()
+    gnq._power_sum.cache_clear()
+    monkeypatch.setattr(gnq, "make_field", spy)
+    for s, pair in contexts.items():
+        for ctx in pair:
+            for n in range(1 << s):
+                gnq_base(n, 1 << s, ctx)
+    assert built == [(1, 1), (2, 1), (3, 1)]
 
 
 def test_recurrence_small_values(f16):
@@ -155,7 +185,7 @@ def _oracle_reference(n, g, ctx):
     return bool(np.array_equal(g.eval_on_field()[tq], rhs))
 
 
-# q <= 32: the base cases cost about q^2 scalar powers each
+# q <= 32: the base cases of a new q cost about q^2 scalar powers in all
 @settings(max_examples=40)
 @given(st.sampled_from([(s, e) for s in range(1, 6) for e in range(1, 11) if s * e <= 10]),
        st.integers(0, 10 ** 5), st.randoms(use_true_random=False))
@@ -224,6 +254,34 @@ def test_probe_t1_odd_k1_and_gating():
     assert x1 != x2
     with pytest.raises(ValueError):
         probe_t1_odd(2)
+
+
+def test_probe_at_k3_evaluates_the_map_on_block_tables(monkeypatch):
+    sizes = []
+    eval_packed = PolyExpr.eval_packed
+
+    def spy(self, xs, ctx):
+        sizes.append(np.size(xs))
+        return eval_packed(self, xs, ctx)
+
+    monkeypatch.setattr(PolyExpr, "eval_packed", spy)
+    rep = probe_t1_odd(3)
+    assert not rep.is_pp
+    # m = 18: three 2^12-point pair tables and 4095 spot points
+    assert sizes == [16383]
+
+
+def test_block_path_imports_no_numpy_random():
+    code = ("import sys\n"
+            "from permpoly.gnq import probe_t1_odd, search_desirable\n"
+            "probe_t1_odd(3)\n"
+            "search_desirable(4, 7, 1, 64)\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 def test_theorem_pipelines_build_no_log_tables(monkeypatch):

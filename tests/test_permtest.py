@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from permpoly import scan
+from permpoly import permtest, scan
 from permpoly.field import (eval_S, frobenius_q, make_field, trace_absolute,
                             trace_to_subfield)
 from permpoly.permtest import (CHARSUM_MAX_ORDER, PPReport, charsum_pp_test,
@@ -64,6 +64,16 @@ def test_charsum_single_conventions(f16):
         assert charsum_single(Var(), f16.element(abits), f16) == 0
     with pytest.raises(ValueError):
         charsum_single(Var(), make_field(2, 1).element(1), f16)
+
+
+@pytest.mark.parametrize("s, e", [(2, 3), (1, 8)], ids=["gf4_3", "gf2_8"])
+def test_trace_mask_matches_scalar_definition(s, e):
+    ctx = make_field(s, e)
+    basis = [ctx.element(1 << j) for j in range(ctx.m)]
+    for abits in range(ctx.order):
+        a = ctx.element(abits)
+        scalar = sum(trace_absolute(a * v) << j for j, v in enumerate(basis))
+        assert permtest._trace_functional_mask(ctx, a) == scalar, abits
 
 
 def test_charsum_single_detects_constant_map(f16):

@@ -302,8 +302,13 @@ def _maps_and_pairs(draw):
 
 def _algebraic_degree(f, ctx):
     """The largest weight of a monomial in the algebraic normal form of
-    any output bit, from the Moebius transform of the whole value table."""
-    anf = scan.field_values(f, ctx).astype(np.uint64)
+    any output bit, from the Moebius transform of the whole value table.
+
+    The table comes from direct evaluation at every element, not from
+    field_values, which trusts degree_bound for maps of degree <= 2.
+    """
+    xs = np.arange(ctx.order, dtype=np.uint64)
+    anf = np.broadcast_to(np.asarray(f.eval_packed(xs, ctx)), xs.shape).astype(np.uint64)
     for i in range(ctx.m):
         halves = anf.reshape(-1, 2, 1 << i)
         halves[:, 1, :] ^= halves[:, 0, :]

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permpoly import scan
+from permpoly import poly, scan
 from permpoly.field import eval_S, frobenius_q, in_subfield, make_field
-from permpoly.poly import Pow, S, Var, build_t1_g, expr_eval
+from permpoly.poly import (Add, Const, DensePolyF2, FrobQ, LinPoly, Mul, Pow,
+                           S, Var, build_t1_g, degree_bound, expr_eval)
 
 
 def _random_bits(ctx, rng, n):
@@ -227,3 +228,118 @@ def test_values_equal_handles_constants(f64):
     assert scan.values_equal(one, one, f64, 0)
     assert not scan.values_equal(one, Var(), f64, 1)
     assert scan.values_equal(Add((Var(), Var())), Const(f64.zero()), f64, 1)
+
+
+# fields whose m takes the block path once the spot check has one point:
+# m = 6..10, with m = 7, 8 and 10 not divisible by 3; below m = 6 the three
+# pair tables alone cover the field or more
+BLOCK_FIELDS = ((2, 3), (1, 7), (2, 4), (1, 8), (3, 3), (2, 5))
+
+
+@st.composite
+def _quadratic_maps(draw):
+    """A field with m in 6..10 and a map over it of degree at most 2: an
+    expression tree or a dense polynomial whose exponents have binary
+    weight at most 2."""
+    s, e = draw(st.sampled_from(BLOCK_FIELDS))
+    ctx = make_field(s, e)
+    m = ctx.m
+    if draw(st.booleans()):
+        ones = st.integers(0, m - 1).map(lambda i: 1 << i)
+        exps = st.one_of(st.just(0), ones, st.builds(lambda a, b: a + b, ones, ones))
+        return ctx, DensePolyF2.from_exponents(ctx, draw(st.sets(exps, max_size=8)))
+    const = st.integers(0, ctx.order - 1).map(lambda b: Const(ctx.element(b)))
+    leaves = st.one_of(
+        st.just(Var()),
+        st.lists(st.integers(0, ctx.order - 1), min_size=m, max_size=m).map(
+            lambda cs: LinPoly.from_int_coeffs(ctx, cs)),
+    )
+    additive = st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(lambda c: Add(tuple(c))),
+        st.builds(FrobQ, kids, st.integers(0, 2 * e)),
+        st.builds(S, st.integers(0, 2 * e), kids),
+        st.builds(Pow, kids, st.integers(0, m - 1).map(lambda i: 1 << i)),
+    ), max_leaves=3)
+    affine = st.one_of(additive, const, st.builds(lambda a, c: Add((a, c)), additive, const))
+    quadratic = st.one_of(
+        st.builds(lambda a, b: Mul((a, b)), affine, affine),
+        st.builds(lambda a, i, j: Pow(a, (1 << i) + (1 << j)), affine,
+                  st.integers(0, m - 1), st.integers(0, m - 1)),
+    )
+    terms = draw(st.lists(st.one_of(quadratic, affine), min_size=1, max_size=3))
+    f = Add(tuple(terms))
+    wrap = draw(st.sampled_from(["none", "frob", "s"]))
+    if wrap == "frob":
+        f = FrobQ(f, draw(st.integers(0, e)))
+    elif wrap == "s":
+        f = S(draw(st.integers(0, e)), f)
+    return ctx, f
+
+
+@settings(max_examples=120)
+@given(_quadratic_maps())
+def test_block_path_matches_direct_evaluation(case):
+    ctx, f = case
+    assert degree_bound(f, ctx.m) <= 2
+    xs = np.arange(ctx.order, dtype=np.uint64)
+    direct = np.broadcast_to(np.asarray(f.eval_packed(xs, ctx)), xs.shape)
+    with mock.patch.object(scan, "SPOT_CHECK_POINTS", 1), \
+            mock.patch.object(scan, "_block_values", wraps=scan._block_values) as blocks:
+        values = scan.field_values(f, ctx)
+    assert blocks.call_count == 1
+    assert values.dtype == np.uint32
+    assert np.array_equal(values, direct)
+
+
+def test_block_path_catches_a_wrong_degree_bound(monkeypatch):
+    cube = Pow(Var(), 7)
+    ctx = make_field(2, 9)
+    xs = np.arange(ctx.order, dtype=np.uint64)
+    assert np.array_equal(scan.field_values(cube, ctx), cube.eval_packed(xs, ctx))
+    monkeypatch.setattr(poly, "degree_bound",
+                        lambda f, m: 2 if f == cube else degree_bound(f, m))
+    with pytest.raises(AssertionError, match="disagree with direct evaluation"):
+        scan.field_values(cube, ctx)
+
+
+def test_block_path_needs_fewer_points_than_the_field(monkeypatch):
+    # m = 12: 3 * 2^8 tables + 4095 spot points > 4096, so GF(4^6) scans directly
+    def refuse(*args):
+        raise AssertionError("block path taken")
+
+    monkeypatch.setattr(scan, "_block_values", refuse)
+    ctx = make_field(2, 6)
+    scan.field_values(build_t1_g(2, ctx), ctx)
+    # degree 3 at m = 18 scans directly too
+    ctx = make_field(2, 9)
+    scan.field_values(Pow(Var(), 7), ctx)
+
+
+def test_spot_points_are_fixed_and_spread():
+    pts = scan._spot_points(24)
+    assert pts.size == scan.SPOT_CHECK_POINTS and int(pts.max()) < 1 << 24
+    assert np.unique(pts).size == pts.size
+    # every top-8-bit slice of the field is hit
+    assert np.unique(pts >> np.uint64(16)).size == 256
+    assert np.array_equal(pts, scan._spot_points(24))
+
+
+@pytest.mark.long
+def test_block_path_matches_direct_scan_at_k4(monkeypatch):
+    ctx = make_field(2, 12)
+    g = build_t1_g(4, ctx)
+    sizes = []
+    eval_packed = poly.PolyExpr.eval_packed
+
+    def spy(self, xs, ctx):
+        sizes.append(np.size(xs))
+        return eval_packed(self, xs, ctx)
+
+    monkeypatch.setattr(poly.PolyExpr, "eval_packed", spy)
+    blocks = scan.field_values(g, ctx)
+    assert sizes == [3 * (1 << 16) + scan.SPOT_CHECK_POINTS]
+    # a degree bound of m sends the same map down the direct chunked path
+    monkeypatch.setattr(poly, "degree_bound", lambda f, m: m)
+    direct = scan.field_values(g, ctx, workers=2)
+    assert len(sizes) == 1 + ctx.order // scan.DEFAULT_CHUNK
+    assert np.array_equal(blocks, direct)
