@@ -311,7 +311,7 @@ def cmd_probe_t1_odd(args) -> int:
     if args.format == "json":
         _emit(args, _dump_json(report.to_json_obj()))
     elif args.format == "csv":
-        witness = f"0x{report.witness.bits:x}" if report.witness else ""
+        witness = "" if report.witness is None else f"0x{report.witness.bits:x}"
         _emit(args, "k,is_pp,witness,note\n"
               f"{args.k},{_b(report.is_pp)},{witness},{report.note}")
     else:

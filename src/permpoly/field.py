@@ -9,6 +9,7 @@ power basis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import gf2poly
@@ -128,6 +129,28 @@ class FieldElement:
         return f"0x{self.bits:x}"
 
 
+def per_context(build):
+    """Memoize build(ctx, *args) in ctx under the key (build, *args).
+
+    The result is published with dict.setdefault, so every caller on one
+    context, threads included, gets the same object: a thread that loses
+    a race to build drops its own copy.  A build that raises stores
+    nothing.  The arguments after ctx are positional and hashable, so a
+    hit costs one key tuple and one dict lookup.
+    """
+    head = (build,)
+
+    @functools.wraps(build)
+    def cached(ctx: FieldContext, *args):
+        key = head + args  # (build, *args) without building a list first
+        try:
+            return ctx._cache[key]
+        except KeyError:
+            return ctx._cache.setdefault(key, build(ctx, *args))
+
+    return cached
+
+
 def make_field(s: int, e: int, modulus: BitPoly | None = None,
                max_degree: int = DEGREE_CEILING) -> FieldContext:
     """Construct GF((2^s)^e) with the least irreducible modulus of degree s*e.
@@ -191,21 +214,19 @@ def trace_to_subfield(x: FieldElement, k: int) -> FieldElement:
     return acc
 
 
+@per_context
 def _trace_mask(ctx: FieldContext) -> int:
     """Bit j set iff the absolute trace of the basis element t^j is 1."""
-    mask = ctx._cache.get("trace_mask")
-    if mask is None:
-        mask = 0
-        for j in range(ctx.m):
-            acc = 0
-            y = 1 << j
-            for _ in range(ctx.m):
-                acc ^= y
-                y = gf2poly._mod(gf2poly._mul(y, y), ctx._mod_bits)
-            if acc not in (0, 1):
-                raise AssertionError("absolute trace left GF(2)")
-            mask |= acc << j
-        ctx._cache["trace_mask"] = mask
+    mask = 0
+    for j in range(ctx.m):
+        acc = 0
+        y = 1 << j
+        for _ in range(ctx.m):
+            acc ^= y
+            y = gf2poly._mod(gf2poly._mul(y, y), ctx._mod_bits)
+        if acc not in (0, 1):
+            raise AssertionError("absolute trace left GF(2)")
+        mask |= acc << j
     return mask
 
 

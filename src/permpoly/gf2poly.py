@@ -80,14 +80,6 @@ class BitPoly:
         raise AttributeError("BitPoly is immutable")
 
     @classmethod
-    def from_exponents(cls, exponents) -> "BitPoly":
-        """Build a polynomial from an iterable of exponents (xor semantics)."""
-        bits = 0
-        for e in exponents:
-            bits ^= 1 << e
-        return cls(bits)
-
-    @classmethod
     def from_string(cls, text: str) -> "BitPoly":
         """Parse the textual form, e.g. "x^6+x^2+1"; "0" is the zero polynomial."""
         s = "".join(text.split())
@@ -118,9 +110,6 @@ class BitPoly:
         if self.bits == 0:
             raise ValueError("zero polynomial has no degree; check is_zero first")
         return _deg(self.bits)
-
-    def coefficient(self, i: int) -> int:
-        return (self.bits >> i) & 1
 
     def __add__(self, other: "BitPoly") -> "BitPoly":
         return BitPoly(self.bits ^ other.bits)

@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import scan
-from .field import FieldContext, UsageError, enumerate_elements, make_field
+from .field import (FieldContext, UsageError, enumerate_elements, make_field,
+                    per_context)
 from .gf2poly import ONE as BP_ONE
 from .gf2poly import BitPoly, proof_gcd_case1, proof_gcd_case2
 from .permtest import PPReport, is_pp_exhaustive
@@ -49,12 +50,12 @@ def _q_exponent(q: int) -> int:
 # the g_(n,q) family
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _base_field(s: int) -> FieldContext:
     return make_field(s, 1)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _power_sum(q: int, t: int) -> int:
     """Sum over a in GF(q) of a^t, as a bit pattern; once per (q, t) per process."""
     acc = 0
@@ -104,7 +105,7 @@ def gnq_recurrence(n: int, q: int, ctx: FieldContext,
         raise UsageError(f"memo bound must be >= 1, got {memo_bound}")
     if ctx.q != q:
         raise ValueError(f"context has q={ctx.q}, not {q}")
-    memo: dict[int, DensePolyF2] = ctx._cache.setdefault(("gnq_memo", q), {})
+    memo = _memo(ctx, q)
 
     def rec(n: int) -> DensePolyF2:
         got = memo.get(n)
@@ -127,6 +128,12 @@ def gnq_recurrence(n: int, q: int, ctx: FieldContext,
         return g
 
     return rec(n)
+
+
+@per_context
+def _memo(ctx: FieldContext, q: int) -> dict[int, DensePolyF2]:
+    """The per-context memo of gnq_recurrence: g_(n,q) by n."""
+    return {}
 
 
 def gnq_closed_form(pairs, q: int, ctx: FieldContext) -> tuple[int, DensePolyF2]:
@@ -158,27 +165,25 @@ def gnq_closed_form(pairs, q: int, ctx: FieldContext) -> tuple[int, DensePolyF2]
     return n, g
 
 
+@per_context
 def _oracle_points(ctx: FieldContext):
     """Cached (tq, pts) for gnq_oracle_check: the representatives x of the
     cosets x + GF(q) are the patterns with no bit at the leading bit of any
     nonzero a in GF(q), the least element of each coset; tq[i] is
     x^q + x and pts[:, i] lists x + a over GF(q) for the i-th of them."""
-    cached = ctx._cache.get("oracle_points")
-    if cached is None:
-        a_bits = scan.subfield_elements(ctx, 1)
-        pivots = 0
-        for a in a_bits[1:].tolist():  # ascending from 0
-            pivots |= 1 << (a.bit_length() - 1)
-        xs = np.arange(ctx.order, dtype=np.uint64)
-        reps = xs[(xs & np.uint64(pivots)) == 0]
-        if reps.size != ctx.order // ctx.q:
-            raise AssertionError(
-                f"{reps.size} coset representatives of GF({ctx.q}) in {ctx!r}, "
-                f"expected {ctx.order // ctx.q}"
-            )
-        tq = scan.apply_matrix(scan.frobenius_matrix(ctx, 1), reps) ^ reps
-        cached = ctx._cache["oracle_points"] = (tq, a_bits[:, None] ^ reps)
-    return cached
+    a_bits = scan.subfield_elements(ctx, 1)
+    pivots = 0
+    for a in a_bits[1:].tolist():  # ascending from 0
+        pivots |= 1 << (a.bit_length() - 1)
+    xs = np.arange(ctx.order, dtype=np.uint64)
+    reps = xs[(xs & np.uint64(pivots)) == 0]
+    if reps.size != ctx.order // ctx.q:
+        raise AssertionError(
+            f"{reps.size} coset representatives of GF({ctx.q}) in {ctx!r}, "
+            f"expected {ctx.order // ctx.q}"
+        )
+    tq = scan.apply_matrix(scan.frobenius_matrix(ctx, 1), reps) ^ reps
+    return tq, a_bits[:, None] ^ reps
 
 
 def gnq_oracle_check(n: int, q: int, ctx: FieldContext,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import scan
 from .field import (FieldContext, FieldElement, eval_S, frobenius_q,
-                    trace_absolute, trace_to_subfield)
+                    per_context, trace_absolute, trace_to_subfield)
 
 EXHAUSTIVE_MAX_ORDER = 1 << 30
 CHARSUM_MAX_ORDER = 1 << 12
@@ -82,14 +82,12 @@ def is_pp_exhaustive(f, ctx: FieldContext, workers: int = 1,
                     counterexample=pair, elapsed_ms=elapsed)
 
 
+@per_context
 def _trace_rows(ctx: FieldContext) -> tuple[int, ...]:
     """Cached masks of the basis elements: bit j of row i is Tr(t^i * t^j)."""
-    rows = ctx._cache.get("trace_rows")
-    if rows is None:
-        basis = [ctx.element(1 << j) for j in range(ctx.m)]
-        rows = ctx._cache["trace_rows"] = tuple(
-            sum(trace_absolute(u * v) << j for j, v in enumerate(basis)) for u in basis)
-    return rows
+    basis = [ctx.element(1 << j) for j in range(ctx.m)]
+    return tuple(
+        sum(trace_absolute(u * v) << j for j, v in enumerate(basis)) for u in basis)
 
 
 def _trace_functional_mask(ctx: FieldContext, a: FieldElement) -> int:
@@ -105,30 +103,28 @@ def _trace_functional_mask(ctx: FieldContext, a: FieldElement) -> int:
     return mask
 
 
-def charsum_single(f, a: FieldElement, ctx: FieldContext, values=None,
-                   workers: int = 1) -> int:
+def charsum_single(f, a: FieldElement, ctx: FieldContext, values=None) -> int:
     """The signed sum over x of (-1)^Tr(a*f(x)); zero for balanced maps."""
     if a.ctx is not ctx:
         raise ValueError("character element from a different field context")
     if values is None:
-        values = scan.field_values(f, ctx, workers=workers)
+        values = scan.field_values(f, ctx)
     # m <= 32, so the mask fits the uint32 values
     mask = np.uint32(_trace_functional_mask(ctx, a))
     ones = int((np.bitwise_count(values & mask) & np.uint8(1)).sum())
     return len(values) - 2 * ones
 
 
-def charsum_pp_test(f, ctx: FieldContext, workers: int = 1, timing: bool = False,
-                    override_ceiling: bool = False) -> PPReport:
+def charsum_pp_test(f, ctx: FieldContext, workers: int = 1,
+                    timing: bool = False) -> PPReport:
     """PP test via vanishing of all nontrivial additive character sums.
 
-    Quadratic in the field order, so refused above CHARSUM_MAX_ORDER
-    unless explicitly overridden.
+    Quadratic in the field order, so refused above CHARSUM_MAX_ORDER.
     """
-    if ctx.order > CHARSUM_MAX_ORDER and not override_ceiling:
+    if ctx.order > CHARSUM_MAX_ORDER:
         raise ValueError(
             f"character-sum test costs order^2; order {ctx.order} exceeds "
-            f"{CHARSUM_MAX_ORDER} (pass override_ceiling=True to force)"
+            f"{CHARSUM_MAX_ORDER}"
         )
     t0 = time.perf_counter()
     values = scan.field_values(f, ctx, workers=workers)
@@ -146,8 +142,7 @@ def charsum_pp_test(f, ctx: FieldContext, workers: int = 1, timing: bool = False
     return report
 
 
-def shift_witness(g, a: FieldElement, k: int, ctx: FieldContext,
-                  workers: int = 1) -> FieldElement | None:
+def shift_witness(g, a: FieldElement, k: int, ctx: FieldContext) -> FieldElement | None:
     """First y in GF(q^k)* making Tr(a*(g(x+y)+g(x))) constantly 1.
 
     Such a y pairs the terms of the character sum of a*g into cancelling
@@ -160,7 +155,7 @@ def shift_witness(g, a: FieldElement, k: int, ctx: FieldContext,
         raise ValueError(f"k={k} must divide e={ctx.e}")
     if not trace_to_subfield(a, k):
         raise ValueError("Case-1 hypothesis violated: Tr_(q^e/q^k)(a) = 0")
-    gv = scan.field_values(g, ctx, workers=workers).astype(np.uint64)
+    gv = scan.field_values(g, ctx).astype(np.uint64)
     mask = np.uint64(_trace_functional_mask(ctx, a))
     for ybits in scan.subfield_elements(ctx, k):
         if not ybits:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scan
+from . import gf2poly, scan
 from .field import (FieldContext, FieldElement, UsageError, eval_S,
-                    frobenius_q, make_field)
+                    frobenius_q, make_field, per_context)
 
 
 def reduce_exponent(m: int, order: int) -> int:
@@ -101,15 +101,8 @@ class DensePolyF2:
     def __mul__(self, other: "DensePolyF2") -> "DensePolyF2":
         if self.ctx is not other.ctx:
             raise ValueError("operands from different field contexts")
-        a, b = self.bits, other.bits
-        if a.bit_count() < b.bit_count():
-            a, b = b, a
-        acc = 0
-        while b:
-            low = b & -b
-            acc ^= a << (low.bit_length() - 1)
-            b ^= low
-        return DensePolyF2(self.ctx, _fold_once(acc, self.ctx.order))
+        return DensePolyF2(self.ctx, _fold_once(gf2poly._mul(self.bits, other.bits),
+                                                self.ctx.order))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DensePolyF2):
@@ -160,16 +153,13 @@ class DensePolyF2:
         return f"DensePolyF2({n} terms over {self.ctx!r})"
 
 
+@per_context
 def s_dense(ctx: FieldContext, k: int) -> DensePolyF2:
     """The trace sum S_k as a reduced dense polynomial, cached per context
     (DensePolyF2 is immutable, so every caller may share it)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    key = ("s_dense", k)
-    s = ctx._cache.get(key)
-    if s is None:
-        s = ctx._cache[key] = DensePolyF2.from_exponents(ctx, (ctx.q ** i for i in range(k)))
-    return s
+    return DensePolyF2.from_exponents(ctx, (ctx.q ** i for i in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +334,10 @@ def _is_additive(node: PolyExpr) -> bool:
     return False
 
 
-def _additive_matrix(node: PolyExpr, ctx: FieldContext) -> np.ndarray:
+@per_context
+def _additive_matrix(ctx: FieldContext, node: PolyExpr) -> np.ndarray:
     # frozen nodes hash and compare by structure, so equal trees share a matrix
-    key = ("expr_mat", node)
-    cols = ctx._cache.get(key)
-    if cols is None:
-        cols = scan.linear_matrix(ctx, lambda v: expr_eval(node, v))
-        ctx._cache[key] = cols
-    return cols
+    return scan.linear_matrix(ctx, lambda v: expr_eval(node, v))
 
 
 def _expr_eval_packed(node: PolyExpr, xs, ctx: FieldContext):
@@ -359,7 +345,7 @@ def _expr_eval_packed(node: PolyExpr, xs, ctx: FieldContext):
     if _is_additive(node):
         if isinstance(node, Var):
             return xs
-        return scan.apply_matrix(_additive_matrix(node, ctx), xs)
+        return scan.apply_matrix(_additive_matrix(ctx, node), xs)
     if isinstance(node, Const):
         if node.value.ctx is not ctx:
             raise ValueError("constant from a different field context")

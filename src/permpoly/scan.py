@@ -1,7 +1,7 @@
-"""Vectorized whole-field computation over GF(2^m), m <= 30.
+"""Vectorized whole-field computation over GF(2^m), m <= 32.
 
 Elements travel as uint64 numpy arrays of bit patterns.  Products before
-reduction need at most 2m-1 <= 59 bits, so everything fits one word.
+reduction need at most 2m-1 <= 63 bits, so everything fits one word.
 Additive (2-linearized) maps are applied through m-column bit matrices;
 products use per-bit carry-less shift-and-add, powers discrete-log tables.
 
@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .field import FieldContext, FieldElement
+from .field import FieldContext, FieldElement, eval_S, frobenius_q, per_context
 
 DEFAULT_CHUNK = 1 << 20
 
@@ -31,26 +31,15 @@ SPOT_CHECK_POINTS = (1 << 12) - 1
 # filled one row per exponent read
 POWER_TABLE_MAX_ORDER = 1 << 12
 
-_SPREAD_MASKS = (
-    (16, np.uint64(0x0000FFFF0000FFFF)),
-    (8, np.uint64(0x00FF00FF00FF00FF)),
-    (4, np.uint64(0x0F0F0F0F0F0F0F0F)),
-    (2, np.uint64(0x3333333333333333)),
-    (1, np.uint64(0x5555555555555555)),
-)
 
-
+@per_context
 def _reduction_steps(ctx: FieldContext):
     """Per-bit reduction constants: clearing bit m+j xors in modulus << j."""
-    steps = ctx._cache.get("reduction_steps")
-    if steps is None:
-        m = ctx.m
-        steps = tuple(
-            (i, np.uint64(ctx._mod_bits << (i - m)))
-            for i in range(2 * m - 2, m - 1, -1)
-        )
-        ctx._cache["reduction_steps"] = steps
-    return steps
+    m = ctx.m
+    return tuple(
+        (i, np.uint64(ctx._mod_bits << (i - m)))
+        for i in range(2 * m - 2, m - 1, -1)
+    )
 
 
 def _reduce(ctx, x):
@@ -70,14 +59,7 @@ def packed_mul(ctx: FieldContext, a, b):
     return _reduce(ctx, res)
 
 
-def packed_square(ctx: FieldContext, a):
-    """Elementwise field square via bit spreading (cheaper than packed_mul)."""
-    x = a
-    for shift, mask in _SPREAD_MASKS:
-        x = (x | (x << shift)) & mask
-    return _reduce(ctx, x)
-
-
+@per_context
 def log_tables(ctx: FieldContext):
     """Cached (log, antilog) of the least generator g of the nonzero elements.
 
@@ -87,25 +69,20 @@ def log_tables(ctx: FieldContext):
     non-generator is never cached: under a non-primitive modulus such as
     GF(2^8)'s x^8+x^4+x^3+x+1, t = 2 has order 51 and g is 3.
     """
-    tables = ctx._cache.get("log_tables")
-    if tables is None:
-        order = ctx.order
-        for g in range(2, order) if order > 2 else (1,):
-            antilog = np.ones(order - 1, dtype=np.uint64)
-            step, k = np.uint64(g), 1
-            while k < order - 1:
-                n = min(k, order - 1 - k)
-                antilog[k:k + n] = packed_mul(ctx, antilog[:n], step)
-                step, k = packed_mul(ctx, step, step), k + n
-            log = np.zeros(order, dtype=np.uint32)
-            log[antilog] = np.arange(order - 1, dtype=np.uint32)
-            # a missed x keeps log[x] = 0, and antilog[0] = 1 != x
-            if np.array_equal(antilog[log[1:]], np.arange(1, order)):
-                break
-        else:
-            raise AssertionError(f"no generator of the nonzero elements of {ctx!r}")
-        tables = ctx._cache["log_tables"] = (log, antilog.astype(np.uint32))
-    return tables
+    order = ctx.order
+    for g in range(2, order) if order > 2 else (1,):
+        antilog = np.ones(order - 1, dtype=np.uint64)
+        step, k = np.uint64(g), 1
+        while k < order - 1:
+            n = min(k, order - 1 - k)
+            antilog[k:k + n] = packed_mul(ctx, antilog[:n], step)
+            step, k = packed_mul(ctx, step, step), k + n
+        log = np.zeros(order, dtype=np.uint32)
+        log[antilog] = np.arange(order - 1, dtype=np.uint32)
+        # a missed x keeps log[x] = 0, and antilog[0] = 1 != x
+        if np.array_equal(antilog[log[1:]], np.arange(1, order)):
+            return log, antilog.astype(np.uint32)
+    raise AssertionError(f"no generator of the nonzero elements of {ctx!r}")
 
 
 def packed_pow(ctx: FieldContext, a, n):
@@ -147,28 +124,20 @@ def apply_matrix(cols: np.ndarray, x):
 
 
 def frobenius_matrix(ctx: FieldContext, i: int) -> np.ndarray:
-    """Cached matrix of x -> x^(q^i)."""
-    from .field import frobenius_q
-
-    i %= ctx.e
-    key = ("frobq_mat", i)
-    cols = ctx._cache.get(key)
-    if cols is None:
-        cols = linear_matrix(ctx, lambda x: frobenius_q(x, i))
-        ctx._cache[key] = cols
-    return cols
+    """Cached matrix of x -> x^(q^i); i is taken mod e, so i and i + e
+    share one matrix."""
+    return _frobenius_matrix(ctx, i % ctx.e)
 
 
+@per_context
+def _frobenius_matrix(ctx: FieldContext, i: int) -> np.ndarray:
+    return linear_matrix(ctx, lambda x: frobenius_q(x, i))
+
+
+@per_context
 def s_matrix(ctx: FieldContext, k: int) -> np.ndarray:
     """Cached matrix of the trace sum S_k."""
-    from .field import eval_S
-
-    key = ("s_mat", k)
-    cols = ctx._cache.get(key)
-    if cols is None:
-        cols = linear_matrix(ctx, lambda x: eval_S(k, x))
-        ctx._cache[key] = cols
-    return cols
+    return linear_matrix(ctx, lambda x: eval_S(k, x))
 
 
 def iter_chunks(total: int):
@@ -347,12 +316,7 @@ def power_table(ctx: FieldContext, exponents) -> np.ndarray:
     order = ctx.order
     if order > POWER_TABLE_MAX_ORDER:
         raise ValueError(f"power table capped at order {POWER_TABLE_MAX_ORDER}")
-    cached = ctx._cache.get("power_table")
-    if cached is None:
-        # zeroed pages are only committed when a row is written
-        cached = ctx._cache.setdefault(
-            "power_table", (np.zeros((order, order), dtype=np.uint16), set()))
-    table, filled = cached
+    table, filled = _power_rows(ctx)
     if not filled.issuperset(exponents):
         missing = set(exponents).difference(filled)
         xs = np.arange(order, dtype=np.uint64)
@@ -365,21 +329,26 @@ def power_table(ctx: FieldContext, exponents) -> np.ndarray:
     return table[exponents]
 
 
+@per_context
+def _power_rows(ctx: FieldContext):
+    """The per-context (order x order) uint16 power table of power_table
+    and the set of exponents whose rows are filled."""
+    # zeroed pages are only committed when a row is written
+    return np.zeros((ctx.order, ctx.order), dtype=np.uint16), set()
+
+
+@per_context
 def subfield_mask(ctx: FieldContext, k: int) -> np.ndarray:
-    """Boolean mask over bit patterns: True iff the element lies in GF(q^k)."""
+    """Cached boolean mask over bit patterns: True iff the element lies in
+    GF(q^k)."""
     if k < 1 or ctx.e % k != 0:
         raise ValueError(f"k={k} does not divide e={ctx.e}")
-    key = ("subfield_mask", k)
-    mask = ctx._cache.get(key)
-    if mask is None:
-        cols = frobenius_matrix(ctx, k)
-        parts = []
-        for start, stop in iter_chunks(ctx.order):
-            xs = np.arange(start, stop, dtype=np.uint64)
-            parts.append(apply_matrix(cols, xs) == xs)
-        mask = np.concatenate(parts)
-        ctx._cache[key] = mask
-    return mask
+    cols = frobenius_matrix(ctx, k)
+    parts = []
+    for start, stop in iter_chunks(ctx.order):
+        xs = np.arange(start, stop, dtype=np.uint64)
+        parts.append(apply_matrix(cols, xs) == xs)
+    return np.concatenate(parts)
 
 
 def subfield_elements(ctx: FieldContext, k: int) -> np.ndarray:

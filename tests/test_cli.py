@@ -102,6 +102,16 @@ def test_probe_always_exits_zero(capsys):
     assert cli.main(["probe-t1-odd", "--k", "2"]) == EXIT_USAGE
 
 
+def test_probe_csv_witness_matches_json(capsys):
+    # at k = 1 the collision witness is 0x0, which must not print as empty
+    assert cli.main(["probe-t1-odd", "--k", "1", "--format", "json"]) == EXIT_OK
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert cli.main(["probe-t1-odd", "--k", "1", "--format", "csv"]) == EXIT_OK
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "k,is_pp,witness,note"
+    assert row.split(",")[2] == witness == "0x0"
+
+
 def test_probe_with_a_wrong_degree_bound_aborts(capsys, monkeypatch):
     # x^7 has degree 3; a bound of 2 sends it to the block tables, whose
     # spot check fails: exit 1, a verification failure, not a usage error

@@ -1,11 +1,17 @@
 """Field contexts and elements: forced small-field values, Frobenius and
-trace laws, subfield membership."""
+trace laws, subfield membership, the per-context memo."""
 
+import ast
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import permpoly
 from permpoly import scan
 from permpoly.field import (enumerate_elements, eval_S, frobenius_q,
                             in_subfield, make_field, trace_absolute,
@@ -152,3 +158,57 @@ def test_context_identity_and_repr():
     x = a.element(3)
     with pytest.raises(ValueError):
         _ = x + b.element(3)  # contexts are identity-scoped
+
+
+def test_per_context_memo_shares_one_object_per_context_and_arguments():
+    a, b = make_field(2, 6), make_field(2, 6)
+    mask = scan.subfield_mask(a, 2)
+    assert scan.subfield_mask(a, 2) is mask
+    assert scan.subfield_mask(b, 2) is not mask
+    assert np.array_equal(scan.subfield_mask(b, 2), mask)
+    assert scan.subfield_mask(a, 3) is not mask
+    # the Frobenius power is taken mod e, so i and i + e share one matrix
+    assert scan.frobenius_matrix(a, 7) is scan.frobenius_matrix(a, 1)
+
+
+def test_per_context_memo_stores_nothing_when_the_build_raises():
+    ctx = make_field(2, 6)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not divide"):
+            scan.subfield_mask(ctx, 5)
+    assert scan.subfield_mask(ctx, 3).sum() == 4 ** 3
+
+
+def test_per_context_memo_threads_get_one_object():
+    ctx = make_field(2, 6)  # fresh: every thread races to build
+    barrier = threading.Barrier(8)
+
+    def build():
+        barrier.wait(timeout=60)
+        return scan.subfield_mask(ctx, 2)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(build) for _ in range(8)]
+            masks = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(m is masks[0] for m in masks)
+    assert masks[0].sum() == 4 ** 2
+
+
+def test_only_field_names_the_context_cache():
+    # per-context state goes through field.per_context; no other module
+    # reads or writes FieldContext._cache
+    offenders = []
+    for path in sorted(Path(permpoly.__file__).parent.glob("*.py")):
+        if path.name == "field.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if ((isinstance(node, ast.Attribute) and node.attr == "_cache")
+                    or (isinstance(node, ast.Name) and node.id == "_cache")
+                    or (isinstance(node, ast.Constant) and node.value == "_cache")):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders

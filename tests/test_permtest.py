@@ -86,7 +86,7 @@ def test_charsum_single_detects_constant_map(f16):
 def test_charsum_refuses_large_fields():
     big = make_field(2, 7)  # 4^7 = 16384 > CHARSUM_MAX_ORDER
     assert big.order > CHARSUM_MAX_ORDER
-    with pytest.raises(ValueError, match="override_ceiling"):
+    with pytest.raises(ValueError, match="exceeds 4096"):
         charsum_pp_test(Var(), big)
 
 
@@ -105,7 +105,7 @@ def test_methods_agree_on_random_sparse_polys(f16):
                            Pow(Var(), rng.randrange(1, 15))))
                       for _ in range(rng.randrange(1, 4))))
         a = is_pp_exhaustive(p, f16)
-        b = charsum_pp_test(p, f16, override_ceiling=True)
+        b = charsum_pp_test(p, f16)
         if a.is_pp is not b.is_pp:
             disagreements.append(p)
         if not b.is_pp:

@@ -32,7 +32,7 @@ def test_packed_mul_square_pow_match_scalar(s, e):
     xs = np.append(np.uint64(0), _random_bits(ctx, rng, 200))
     ys = _random_bits(ctx, rng, 201)
     prod = scan.packed_mul(ctx, xs, ys)
-    sq = scan.packed_square(ctx, xs)
+    sq = scan.packed_mul(ctx, xs, xs)
     for i in range(len(xs)):
         a = ctx.element(int(xs[i]))
         b = ctx.element(int(ys[i]))
@@ -149,7 +149,7 @@ def test_power_table_rows(monkeypatch):
                 assert np.array_equal(row, scan.packed_pow(ctx, xs, d))
                 for x in range(64):  # x = 0 included
                     assert int(row[x]) == (ctx.element(x) ** d).bits, (d, x)
-        assert len(ctx._cache["power_table"][1]) == len(set(exponents))
+        assert len(scan._power_rows(ctx)[1]) == len(set(exponents))
 
 
 def test_power_table_threads_never_read_an_unfilled_row():
@@ -172,7 +172,7 @@ def test_power_table_threads_never_read_an_unfilled_row():
             assert all(f.result(timeout=60) for f in futures)
     finally:
         sys.setswitchinterval(old)
-    assert ctx._cache["power_table"][1] == set(expect)
+    assert scan._power_rows(ctx)[1] == set(expect)
 
 
 def test_power_table_cap():
