@@ -34,7 +34,8 @@ from .gf2poly import ONE as BP_ONE
 from .gf2poly import BitPoly, proof_gcd_case1, proof_gcd_case2
 from .permtest import PPReport, is_pp_exhaustive
 from .poly import (Add, DensePolyF2, FrobQ, LinPoly, Pow, S, Var, build_t1_g,
-                   funcs_equal_pointwise, identity_e1_check, s_dense, t2_map)
+                   funcs_equal_pointwise, identity_e1_check, reduce_exponent,
+                   s_dense, t2_map)
 
 DEFAULT_MEMO_BOUND = 1 << 20
 
@@ -186,6 +187,21 @@ def _oracle_points(ctx: FieldContext):
     return tq, a_bits[:, None] ^ reps
 
 
+@per_context
+def _oracle_rhs(ctx: FieldContext, r: int) -> np.ndarray:
+    """Cached right side of gnq_oracle_check for the reduced exponent r:
+    sum over a in GF(q) of (y + a)^r at the representatives y of
+    _oracle_points, as uint16; order <= POWER_TABLE_MAX_ORDER only.
+
+    Exact for every n with reduce_exponent(n, order) = r: y^n = y^r for
+    every nonzero y, since y^(order-1) = 1 and n = r mod (order-1), and
+    0^n = 0^r, since r = 0 only when n = 0.  So a context holds at most
+    order rows of order/q entries: 8 MB at GF(4^6), 16 MB at GF(2^12).
+    """
+    _, pts = _oracle_points(ctx)
+    return np.bitwise_xor.reduce(scan.packed_pow(ctx, pts, r), axis=0).astype(np.uint16)
+
+
 def gnq_oracle_check(n: int, q: int, ctx: FieldContext,
                      g: DensePolyF2 | None = None) -> bool:
     """Check g_(n,q)(x^q + x) = sum over a in GF(q) of (x+a)^n at every x.
@@ -198,6 +214,10 @@ def gnq_oracle_check(n: int, q: int, ctx: FieldContext,
     only re-indexes the sum over a.  So evaluating both sides at one
     representative per coset, order/q points in all, decides the identity
     on the whole field exactly.
+
+    Up to POWER_TABLE_MAX_ORDER the right side is read from _oracle_rhs,
+    computed once per reduced exponent; above it, chunk by chunk on every
+    call.  The left side is always evaluated from g's own coefficients.
     """
     if n < 0:
         raise UsageError("n must be nonnegative")
@@ -209,6 +229,8 @@ def gnq_oracle_check(n: int, q: int, ctx: FieldContext,
         raise ValueError("g comes from a different field context")
     gv = g.eval_on_field()
     tq, pts = _oracle_points(ctx)
+    if ctx.order <= scan.POWER_TABLE_MAX_ORDER:
+        return np.array_equal(gv[tq], _oracle_rhs(ctx, reduce_exponent(n, ctx.order)))
     for start, stop in scan.iter_chunks(tq.size):
         rhs = np.bitwise_xor.reduce(scan.packed_pow(ctx, pts[:, start:stop], n), axis=0)
         if not np.array_equal(gv[tq[start:stop]], rhs):
@@ -251,7 +273,10 @@ class T1Report:
 def verify_t1(k: int, workers: int = 1, timing: bool = False,
               max_degree: int | None = None, modulus: BitPoly | None = None) -> T1Report:
     """Exhaustively verify that S_(k+1)^2 + S_(2k)^(q^k+1) permutes GF(4^(3k)),
-    together with the identity and gcd facts its proof leans on."""
+    together with the identity and gcd facts its proof leans on.
+
+    workers is unused here, as in every pipeline but search_desirable.
+    """
     if k < 2 or k % 2:
         raise UsageError(
             "theorem hypothesis requires even k >= 2 (use probe_t1_odd for exploration)"
@@ -261,7 +286,7 @@ def verify_t1(k: int, workers: int = 1, timing: bool = False,
         kwargs["max_degree"] = max_degree
     ctx = make_field(2, 3 * k, **kwargs)
     g = build_t1_g(k, ctx)
-    pp = is_pp_exhaustive(g, ctx, workers=workers, timing=timing)
+    pp = is_pp_exhaustive(g, ctx, timing=timing)
     e1_ok = identity_e1_check(k, ctx)
     c1 = proof_gcd_case1(k)
     return T1Report(k, pp, e1_ok, str(c1), str(proof_gcd_case2(k)), c1 == BP_ONE)
@@ -271,13 +296,14 @@ def probe_t1_odd(k: int, workers: int = 1, timing: bool = False,
                  modulus: BitPoly | None = None) -> PPReport:
     """PP status of the same map at odd k, where the theorem is silent.
 
-    Records whatever the scan finds; asserts nothing.
+    Records whatever the scan finds; asserts nothing.  workers is unused
+    here, as in every pipeline but search_desirable.
     """
     if k < 1 or k % 2 == 0:
         raise UsageError("the probe is for odd k; verify_t1 covers the theorem's even case")
     ctx = make_field(2, 3 * k, modulus=modulus)
     g = build_t1_g(k, ctx)
-    report = is_pp_exhaustive(g, ctx, workers=workers, timing=timing)
+    report = is_pp_exhaustive(g, ctx, timing=timing)
     return replace(report, note="outside theorem hypothesis")
 
 
@@ -309,7 +335,8 @@ def verify_corollary(workers: int = 1, timing: bool = False) -> CorollaryReport:
     (1) the base-4 digit decomposition of n; (2) recurrence and closed
     form build the same function; (3) the two S-identity reduction
     steps; (4) the result is the k=2 theorem map; (5) it permutes the
-    field.
+    field.  workers is unused here, as in every pipeline but
+    search_desirable.
     """
     q, n = 4, 65921
     ctx = make_field(2, 6)
@@ -326,7 +353,7 @@ def verify_corollary(workers: int = 1, timing: bool = False) -> CorollaryReport:
 
     step4 = funcs_equal_pointwise(g_rec, build_t1_g(2, ctx), ctx)
 
-    pp = is_pp_exhaustive(g_rec, ctx, workers=workers, timing=timing)
+    pp = is_pp_exhaustive(g_rec, ctx, timing=timing)
     steps = (
         ("integer-decomposition", step1),
         ("recurrence-matches-closed-form", step2),
@@ -362,7 +389,8 @@ def check_t2_conditions(L: LinPoly, q: int, k: int, ctx: FieldContext,
     (i) L restricted to GF(q^k) is a bijection of GF(q^k); (ii) the
     congruence L + L^(q^2k) = S_2k^2 + (S_2k^(q^(k+1)))^2 holds pointwise.
     When both hold, the theorem asserts L + S_2k^(q^k+1) is a PP; that is
-    then tested exhaustively and recorded in pp_verified.
+    then tested exhaustively and recorded in pp_verified.  workers is
+    unused here, as in every pipeline but search_desirable.
     """
     if ctx.q != q or ctx.e != 3 * k:
         raise ValueError(f"context must be GF({q}^{3 * k}), got {ctx!r}")
@@ -382,8 +410,7 @@ def check_t2_conditions(L: LinPoly, q: int, k: int, ctx: FieldContext,
     pp_report = None
     pp_verified = False
     if cond_i and cond_ii:
-        pp_report = is_pp_exhaustive(t2_map(L, k), ctx,
-                                     workers=workers, timing=timing)
+        pp_report = is_pp_exhaustive(t2_map(L, k), ctx, timing=timing)
         pp_verified = pp_report.is_pp
     return T2Conditions(cond_i, cond_ii, pp_verified, pp_report)
 
@@ -418,9 +445,10 @@ def search_desirable(q: int, e: int, n_from: int, n_to: int,
 
     Each hit is re-validated against the defining identity before it is
     emitted; an oracle failure would mean the recurrence built the wrong
-    polynomial and aborts the search.  Output is ordered by n regardless
-    of worker count.  Under timing, a hit's elapsed_ms counts from the
-    start of the scan to its oracle confirmation; otherwise it is 0.
+    polynomial and aborts the search.  workers > 1 tests the n on that
+    many threads; output is ordered by n regardless of worker count.
+    Under timing, a hit's elapsed_ms counts from the start of the scan to
+    its oracle confirmation; otherwise it is 0.
     """
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= n_from <= n_to")

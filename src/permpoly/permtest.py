@@ -59,8 +59,7 @@ class PPReport:
         return obj
 
 
-def is_pp_exhaustive(f, ctx: FieldContext, workers: int = 1,
-                     timing: bool = False) -> PPReport:
+def is_pp_exhaustive(f, ctx: FieldContext, timing: bool = False) -> PPReport:
     """Decide bijectivity by marking every image value once (pigeonhole).
 
     Only a map that fails pays for its witness: the least value hit
@@ -70,7 +69,7 @@ def is_pp_exhaustive(f, ctx: FieldContext, workers: int = 1,
     if ctx.order > EXHAUSTIVE_MAX_ORDER:
         raise ValueError(f"field order {ctx.order} exceeds the exhaustive-scan ceiling")
     t0 = time.perf_counter()
-    values = scan.field_values(f, ctx, workers=workers)
+    values = scan.field_values(f, ctx)
     ok = scan.bijection_from_values(values, ctx.order)
     elapsed = int((time.perf_counter() - t0) * 1000) if timing else 0
     if ok:
@@ -120,6 +119,8 @@ def charsum_pp_test(f, ctx: FieldContext, workers: int = 1,
     """PP test via vanishing of all nontrivial additive character sums.
 
     Quadratic in the field order, so refused above CHARSUM_MAX_ORDER.
+    workers is accepted for a uniform pipeline signature and unused:
+    only gnq.search_desirable runs threads.
     """
     if ctx.order > CHARSUM_MAX_ORDER:
         raise ValueError(
@@ -127,7 +128,7 @@ def charsum_pp_test(f, ctx: FieldContext, workers: int = 1,
             f"{CHARSUM_MAX_ORDER}"
         )
     t0 = time.perf_counter()
-    values = scan.field_values(f, ctx, workers=workers)
+    values = scan.field_values(f, ctx)
     report = None
     for abits in range(1, ctx.order):
         a = ctx.element(abits)

@@ -6,16 +6,13 @@ Additive (2-linearized) maps are applied through m-column bit matrices;
 products use per-bit carry-less shift-and-add, powers discrete-log tables.
 
 Scans are chunked so peak memory stays bounded by a few chunk-sized
-arrays; chunk order is fixed, which keeps multi-worker runs byte-identical
-to single-worker runs.  A map of algebraic degree at most 2 is not
-evaluated at every element: field_values assembles its values from three
-tables over pairs of bit blocks and checks them against direct evaluation
-at SPOT_CHECK_POINTS fixed points.
+arrays.  A map of algebraic degree at most 2 is not evaluated at every
+element: field_values assembles its values from three tables over pairs
+of bit blocks and checks them against direct evaluation at
+SPOT_CHECK_POINTS fixed points.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -188,7 +185,7 @@ def _block_values(f, ctx: FieldContext, b0: int, b1: int, b2: int) -> np.ndarray
     return out
 
 
-def field_values(f, ctx: FieldContext, workers: int = 1) -> np.ndarray:
+def field_values(f, ctx: FieldContext) -> np.ndarray:
     """Evaluate f on every field element, in bit-pattern order.
 
     Returns a uint32 array of length ctx.order; entry i is f(element i).
@@ -214,9 +211,7 @@ def field_values(f, ctx: FieldContext, workers: int = 1) -> np.ndarray:
     (Reed-Muller distance), so 4095 points miss a wrong bound for D <= 8
     with probability at most (1 - 2^-8)^4095 < e^-16.
 
-    Other maps are evaluated directly, chunk by chunk.  Chunks are
-    assigned to workers in fixed order, so the result does not depend on
-    the worker count.
+    Other maps are evaluated directly, chunk by chunk.
     """
     from .poly import degree_bound
 
@@ -229,22 +224,9 @@ def field_values(f, ctx: FieldContext, workers: int = 1) -> np.ndarray:
         return _block_values(f, ctx, b0, b1, b2)
 
     out = np.empty(ctx.order, dtype=np.uint32)
-    chunks = list(iter_chunks(ctx.order))
-
-    def work(span):
-        start, stop = span
+    for start, stop in iter_chunks(ctx.order):
         xs = np.arange(start, stop, dtype=np.uint64)
         out[start:stop] = f.eval_packed(xs, ctx)
-
-    # first chunk runs inline to warm the matrix caches before threading
-    work(chunks[0])
-    rest = chunks[1:]
-    if workers > 1 and len(rest) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, rest))
-    else:
-        for span in rest:
-            work(span)
     return out
 
 

@@ -20,7 +20,8 @@ from permpoly.gnq import (DesirableTriple, check_t2_conditions, gnq_base,
                           probe_t1_odd, search_desirable, verify_corollary,
                           verify_t1)
 from permpoly.poly import (Add, DensePolyF2, LinPoly, PolyExpr, Pow, S, Var,
-                           funcs_equal_pointwise, lin_from_expr, s_dense)
+                           funcs_equal_pointwise, lin_from_expr, reduce_exponent,
+                           s_dense)
 from permpoly.scan import POWER_TABLE_MAX_ORDER
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -170,6 +171,24 @@ def test_oracle_checks_every_coset(s, e, chunk, monkeypatch):
         assert not gnq_oracle_check(n, q, ctx, g=_Values(ctx, wrong)), y
 
 
+def test_oracle_chunked_path_rejects_each_flip(monkeypatch):
+    # GF(4^7) lies above the power-table cap, so the right side is computed
+    # chunk by chunk on every call, never memoized
+    ctx = make_field(2, 7)
+    assert ctx.order > POWER_TABLE_MAX_ORDER
+    n = 2 * ctx.q + 3
+    gv = gnq_recurrence(n, ctx.q, ctx).eval_on_field()
+    monkeypatch.setattr(scan, "DEFAULT_CHUNK", 1000)
+    assert gnq_oracle_check(n, ctx.q, ctx, g=_Values(ctx, gv))
+    tq, _ = gnq._oracle_points(ctx)
+    ends = {i for start, stop in scan.iter_chunks(tq.size) for i in (start, stop - 1)}
+    assert len(ends) == 10
+    for i in sorted(ends | set(range(0, tq.size, 331))):
+        wrong = gv.copy()
+        wrong[tq[i]] ^= 1 << (i % ctx.m)
+        assert not gnq_oracle_check(n, ctx.q, ctx, g=_Values(ctx, wrong)), i
+
+
 def _oracle_reference(n, g, ctx):
     """The defining identity at every x, the right side by scalar powers."""
     q = ctx.q
@@ -198,6 +217,50 @@ def test_oracle_matches_whole_field_reference(se, n, rng):
     assert gnq_oracle_check(n, ctx.q, ctx, g=flipped) == _oracle_reference(n, flipped, ctx)
 
 
+def _unmemoized_rhs(n, ctx):
+    """The oracle's right side at the coset representatives, from n itself."""
+    _, pts = gnq._oracle_points(ctx)
+    return np.bitwise_xor.reduce(scan.packed_pow(ctx, pts, n), axis=0)
+
+
+# GF(2), GF(4) over GF(2) and over GF(4), GF(8), GF(2^4), GF(4^2), GF(4^3)
+@pytest.mark.parametrize("s,e", [(1, 1), (1, 2), (2, 1), (1, 3), (1, 4), (2, 2), (2, 3)])
+def test_oracle_memo_matches_unmemoized_right_side(s, e):
+    ctx = make_field(s, e)
+    q, order = ctx.q, ctx.order
+    tq, _ = gnq._oracle_points(ctx)
+    rng = random.Random(order + q)
+    for n in range(3 * order + 1):
+        rhs = _unmemoized_rhs(n, ctx)
+        assert np.array_equal(gnq._oracle_rhs(ctx, reduce_exponent(n, order)), rhs), n
+        g = gnq_recurrence(n, q, ctx)
+        flipped = DensePolyF2(ctx, g.bits ^ rng.getrandbits(order))
+        for h in (g, flipped):
+            want = _oracle_reference(n, h, ctx)
+            assert np.array_equal(h.eval_on_field()[tq], rhs) == want, n
+            assert gnq_oracle_check(n, q, ctx, g=h) == want, n
+
+
+def test_oracle_memo_hit_rejects_a_corrupted_g(monkeypatch):
+    ctx = make_field(2, 3)
+    n = 23
+    assert gnq_oracle_check(n, 4, ctx)
+    # n + (order - 1) reduces to the same row, so this call is a memo hit
+    n2 = n + ctx.order - 1
+    assert reduce_exponent(n2, ctx.order) == reduce_exponent(n, ctx.order)
+    gv = gnq_recurrence(n2, 4, ctx).eval_on_field()
+
+    def refuse(*args):
+        raise AssertionError("packed_pow called on a memo hit")
+
+    monkeypatch.setattr(scan, "packed_pow", refuse)
+    assert gnq_oracle_check(n2, 4, ctx, g=_Values(ctx, gv))
+    tq, _ = gnq._oracle_points(ctx)
+    wrong = gv.copy()
+    wrong[tq[5]] ^= 1
+    assert not gnq_oracle_check(n2, 4, ctx, g=_Values(ctx, wrong))
+
+
 def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch):
     ctx = make_field(2, 3)
     built = []
@@ -215,10 +278,32 @@ def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch):
         raise AssertionError("apply_matrix called after the oracle's set-up")
 
     monkeypatch.setattr(scan, "apply_matrix", refuse)
+    rhs_shapes = []
+    packed_pow = scan.packed_pow
+
+    def pow_spy(ctx, a, n):
+        rhs_shapes.append(np.shape(a))
+        return packed_pow(ctx, a, n)
+
+    monkeypatch.setattr(scan, "packed_pow", pow_spy)
     for n in range(2000):
         assert gnq_oracle_check(n, 4, ctx), n
     # n < 2000 < 4^6 needs S_1 .. S_5, each built once
     assert sorted(map(len, built)) == [1, 2, 3, 4, 5]
+    # one right side per reduced exponent: at most order of them
+    _, pts = gnq._oracle_points(ctx)
+    assert 0 < rhs_shapes.count(pts.shape) <= ctx.order
+
+    # above the cap nothing is memoized
+    monkeypatch.undo()
+
+    def no_memo(ctx, r):
+        raise AssertionError("_oracle_rhs called above the power-table cap")
+
+    monkeypatch.setattr(gnq, "_oracle_rhs", no_memo)
+    f47 = make_field(2, 7)
+    assert f47.order > POWER_TABLE_MAX_ORDER
+    assert gnq_oracle_check(23, 4, f47)
 
 
 def test_oracle_rejects_a_foreign_g():

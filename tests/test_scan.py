@@ -77,12 +77,21 @@ def test_field_values_matches_pointwise_eval(f64):
         assert int(values[bits]) == expr_eval(g, f64.element(bits)).bits
 
 
-def test_field_values_worker_invariance(f4096, monkeypatch):
+def test_field_values_chunk_invariance(f4096, monkeypatch):
     expr = Pow(S(4, Var()), 5)
+    assert f4096.order <= scan.DEFAULT_CHUNK
     base = scan.field_values(expr, f4096)
+    sizes = []
+    eval_packed = poly.PolyExpr.eval_packed
+
+    def spy(self, xs, ctx):
+        sizes.append(np.size(xs))
+        return eval_packed(self, xs, ctx)
+
+    monkeypatch.setattr(poly.PolyExpr, "eval_packed", spy)
     monkeypatch.setattr(scan, "DEFAULT_CHUNK", 257)
-    for workers in (1, 2, 3, 8):
-        assert np.array_equal(scan.field_values(expr, f4096, workers=workers), base)
+    assert np.array_equal(scan.field_values(expr, f4096), base)
+    assert sizes == [257] * 15 + [4096 - 15 * 257]
 
 
 def test_bijection_from_values_detects_duplicates(monkeypatch):
@@ -340,6 +349,6 @@ def test_block_path_matches_direct_scan_at_k4(monkeypatch):
     assert sizes == [3 * (1 << 16) + scan.SPOT_CHECK_POINTS]
     # a degree bound of m sends the same map down the direct chunked path
     monkeypatch.setattr(poly, "degree_bound", lambda f, m: m)
-    direct = scan.field_values(g, ctx, workers=2)
+    direct = scan.field_values(g, ctx)
     assert len(sizes) == 1 + ctx.order // scan.DEFAULT_CHUNK
     assert np.array_equal(blocks, direct)
