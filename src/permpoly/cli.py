@@ -260,7 +260,7 @@ def _modulus_of(args) -> BitPoly | None:
 def cmd_verify_t1(args) -> int:
     _require(args, "k")
     report = gnq.verify_t1(args.k, workers=args.workers, timing=args.timing,
-                           max_degree=args.max_degree, modulus=_modulus_of(args))
+                           modulus=_modulus_of(args))
     if args.format == "json":
         _emit(args, _dump_json(report.to_json_obj()))
     elif args.format == "csv":
@@ -328,8 +328,7 @@ def cmd_identities(args) -> int:
     _require(args, "k")
     if args.k < 2 or args.k % 2:
         raise UsageError("the identity chain follows the theorem hypothesis: even k >= 2")
-    ctx = make_field(2, 3 * args.k, modulus=_modulus_of(args),
-                     max_degree=args.max_degree)
+    ctx = make_field(2, 3 * args.k, modulus=_modulus_of(args))
     ok = poly.identity_e1_check(args.k, ctx)
     if args.format == "json":
         _emit(args, _dump_json({"k": args.k, "e1": ok}))
@@ -359,8 +358,7 @@ def cmd_gcd(args) -> int:
 def cmd_t2(args) -> int:
     _require(args, "k", "L")
     q = args.q if args.q is not None else 4
-    ctx = make_field(gnq._q_exponent(q), 3 * args.k, modulus=_modulus_of(args),
-                     max_degree=args.max_degree)
+    ctx = make_field(gnq._q_exponent(q), 3 * args.k, modulus=_modulus_of(args))
     expr = parse_lspec(args.L)
     lin = poly.lin_from_expr(expr, ctx, random.Random(args.seed))
     conds = gnq.check_t2_conditions(lin, q, args.k, ctx,
@@ -448,7 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"), default=None,
                         help="output format (default: text)")
     common.add_argument("--workers", type=int, default=None,
-                        help="parallelism degree; output is identical for any value")
+                        help="search threads, at most one per n and per CPU; "
+                             "output is identical for any value")
     common.add_argument("--out", default=None, help="write output to a file")
     common.add_argument("--seed", type=int, default=None,
                         help="seed for random-point cross-checks (default: 0)")

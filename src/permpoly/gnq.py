@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -271,7 +272,7 @@ class T1Report:
 
 
 def verify_t1(k: int, workers: int = 1, timing: bool = False,
-              max_degree: int | None = None, modulus: BitPoly | None = None) -> T1Report:
+              modulus: BitPoly | None = None) -> T1Report:
     """Exhaustively verify that S_(k+1)^2 + S_(2k)^(q^k+1) permutes GF(4^(3k)),
     together with the identity and gcd facts its proof leans on.
 
@@ -281,10 +282,7 @@ def verify_t1(k: int, workers: int = 1, timing: bool = False,
         raise UsageError(
             "theorem hypothesis requires even k >= 2 (use probe_t1_odd for exploration)"
         )
-    kwargs: dict = {"modulus": modulus}
-    if max_degree is not None:
-        kwargs["max_degree"] = max_degree
-    ctx = make_field(2, 3 * k, **kwargs)
+    ctx = make_field(2, 3 * k, modulus=modulus)
     g = build_t1_g(k, ctx)
     pp = is_pp_exhaustive(g, ctx, timing=timing)
     e1_ok = identity_e1_check(k, ctx)
@@ -399,7 +397,7 @@ def check_t2_conditions(L: LinPoly, q: int, k: int, ctx: FieldContext,
 
     sub_bits = scan.subfield_elements(ctx, k)
     images = L.eval_packed(sub_bits, ctx)
-    cond_i = (bool(scan.subfield_mask(ctx, k)[images].all())
+    cond_i = (np.array_equal(scan.apply_matrix(scan.frobenius_matrix(ctx, k), images), images)
               and scan.bijection_from_values(np.searchsorted(sub_bits, images),
                                              sub_bits.size))
 
@@ -445,8 +443,8 @@ def search_desirable(q: int, e: int, n_from: int, n_to: int,
 
     Each hit is re-validated against the defining identity before it is
     emitted; an oracle failure would mean the recurrence built the wrong
-    polynomial and aborts the search.  workers > 1 tests the n on that
-    many threads; output is ordered by n regardless of worker count.
+    polynomial and aborts the search.  workers threads test the n, at most
+    one per n and per CPU; output is ordered by n regardless of worker count.
     Under timing, a hit's elapsed_ms counts from the start of the scan to
     its oracle confirmation; otherwise it is 0.
     """
@@ -471,6 +469,8 @@ def search_desirable(q: int, e: int, n_from: int, n_to: int,
 
     t0 = time.perf_counter()
     ns = range(n_from, n_to + 1)
+    # the executor starts a thread per submit while none is idle
+    workers = min(workers, len(ns), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             found = list(pool.map(test_one, ns))

@@ -24,8 +24,7 @@ DEFAULT_CHUNK = 1 << 20
 # against direct evaluation
 SPOT_CHECK_POINTS = (1 << 12) - 1
 
-# order up to this bound gets a per-context (order x order) power-value table,
-# filled one row per exponent read
+# order up to this bound keeps per-context power rows, one per exponent read
 POWER_TABLE_MAX_ORDER = 1 << 12
 
 
@@ -82,19 +81,10 @@ def log_tables(ctx: FieldContext):
     raise AssertionError(f"no generator of the nonzero elements of {ctx!r}")
 
 
-def packed_pow(ctx: FieldContext, a, n):
-    """Elementwise a^n = antilog[log[a] * n mod (order-1)], n >= 0 applied
-    literally: 0^n is 0 for n >= 1, and x^0 = 1 everywhere.
-
-    n is an int or an integer array that broadcasts against a; exponents
-    of shape (k, 1) against a of shape (N,) give k rows of N powers.
-    """
-    if isinstance(n, int):
-        negative = n < 0
-    else:
-        n = np.asarray(n, dtype=np.int64)
-        negative = bool((n < 0).any())
-    if negative:
+def packed_pow(ctx: FieldContext, a, n: int):
+    """Elementwise a^n = antilog[log[a] * n mod (order-1)] for an int n >= 0,
+    applied literally: 0^n is 0 for n >= 1, and x^0 = 1 everywhere."""
+    if n < 0:
         raise ValueError("exponent must be nonnegative")
     log, antilog = log_tables(ctx)
     cyc = ctx.order - 1
@@ -287,57 +277,51 @@ def collision_witness(values: np.ndarray, order: int) -> int:
 def power_table(ctx: FieldContext, exponents) -> np.ndarray:
     """Rows P[i][x] = x^exponents[i] over the whole field; order <= 4096 only.
 
-    The per-context table fills a row the first time it is read, all
-    missing rows of a call in one packed_pow call (in blocks of at most
-    DEFAULT_CHUNK values), so a context pays only for the exponents it
-    reads: 8 KB per row at order 4096.  A row is written before its
-    exponent joins the filled set, so threads sharing the context never
-    read an unfilled row; two threads that fill the same row write the
-    same values.
+    A row is built with one packed_pow call the first time it is read: 8 KB
+    per exponent read at order 4096.  dict.setdefault publishes only
+    complete rows, so threads sharing the context never read a partial
+    one; of two threads that build the same row, the first stored is kept.
     """
     order = ctx.order
     if order > POWER_TABLE_MAX_ORDER:
         raise ValueError(f"power table capped at order {POWER_TABLE_MAX_ORDER}")
-    table, filled = _power_rows(ctx)
-    if not filled.issuperset(exponents):
-        missing = set(exponents).difference(filled)
+    rows = _power_rows(ctx)
+    try:
+        picked = [rows[d] for d in exponents]
+    except KeyError:
         xs = np.arange(order, dtype=np.uint64)
-        rows = np.fromiter(missing, dtype=np.int64, count=len(missing))
-        step = max(1, DEFAULT_CHUNK // order)
-        for start in range(0, rows.size, step):
-            block = rows[start:start + step]
-            table[block] = packed_pow(ctx, xs, block[:, None])
-        filled.update(missing)
-    return table[exponents]
+        for d in set(exponents).difference(rows):
+            rows.setdefault(d, packed_pow(ctx, xs, d).astype(np.uint16))
+        picked = [rows[d] for d in exponents]
+    return np.array(picked) if picked else np.empty((0, order), dtype=np.uint16)
 
 
 @per_context
-def _power_rows(ctx: FieldContext):
-    """The per-context (order x order) uint16 power table of power_table
-    and the set of exponents whose rows are filled."""
-    # zeroed pages are only committed when a row is written
-    return np.zeros((ctx.order, ctx.order), dtype=np.uint16), set()
+def _power_rows(ctx: FieldContext) -> dict[int, np.ndarray]:
+    """The per-context rows of power_table: exponent -> uint16 row."""
+    return {}
 
 
-@per_context
-def subfield_mask(ctx: FieldContext, k: int) -> np.ndarray:
-    """Cached boolean mask over bit patterns: True iff the element lies in
-    GF(q^k)."""
-    if k < 1 or ctx.e % k != 0:
-        raise ValueError(f"k={k} does not divide e={ctx.e}")
-    cols = frobenius_matrix(ctx, k)
+def kernel_elements(ctx: FieldContext, cols: np.ndarray) -> np.ndarray:
+    """Bit patterns x with apply_matrix(cols, x) = 0, ascending, as uint64."""
     parts = []
     for start, stop in iter_chunks(ctx.order):
         xs = np.arange(start, stop, dtype=np.uint64)
-        parts.append(apply_matrix(cols, xs) == xs)
+        parts.append(xs[apply_matrix(cols, xs) == 0])
     return np.concatenate(parts)
 
 
+@per_context
 def subfield_elements(ctx: FieldContext, k: int) -> np.ndarray:
-    """Bit patterns of the q^k elements of GF(q^k), ascending, as uint64."""
-    bits = np.flatnonzero(subfield_mask(ctx, k)).astype(np.uint64)
+    """Cached bit patterns of the q^k elements of GF(q^k), ascending, as a
+    read-only uint64 array: the kernel of x -> x^(q^k) + x."""
+    if k < 1 or ctx.e % k != 0:
+        raise ValueError(f"k={k} does not divide e={ctx.e}")
+    unit = np.uint64(1) << np.arange(ctx.m, dtype=np.uint64)
+    bits = kernel_elements(ctx, frobenius_matrix(ctx, k) ^ unit)
     if bits.size != ctx.q ** k:
         raise AssertionError(
             f"subfield GF(q^{k}) has {bits.size} elements, expected {ctx.q ** k}"
         )
+    bits.flags.writeable = False
     return bits

@@ -130,10 +130,15 @@ def test_trace_absolute_matches_power_sum(f4096):
 @pytest.mark.parametrize("s,e", [(1, 4), (2, 3), (2, 6), (2, 7), (3, 2)])
 def test_subfield_membership_and_counts(s, e):
     ctx = make_field(s, e)
-    for k in [k for k in range(1, e + 1) if e % k == 0]:
+    for k in range(1, e + 2):
+        if e % k:
+            with pytest.raises(ValueError, match="does not divide"):
+                scan.subfield_elements(ctx, k)
+            continue
         # the vectorized list against the scalar Frobenius filter, in order
         elems = scan.subfield_elements(ctx, k)
         assert elems.dtype == np.uint64 and len(elems) == ctx.q ** k
+        assert not elems.flags.writeable  # every caller shares the array
         assert elems.tolist() == [z.bits for z in enumerate_elements(ctx)
                                   if in_subfield(z, k)]
     # GF(q) is closed under multiplication
@@ -162,11 +167,11 @@ def test_context_identity_and_repr():
 
 def test_per_context_memo_shares_one_object_per_context_and_arguments():
     a, b = make_field(2, 6), make_field(2, 6)
-    mask = scan.subfield_mask(a, 2)
-    assert scan.subfield_mask(a, 2) is mask
-    assert scan.subfield_mask(b, 2) is not mask
-    assert np.array_equal(scan.subfield_mask(b, 2), mask)
-    assert scan.subfield_mask(a, 3) is not mask
+    elems = scan.subfield_elements(a, 2)
+    assert scan.subfield_elements(a, 2) is elems
+    assert scan.subfield_elements(b, 2) is not elems
+    assert np.array_equal(scan.subfield_elements(b, 2), elems)
+    assert scan.subfield_elements(a, 3) is not elems
     # the Frobenius power is taken mod e, so i and i + e share one matrix
     assert scan.frobenius_matrix(a, 7) is scan.frobenius_matrix(a, 1)
 
@@ -175,8 +180,8 @@ def test_per_context_memo_stores_nothing_when_the_build_raises():
     ctx = make_field(2, 6)
     for _ in range(2):
         with pytest.raises(ValueError, match="does not divide"):
-            scan.subfield_mask(ctx, 5)
-    assert scan.subfield_mask(ctx, 3).sum() == 4 ** 3
+            scan.subfield_elements(ctx, 5)
+    assert scan.subfield_elements(ctx, 3).size == 4 ** 3
 
 
 def test_per_context_memo_threads_get_one_object():
@@ -185,18 +190,18 @@ def test_per_context_memo_threads_get_one_object():
 
     def build():
         barrier.wait(timeout=60)
-        return scan.subfield_mask(ctx, 2)
+        return scan.subfield_elements(ctx, 2)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [pool.submit(build) for _ in range(8)]
-            masks = [f.result(timeout=60) for f in futures]
+            built = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(old)
-    assert all(m is masks[0] for m in masks)
-    assert masks[0].sum() == 4 ** 2
+    assert all(b is built[0] for b in built)
+    assert built[0].size == 4 ** 2
 
 
 def test_only_field_names_the_context_cache():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permpoly import gnq, scan
-from permpoly.field import make_field
+from permpoly.field import enumerate_elements, in_subfield, make_field
 from permpoly.gf2poly import BitPoly
 from permpoly.gnq import (DesirableTriple, check_t2_conditions, gnq_base,
                           gnq_closed_form, gnq_oracle_check, gnq_recurrence,
@@ -415,6 +415,29 @@ def test_t2_rejects_wrong_candidates(f4096):
     assert conds.cond_i and not conds.cond_ii and not conds.pp_verified
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_t2_cond_i_matches_scalar_reference(k):
+    ctx = make_field(2, 3 * k)
+    rng = random.Random(60 + k)
+    sub = [z for z in enumerate_elements(ctx) if in_subfield(z, k)]
+    # coefficients from GF(q^k) map GF(q^k) into itself; one coefficient
+    # from outside it sends images out of GF(q^k)
+    cases = []
+    for _ in range(12):
+        coeffs = [rng.choice(sub) for _ in range(ctx.m)]
+        cases.append(LinPoly(ctx, coeffs))
+        coeffs[rng.randrange(ctx.m)] = ctx.random_element(rng)
+        cases.append(LinPoly(ctx, coeffs))
+    seen = set()
+    for L in cases:
+        images = [L.eval_at(z) for z in sub]
+        stays = all(in_subfield(w, k) for w in images)
+        expect = stays and len(set(images)) == len(sub)
+        assert check_t2_conditions(L, 4, k, ctx).cond_i == expect, L
+        seen.add((stays, expect))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
 def _cond_ii_whole_field(L, k, ctx):
     """Condition (ii) of check_t2_conditions, scanned over every element."""
     xs = np.arange(ctx.order, dtype=np.uint64)
@@ -486,13 +509,43 @@ def test_search_worker_determinism(f64):
     assert ns == sorted(set(ns))
 
 
+def test_search_threads_capped_by_n_and_cpus(f64, monkeypatch):
+    # a stub executor records the thread count and maps serially, so no
+    # thread is started at any requested count
+    pools = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(gnq, "ThreadPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = search_desirable(4, 3, 1, 300, ctx=f64)
+    assert search_desirable(4, 3, 1, 300, workers=5000, ctx=f64) == serial
+    assert search_desirable(4, 3, 1, 300, workers=2, ctx=f64) == serial
+    assert pools == [2, 2]
+    search_desirable(4, 3, 7, 7, workers=5000, ctx=f64)  # one n: no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one thread
+    assert search_desirable(4, 3, 1, 300, workers=5000, ctx=f64) == serial
+    assert pools == [2, 2]
+
+
 def test_search_fills_only_the_power_rows_it_reads():
     ctx = make_field(2, 6)
     search_desirable(4, 6, 1, 50, ctx=ctx)
     support = set()
     for n in range(1, 51):
         support.update(gnq_recurrence(n, 4, ctx).support())
-    _, filled = scan._power_rows(ctx)
+    filled = set(scan._power_rows(ctx))
     assert filled == support and len(support) < ctx.order // 10
 
 

@@ -153,7 +153,7 @@ def test_shift_witness_trace_zero_character(f4096):
         shift_witness(build_t1_g(2, f4096), a, 2, f4096)
 
 
-def test_kernel_case2_holds_and_is_exact(f4096, f64):
+def test_kernel_case2_holds_and_is_exact(f4096, f64, monkeypatch):
     assert kernel_check_case2(2, f4096)
     assert kernel_check_case2(1, f64)
     # recompute the kernel by scalar evaluation and pin it to GF(4^2)
@@ -164,6 +164,11 @@ def test_kernel_case2_holds_and_is_exact(f4096, f64):
             kernel.append(bits)
     assert kernel == scan.subfield_elements(f4096, 2).tolist()
     assert len(kernel) == 16
+    # z -> S_4(c z)^(q^3), c outside GF(4^2), vanishes on c^-1 GF(4^2): a
+    # kernel of the right size that is not the subfield
+    c = f4096.element(2)
+    monkeypatch.setattr(permtest, "eval_S", lambda j, z: eval_S(j, c * z))
+    assert not kernel_check_case2(2, f4096)
 
 
 def test_kernel_case2_context_validation(f4096, f64):

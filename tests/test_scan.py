@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permpoly import poly, scan
-from permpoly.field import eval_S, frobenius_q, in_subfield, make_field
+from permpoly.field import eval_S, frobenius_q, make_field
 from permpoly.poly import (Add, Const, DensePolyF2, FrobQ, LinPoly, Mul, Pow,
                            S, Var, build_t1_g, degree_bound, expr_eval)
 
@@ -44,6 +44,8 @@ def test_packed_mul_square_pow_match_scalar(s, e):
         assert pn.dtype == np.uint64
         for i in range(len(xs)):
             assert int(pn[i]) == (ctx.element(int(xs[i])) ** n).bits, (n, int(xs[i]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        scan.packed_pow(ctx, xs, -1)
 
 
 def test_linear_matrix_requires_additive_map(f64):
@@ -145,20 +147,19 @@ def test_bijection_from_values_matches_naive(chunk, values):
             assert scan.collision_witness(values, len(values)) == dup
 
 
-def test_power_table_rows(monkeypatch):
-    monkeypatch.setattr(scan, "DEFAULT_CHUNK", 256)  # missing rows fill 4 at a time
+def test_power_table_rows():
     xs = np.arange(64, dtype=np.uint64)
     for exponents in ([5], [0, 63], [63, 0, 5, 5, 17], [9, 9, 9],
                       list(range(64))[::-1], []):
         ctx = make_field(2, 3)  # fresh context: rows fill as the calls read them
         for reads in (exponents, exponents[::2], exponents):
             rows = scan.power_table(ctx, reads)
-            assert rows.shape == (len(reads), 64)
+            assert rows.shape == (len(reads), 64) and rows.dtype == np.uint16
             for row, d in zip(rows, reads):
                 assert np.array_equal(row, scan.packed_pow(ctx, xs, d))
                 for x in range(64):  # x = 0 included
                     assert int(row[x]) == (ctx.element(x) ** d).bits, (d, x)
-        assert len(scan._power_rows(ctx)[1]) == len(set(exponents))
+        assert set(scan._power_rows(ctx)) == set(exponents)
 
 
 def test_power_table_threads_never_read_an_unfilled_row():
@@ -181,25 +182,12 @@ def test_power_table_threads_never_read_an_unfilled_row():
             assert all(f.result(timeout=60) for f in futures)
     finally:
         sys.setswitchinterval(old)
-    assert scan._power_rows(ctx)[1] == set(expect)
+    assert set(scan._power_rows(ctx)) == set(expect)
 
 
 def test_power_table_cap():
     with pytest.raises(ValueError, match="capped at order 4096"):
         scan.power_table(make_field(2, 7), [1])
-
-
-def test_packed_pow_broadcasts_exponent_rows(f64):
-    xs = np.arange(64, dtype=np.uint64)
-    ns = np.array([0, 1, 62, 63, 64, 65921])
-    rows = scan.packed_pow(f64, xs, ns[:, None])
-    assert rows.shape == (len(ns), 64) and rows.dtype == np.uint64
-    for row, n in zip(rows, ns):
-        assert np.array_equal(row, scan.packed_pow(f64, xs, int(n)))
-    with pytest.raises(ValueError, match="nonnegative"):
-        scan.packed_pow(f64, xs, np.array([[3], [-1]]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        scan.packed_pow(f64, xs, -1)
 
 
 @pytest.mark.parametrize("s, e", KERNEL_FIELDS.values(), ids=KERNEL_FIELDS.keys())
@@ -219,16 +207,6 @@ def test_log_tables_skip_non_generator():
     assert (ctx.element(2) ** 51).bits == 1
     _, antilog = scan.log_tables(ctx)
     assert int(antilog[1]) == 3
-
-
-def test_subfield_mask_matches_in_subfield(f4096):
-    for k in (1, 2, 3):
-        mask = scan.subfield_mask(f4096, k)
-        assert int(mask.sum()) == 4 ** k
-        for bits in range(0, 4096, 97):
-            assert bool(mask[bits]) == in_subfield(f4096.element(bits), k)
-    with pytest.raises(ValueError):
-        scan.subfield_mask(f4096, 4)
 
 
 def test_values_equal_handles_constants(f64):
