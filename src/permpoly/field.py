@@ -10,7 +10,6 @@ power basis.
 from __future__ import annotations
 
 import functools
-import itertools
 
 from . import gf2poly
 from .gf2poly import BitPoly, bp_find_irreducible, bp_is_irreducible
@@ -18,8 +17,6 @@ from .gf2poly import BitPoly, bp_find_irreducible, bp_is_irreducible
 # Default ceiling on the absolute degree: exhaustive scans and value
 # tables stay within desk-scale memory (~hundreds of MB) below 2^30.
 DEGREE_CEILING = 30
-
-_ctx_counter = itertools.count()
 
 
 class UsageError(ValueError):
@@ -32,7 +29,7 @@ class UsageError(ValueError):
 class FieldContext:
     """Immutable description of GF(q^e), q = 2^s, with its modulus."""
 
-    __slots__ = ("s", "e", "m", "q", "order", "modulus", "_mod_bits", "_cache", "_token")
+    __slots__ = ("s", "e", "m", "q", "order", "modulus", "_mod_bits", "_cache")
 
     def __init__(self, s: int, e: int, modulus: BitPoly):
         object.__setattr__(self, "s", s)
@@ -43,7 +40,6 @@ class FieldContext:
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "_mod_bits", modulus.bits)
         object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "_token", next(_ctx_counter))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldContext is immutable")
@@ -120,7 +116,7 @@ class FieldElement:
         return self.ctx is other.ctx and self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash((self.ctx._token, self.bits))
+        return hash((self.ctx, self.bits))
 
     def __bool__(self) -> bool:
         return self.bits != 0

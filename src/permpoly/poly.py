@@ -48,8 +48,10 @@ def reduce_exponent(m: int, order: int) -> int:
 
 
 def _fold_once(bits: int, order: int) -> int:
-    # exponent order+t folds to t+1; one pass suffices below 2*order-1
-    return (bits & ((1 << order) - 1)) ^ ((bits >> order) << 1)
+    # exponent order+t folds to t+1; one pass suffices below 2*order-1.
+    # Clearing the high part by XOR needs no order-bit mask.
+    high = bits >> order
+    return bits ^ (high << order) ^ (high << 1)
 
 
 class DensePolyF2:
@@ -110,7 +112,7 @@ class DensePolyF2:
         return self.ctx is other.ctx and self.bits == other.bits
 
     def __hash__(self):
-        return hash((self.ctx._token, self.bits))
+        return hash((self.ctx, self.bits))
 
     def eval_at(self, x: FieldElement) -> FieldElement:
         """Horner's rule over the q^e coefficient bits."""
@@ -128,11 +130,7 @@ class DensePolyF2:
 
     def eval_on_field(self) -> np.ndarray:
         """Values at every field element, indexed by bit pattern."""
-        ctx = self.ctx
-        if ctx.order <= scan.POWER_TABLE_MAX_ORDER:
-            rows = scan.power_table(ctx, self.support())
-            return np.bitwise_xor.reduce(rows, axis=0).astype(np.uint32)
-        return scan.field_values(self, ctx)
+        return scan.field_values(self, self.ctx)
 
     def eval_packed(self, xs, ctx: FieldContext):
         if ctx is not self.ctx:
@@ -217,7 +215,7 @@ class LinPoly(PolyExpr):
         return self.ctx is other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.ctx._token, tuple(c.bits for c in self.coeffs)))
+        return hash((self.ctx, tuple(c.bits for c in self.coeffs)))
 
     def __repr__(self):
         terms = [f"{c!r}*x^(2^{i})" for i, c in enumerate(self.coeffs) if c.bits]
@@ -300,7 +298,8 @@ def degree_bound(f, m: int) -> int:
     (degree 1), Const has degree 0, a sum has at most the largest degree
     of its terms and a product at most the sum of its factors' degrees.
     Pow n is a product of wt(n) images of its child under x -> x^(2^i),
-    and x^(2^i), FrobQ and S are additive, so they keep the degree.
+    and x^(2^i), FrobQ and S are additive, so they keep the degree; a
+    negative n is an inverse and gets only the trivial bound m.
     """
     if isinstance(f, DensePolyF2):
         return min(max((d.bit_count() for d in f.support()), default=0), m)
@@ -313,55 +312,48 @@ def degree_bound(f, m: int) -> int:
     if isinstance(f, Mul):
         return min(sum(degree_bound(c, m) for c in f.children), m)
     if isinstance(f, Pow):
+        if f.n < 0:
+            return m
         return min(f.n.bit_count() * degree_bound(f.child, m), m)
     if isinstance(f, (FrobQ, S)):
         return degree_bound(f.child, m)
     raise TypeError(f"no degree bound for {f!r}")
 
 
-def _is_additive(node: PolyExpr) -> bool:
-    """True for subtrees denoting GF(2)-additive maps (no Mul, no Const)."""
-    if isinstance(node, (Var, LinPoly)):
-        return True
-    if isinstance(node, Add):
-        return all(_is_additive(c) for c in node.children)
-    if isinstance(node, Pow):
-        return node.n >= 1 and node.n & (node.n - 1) == 0 and _is_additive(node.child)
-    if isinstance(node, FrobQ):
-        return _is_additive(node.child)
-    if isinstance(node, S):
-        return _is_additive(node.child)
-    return False
-
-
 @per_context
-def _additive_matrix(ctx: FieldContext, node: PolyExpr) -> np.ndarray:
-    # frozen nodes hash and compare by structure, so equal trees share a matrix
-    return scan.linear_matrix(ctx, lambda v: expr_eval(node, v))
+def _affine_map(ctx: FieldContext, node: PolyExpr) -> tuple[np.ndarray, np.uint64]:
+    """Cached (cols, f(0)) with f(x) = apply_matrix(cols, x) + f(0) for a
+    subtree f whose degree_bound is at most 1.
+
+    Sound because such an f has every output bit of algebraic degree at
+    most 1, an affine Boolean function b(x) = b(0) + sum of x_j (b(t^j) +
+    b(0)) over the input bits x_j.  So column j is f(t^j) + f(0).  Frozen
+    nodes hash and compare by structure, so equal trees share one map.
+    """
+    f0 = expr_eval(node, ctx.zero())
+    cols = scan.linear_matrix(ctx, lambda v: expr_eval(node, v) + f0)
+    return cols, np.uint64(f0.bits)
 
 
 def _expr_eval_packed(node: PolyExpr, xs, ctx: FieldContext):
-    # additive subtrees collapse to one cached bit-matrix application
-    if _is_additive(node):
-        if isinstance(node, Var):
-            return xs
-        return scan.apply_matrix(_additive_matrix(ctx, node), xs)
-    if isinstance(node, Const):
-        if node.value.ctx is not ctx:
-            raise ValueError("constant from a different field context")
-        return np.uint64(node.value.bits)
+    # affine subtrees, constants included, collapse to one cached bit-matrix
+    # application; Var is the identity
+    if isinstance(node, Var):
+        return xs
+    if degree_bound(node, ctx.m) <= 1:
+        cols, f0 = _affine_map(ctx, node)
+        return scan.apply_matrix(cols, xs) ^ f0
+    # a sum or product of degree above 1 has at least one term
     if isinstance(node, Add):
-        res = None
-        for c in node.children:
-            v = _expr_eval_packed(c, xs, ctx)
-            res = v if res is None else res ^ v
-        return res if res is not None else np.uint64(0)
+        res = _expr_eval_packed(node.children[0], xs, ctx)
+        for c in node.children[1:]:
+            res = res ^ _expr_eval_packed(c, xs, ctx)
+        return res
     if isinstance(node, Mul):
-        res = None
-        for c in node.children:
-            v = _expr_eval_packed(c, xs, ctx)
-            res = v if res is None else scan.packed_mul(ctx, res, v)
-        return res if res is not None else np.uint64(1)
+        res = _expr_eval_packed(node.children[0], xs, ctx)
+        for c in node.children[1:]:
+            res = scan.packed_mul(ctx, res, _expr_eval_packed(c, xs, ctx))
+        return res
     if isinstance(node, Pow):
         return scan.packed_pow(ctx, _expr_eval_packed(node.child, xs, ctx), node.n)
     if isinstance(node, FrobQ):

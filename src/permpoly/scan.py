@@ -6,16 +6,19 @@ Additive (2-linearized) maps are applied through m-column bit matrices;
 products use per-bit carry-less shift-and-add, powers discrete-log tables.
 
 Scans are chunked so peak memory stays bounded by a few chunk-sized
-arrays.  A map of algebraic degree at most 2 is not evaluated at every
-element: field_values assembles its values from three tables over pairs
-of bit blocks and checks them against direct evaluation at
-SPOT_CHECK_POINTS fixed points.
+arrays.  field_values alone decides how a map is evaluated on the whole
+field: a small dense polynomial from cached power rows, a map of
+algebraic degree at most 2 from three tables over pairs of bit blocks
+checked against direct evaluation at SPOT_CHECK_POINTS fixed points,
+anything else directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# poly imports scan as well; scan reads poly's names only when called
+from . import poly
 from .field import FieldContext, FieldElement, eval_S, frobenius_q, per_context
 
 DEFAULT_CHUNK = 1 << 20
@@ -24,7 +27,7 @@ DEFAULT_CHUNK = 1 << 20
 # against direct evaluation
 SPOT_CHECK_POINTS = (1 << 12) - 1
 
-# order up to this bound keeps per-context power rows, one per exponent read
+# up to this order, field_values keeps power rows of dense polynomials
 POWER_TABLE_MAX_ORDER = 1 << 12
 
 
@@ -180,12 +183,16 @@ def field_values(f, ctx: FieldContext) -> np.ndarray:
 
     Returns a uint32 array of length ctx.order; entry i is f(element i).
 
-    A map whose poly.degree_bound is at most 2 is assembled from block
-    tables whenever they need fewer points than the field has.  Split the
-    m bits into blocks of b0 = m // 3, b1 = (m - b0) // 2 and b2 = m - b0
-    - b1 bits, x = x0 | x1 | x2.  Every third-order derivative of a map
-    of degree <= 2 vanishes; the one at 0 in the directions x0, x1, x2,
-    which are disjoint, gives
+    A DensePolyF2 over a field of order <= POWER_TABLE_MAX_ORDER is the
+    XOR of the rows x -> x^d of the exponents d in its support.  A row is
+    built on its first read and kept in the context; see _power_rows.
+
+    Any other map whose poly.degree_bound is at most 2 is assembled from
+    block tables whenever they need fewer points than the field has.
+    Split the m bits into blocks of b0 = m // 3, b1 = (m - b0) // 2 and
+    b2 = m - b0 - b1 bits, x = x0 | x1 | x2.  Every third-order
+    derivative of a map of degree <= 2 vanishes; the one at 0 in the
+    directions x0, x1, x2, which are disjoint, gives
 
         F(x0+x1+x2) = F(x0+x1) + F(x0+x2) + F(x1+x2)
                       + F(x0) + F(x1) + F(x2) + F(0).
@@ -203,14 +210,25 @@ def field_values(f, ctx: FieldContext) -> np.ndarray:
 
     Other maps are evaluated directly, chunk by chunk.
     """
-    from .poly import degree_bound
+    if isinstance(f, poly.DensePolyF2) and ctx.order <= POWER_TABLE_MAX_ORDER:
+        if f.ctx is not ctx:
+            raise ValueError("context mismatch")
+        rows = _power_rows(ctx)
+        out = np.zeros(ctx.order, dtype=np.uint16)
+        for d in f.support():
+            row = rows.get(d)
+            if row is None:
+                xs = np.arange(ctx.order, dtype=np.uint64)
+                row = rows.setdefault(d, packed_pow(ctx, xs, d).astype(np.uint16))
+            out ^= row
+        return out.astype(np.uint32)
 
     m = ctx.m
     b0 = m // 3
     b1 = (m - b0) // 2
     b2 = m - b0 - b1
     block_points = (1 << (b0 + b1)) + (1 << (b0 + b2)) + (1 << (b1 + b2))
-    if block_points + SPOT_CHECK_POINTS < ctx.order and degree_bound(f, m) <= 2:
+    if block_points + SPOT_CHECK_POINTS < ctx.order and poly.degree_bound(f, m) <= 2:
         return _block_values(f, ctx, b0, b1, b2)
 
     out = np.empty(ctx.order, dtype=np.uint32)
@@ -218,6 +236,16 @@ def field_values(f, ctx: FieldContext) -> np.ndarray:
         xs = np.arange(start, stop, dtype=np.uint64)
         out[start:stop] = f.eval_packed(xs, ctx)
     return out
+
+
+@per_context
+def _power_rows(ctx: FieldContext) -> dict[int, np.ndarray]:
+    """The power rows of field_values: exponent d -> uint16 row x^d, 8 KB
+    per exponent read at order 4096.  dict.setdefault publishes only
+    complete rows, so threads sharing the context never read a partial
+    one; of two threads that build the same row, the first stored is kept.
+    """
+    return {}
 
 
 def values_equal(f, g, ctx: FieldContext, degree: int) -> bool:
@@ -272,34 +300,6 @@ def collision_witness(values: np.ndarray, order: int) -> int:
     if counts[dup] < 2:
         raise ValueError("no value is hit twice")
     return dup
-
-
-def power_table(ctx: FieldContext, exponents) -> np.ndarray:
-    """Rows P[i][x] = x^exponents[i] over the whole field; order <= 4096 only.
-
-    A row is built with one packed_pow call the first time it is read: 8 KB
-    per exponent read at order 4096.  dict.setdefault publishes only
-    complete rows, so threads sharing the context never read a partial
-    one; of two threads that build the same row, the first stored is kept.
-    """
-    order = ctx.order
-    if order > POWER_TABLE_MAX_ORDER:
-        raise ValueError(f"power table capped at order {POWER_TABLE_MAX_ORDER}")
-    rows = _power_rows(ctx)
-    try:
-        picked = [rows[d] for d in exponents]
-    except KeyError:
-        xs = np.arange(order, dtype=np.uint64)
-        for d in set(exponents).difference(rows):
-            rows.setdefault(d, packed_pow(ctx, xs, d).astype(np.uint16))
-        picked = [rows[d] for d in exponents]
-    return np.array(picked) if picked else np.empty((0, order), dtype=np.uint16)
-
-
-@per_context
-def _power_rows(ctx: FieldContext) -> dict[int, np.ndarray]:
-    """The per-context rows of power_table: exponent -> uint16 row."""
-    return {}
 
 
 def kernel_elements(ctx: FieldContext, cols: np.ndarray) -> np.ndarray:

@@ -161,6 +161,21 @@ def test_gnq_memo_bound_below_one_is_usage_error(capsys, bound):
     assert f"memo bound must be >= 1, got {bound}" in capsys.readouterr().err
 
 
+def test_override_ceilings_raises_the_degree_ceiling(tmp_path, capsys):
+    argv = ["gnq", "--n", "1", "--q", "2", "--e", "31"]
+    assert cli.main(argv) == EXIT_USAGE
+    assert "exceeds ceiling 30" in capsys.readouterr().err
+    assert cli.main(argv + ["--override-ceilings"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("= 1\n")
+    assert cli.main(["gnq", "--n", "1", "--q", "2", "--e", "33",
+                     "--override-ceilings"]) == EXIT_USAGE
+    assert "exceeds ceiling 32" in capsys.readouterr().err
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("override_ceilings = true\n")
+    assert cli.main(argv + ["--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("= 1\n")
+
+
 def test_oracle_roundtrip(capsys):
     assert cli.main(["oracle", "--n", "23", "--q", "4", "--e", "3",
                      "--format", "json"]) == EXIT_OK

@@ -163,6 +163,7 @@ def test_context_identity_and_repr():
     x = a.element(3)
     with pytest.raises(ValueError):
         _ = x + b.element(3)  # contexts are identity-scoped
+    assert x != b.element(3) and len({x, a.element(3), b.element(3)}) == 2
 
 
 def test_per_context_memo_shares_one_object_per_context_and_arguments():

@@ -12,8 +12,9 @@ from permpoly.field import (eval_S, frobenius_q, make_field, trace_absolute,
 from permpoly.permtest import (CHARSUM_MAX_ORDER, PPReport, charsum_pp_test,
                                charsum_single, is_pp_exhaustive,
                                kernel_check_case2, shift_witness)
-from permpoly.poly import (Add, Const, FrobQ, Mul, Pow, Var, build_t1_g,
-                           expr_eval)
+from permpoly.gnq import gnq_recurrence
+from permpoly.poly import (Add, Const, DensePolyF2, FrobQ, Mul, Pow, Var,
+                           build_t1_g, expr_eval)
 
 
 def test_report_json_shape(f16):
@@ -40,6 +41,18 @@ def test_exhaustive_identity_and_frobenius(f16):
     assert is_pp_exhaustive(Var(), f16).is_pp
     rep = is_pp_exhaustive(FrobQ(Var(), 1), f16)
     assert rep.is_pp and rep.method == "exhaustive" and rep.witness is None
+
+
+def test_exhaustive_reads_power_rows_of_a_dense_polynomial(monkeypatch):
+    ctx = make_field(2, 6)
+    g = gnq_recurrence(65921, 4, ctx)
+
+    def refuse(self, xs, ctx):
+        raise AssertionError("dense polynomial evaluated directly")
+
+    monkeypatch.setattr(DensePolyF2, "eval_packed", refuse)
+    assert is_pp_exhaustive(g, ctx).is_pp
+    assert set(scan._power_rows(ctx)) == set(g.support())
 
 
 def test_exhaustive_collision_pair_is_genuine(f4):

@@ -3,6 +3,7 @@ expression trees, 2-linearized collapse."""
 
 import json
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -60,10 +61,40 @@ def test_dense_mul_matches_sparse(f64):
             assert dp.eval_at(x) == da.eval_at(x) * db.eval_at(x)
 
 
+def test_fold_once_matches_the_masked_fold():
+    rng = random.Random(22)
+    for order in (2, 4, 64, 4096):
+        top = 2 * order - 1  # a product of reduced polynomials has fewer bits
+        cases = [0, 1, (1 << order) - 1, 1 << order, (1 << top) - 1, 1 << (top - 1),
+                 ((1 << top) - 1) ^ ((1 << order) - 1)]
+        cases += [rng.getrandbits(rng.randrange(1, top + 1)) for _ in range(200)]
+        for bits in cases:
+            masked = (bits & ((1 << order) - 1)) ^ ((bits >> order) << 1)
+            assert poly._fold_once(bits, order) == masked, (order, bits)
+
+
+def test_dense_mul_allocates_nothing_field_sized():
+    # GF(4^15) has order 2^30; an order-bit mask alone would take 128 MB
+    ctx = make_field(2, 15, max_degree=30)
+    a, b = s_dense(ctx, 3), s_dense(ctx, 4)
+    tracemalloc.start()
+    try:
+        prod = a * b
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    support = set()
+    for i in a.support():
+        for j in b.support():
+            support ^= {reduce_exponent(i + j, ctx.order)}
+    assert prod.support() == sorted(support)
+
+
 def test_dense_eval_routes_agree(f4096):
     rng = random.Random(24)
-    # eval_on_field reads power-table rows in GF(4^6); above the cap, in GF(4^7),
-    # it runs eval_packed, which XORs packed_pow over the support
+    # eval_on_field is scan.field_values: power rows in GF(4^6); above the cap,
+    # in GF(4^7), eval_packed, which XORs packed_pow over the support
     for ctx in (f4096, make_field(2, 7)):
         order = ctx.order
         g = (s_dense(ctx, 3) * s_dense(ctx, 4) + DensePolyF2.one(ctx)
@@ -161,6 +192,34 @@ def test_expr_packed_matches_scalar_including_nonadditive(f4096):
         packed = np.broadcast_to(np.asarray(expr.eval_packed(xs, f4096)), xs.shape)
         for i in range(0, 64, 7):
             assert int(packed[i]) == expr_eval(expr, f4096.element(int(xs[i]))).bits
+
+
+def test_affine_subtrees_collapse_to_one_matrix(f64, monkeypatch):
+    c = f64.element(45)
+    lin = LinPoly.from_int_coeffs(f64, range(3, 9))
+    exprs = [
+        Const(c),
+        Pow(Var(), 0),
+        Add(()),
+        Mul(()),
+        Mul((Const(c), S(3, Var()))),
+        Add((lin, Const(c), FrobQ(Var(), 1))),
+        Pow(Add((Var(), Const(c))), 4),
+        S(2, Mul((Pow(Var(), 2), Const(c), Const(c)))),
+    ]
+    xs = np.arange(64, dtype=np.uint64)
+    expect = [[expr_eval(f, x).bits for x in enumerate_elements(f64)] for f in exprs]
+
+    def refuse(*args):
+        raise AssertionError("an affine subtree was not collapsed")
+
+    monkeypatch.setattr(scan, "packed_mul", refuse)
+    monkeypatch.setattr(scan, "packed_pow", refuse)
+    for f, want in zip(exprs, expect):
+        assert degree_bound(f, f64.m) <= 1
+        assert [int(v) for v in f.eval_packed(xs, f64)] == want, f
+    with pytest.raises(ValueError, match="different field context"):
+        Mul((Const(make_field(2, 3).one()), Var())).eval_packed(xs, f64)
 
 
 def test_build_t1_g_context_validation(f4096, f64):
@@ -304,11 +363,15 @@ def _algebraic_degree(f, ctx):
     """The largest weight of a monomial in the algebraic normal form of
     any output bit, from the Moebius transform of the whole value table.
 
-    The table comes from direct evaluation at every element, not from
-    field_values, which trusts degree_bound for maps of degree <= 2.
+    The table of a tree comes from expr_eval at every element, not from
+    eval_packed, which trusts degree_bound for subtrees of degree <= 1, or
+    field_values, which trusts it for maps of degree <= 2.
     """
-    xs = np.arange(ctx.order, dtype=np.uint64)
-    anf = np.broadcast_to(np.asarray(f.eval_packed(xs, ctx)), xs.shape).astype(np.uint64)
+    if isinstance(f, DensePolyF2):
+        anf = f.eval_packed(np.arange(ctx.order, dtype=np.uint64), ctx)
+    else:
+        anf = np.array([expr_eval(f, x).bits for x in enumerate_elements(ctx)],
+                       dtype=np.uint64)
     for i in range(ctx.m):
         halves = anf.reshape(-1, 2, 1 << i)
         halves[:, 1, :] ^= halves[:, 0, :]
@@ -336,8 +399,20 @@ def test_degree_bound_of_each_node(f64):
     assert degree_bound(Pow(Mul((x, x)), 63), 6) == 6
     assert degree_bound(DensePolyF2.from_exponents(f64, [0, 3, 62]), 6) == 5
     assert degree_bound(DensePolyF2.zero(f64), 6) == 0
+    # (-1).bit_count() == 1, but an inverse is not additive
+    assert degree_bound(Pow(x, -1), 6) == 6
+    assert degree_bound(Pow(Add((x, Const(f64.one()))), -2), 6) == 6
     with pytest.raises(TypeError):
         degree_bound(object(), 6)
+
+
+def test_eval_packed_refuses_a_negative_exponent(f64):
+    # never collapsed into an affine map that would disagree with expr_eval
+    xs = np.arange(64, dtype=np.uint64)
+    inv = Pow(Add((Var(), Const(f64.element(3)))), -1)
+    for f in (inv, Add((inv, Const(f64.one()))), S(2, inv)):
+        with pytest.raises(ValueError, match="exponent must be nonnegative"):
+            f.eval_packed(xs, f64)
 
 
 def test_lin_from_expr_agrees_with_tree(f4096):

@@ -147,32 +147,46 @@ def test_bijection_from_values_matches_naive(chunk, values):
             assert scan.collision_witness(values, len(values)) == dup
 
 
-def test_power_table_rows():
-    xs = np.arange(64, dtype=np.uint64)
-    for exponents in ([5], [0, 63], [63, 0, 5, 5, 17], [9, 9, 9],
-                      list(range(64))[::-1], []):
+def test_field_values_builds_each_power_row_once(monkeypatch):
+    built = []
+    packed_pow = scan.packed_pow
+
+    def spy(ctx, a, n):
+        built.append(n)
+        return packed_pow(ctx, a, n)
+
+    monkeypatch.setattr(scan, "packed_pow", spy)
+    for exponents in ([5], [0, 63], [63, 0, 5, 17], list(range(64))[::-1], []):
         ctx = make_field(2, 3)  # fresh context: rows fill as the calls read them
+        built.clear()
         for reads in (exponents, exponents[::2], exponents):
-            rows = scan.power_table(ctx, reads)
-            assert rows.shape == (len(reads), 64) and rows.dtype == np.uint16
-            for row, d in zip(rows, reads):
-                assert np.array_equal(row, scan.packed_pow(ctx, xs, d))
-                for x in range(64):  # x = 0 included
-                    assert int(row[x]) == (ctx.element(x) ** d).bits, (d, x)
-        assert set(scan._power_rows(ctx)) == set(exponents)
+            g = DensePolyF2.from_exponents(ctx, reads)
+            values = scan.field_values(g, ctx)
+            assert values.dtype == np.uint32 and values.shape == (64,)
+            for x in range(64):  # x = 0 included
+                assert int(values[x]) == g.eval_at(ctx.element(x)).bits, (reads, x)
+        assert sorted(built) == sorted(exponents)
+        rows = scan._power_rows(ctx)
+        assert set(rows) == set(exponents)
+        for d, row in rows.items():
+            assert row.dtype == np.uint16
+            assert [int(v) for v in row] == [(ctx.element(x) ** d).bits for x in range(64)]
 
 
-def test_power_table_threads_never_read_an_unfilled_row():
+def test_field_values_threads_never_read_a_partial_power_row():
     ctx = make_field(2, 6)
     rng = random.Random(14)
     reads = [[rng.randrange(300) for _ in range(rng.randrange(1, 12))]
              for _ in range(400)]
     xs = np.arange(ctx.order, dtype=np.uint64)
-    expect = {d: scan.packed_pow(ctx, xs, d) for d in set().union(*reads)}
+    rows = {d: scan.packed_pow(ctx, xs, d) for d in set().union(*reads)}
 
     def read(exponents):
-        rows = scan.power_table(ctx, exponents)
-        return all(np.array_equal(row, expect[d]) for row, d in zip(rows, exponents))
+        g = DensePolyF2.from_exponents(ctx, exponents)
+        expect = np.zeros(ctx.order, dtype=np.uint64)
+        for d in g.support():
+            expect ^= rows[d]
+        return np.array_equal(scan.field_values(g, ctx), expect)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -182,12 +196,26 @@ def test_power_table_threads_never_read_an_unfilled_row():
             assert all(f.result(timeout=60) for f in futures)
     finally:
         sys.setswitchinterval(old)
-    assert set(scan._power_rows(ctx)) == set(expect)
+    support = set()
+    for r in reads:
+        support.update(DensePolyF2.from_exponents(ctx, r).support())
+    assert set(scan._power_rows(ctx)) == support
 
 
-def test_power_table_cap():
-    with pytest.raises(ValueError, match="capped at order 4096"):
-        scan.power_table(make_field(2, 7), [1])
+def test_field_values_keeps_no_power_rows_above_the_cap():
+    ctx = make_field(2, 7)
+    assert ctx.order > scan.POWER_TABLE_MAX_ORDER
+    g = DensePolyF2.from_exponents(ctx, [0, 1, 5, 21, ctx.order - 1])
+    xs = np.arange(ctx.order, dtype=np.uint64)
+    assert np.array_equal(scan.field_values(g, ctx), g.eval_packed(xs, ctx))
+    assert scan._power_rows(ctx) == {}
+
+
+def test_field_values_rejects_a_dense_polynomial_of_another_context():
+    a, b = make_field(2, 3), make_field(2, 3)
+    for ctx in (b, make_field(2, 7)):
+        with pytest.raises(ValueError, match="context mismatch"):
+            scan.field_values(DensePolyF2.from_exponents(a, [3]), ctx)
 
 
 @pytest.mark.parametrize("s, e", KERNEL_FIELDS.values(), ids=KERNEL_FIELDS.keys())
@@ -270,7 +298,9 @@ def test_block_path_matches_direct_evaluation(case):
     assert degree_bound(f, ctx.m) <= 2
     xs = np.arange(ctx.order, dtype=np.uint64)
     direct = np.broadcast_to(np.asarray(f.eval_packed(xs, ctx)), xs.shape)
+    # dense maps take the block path once the power-row cap lies below the order
     with mock.patch.object(scan, "SPOT_CHECK_POINTS", 1), \
+            mock.patch.object(scan, "POWER_TABLE_MAX_ORDER", ctx.order - 1), \
             mock.patch.object(scan, "_block_values", wraps=scan._block_values) as blocks:
         values = scan.field_values(f, ctx)
     assert blocks.call_count == 1
@@ -325,8 +355,10 @@ def test_block_path_matches_direct_scan_at_k4(monkeypatch):
     monkeypatch.setattr(poly.PolyExpr, "eval_packed", spy)
     blocks = scan.field_values(g, ctx)
     assert sizes == [3 * (1 << 16) + scan.SPOT_CHECK_POINTS]
-    # a degree bound of m sends the same map down the direct chunked path
-    monkeypatch.setattr(poly, "degree_bound", lambda f, m: m)
+    # a degree bound of m sends the same map down the direct chunked path;
+    # its subtrees keep their true bounds, so affine ones still collapse
+    monkeypatch.setattr(poly, "degree_bound",
+                        lambda f, m: m if f == g else degree_bound(f, m))
     direct = scan.field_values(g, ctx)
     assert len(sizes) == 1 + ctx.order // scan.DEFAULT_CHUNK
     assert np.array_equal(blocks, direct)
