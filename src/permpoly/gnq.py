@@ -35,8 +35,7 @@ from .gf2poly import ONE as BP_ONE
 from .gf2poly import BitPoly, proof_gcd_case1, proof_gcd_case2
 from .permtest import PPReport, is_pp_exhaustive
 from .poly import (Add, DensePolyF2, FrobQ, LinPoly, Pow, S, Var, build_t1_g,
-                   funcs_equal_pointwise, identity_e1_check, reduce_exponent,
-                   s_dense, t2_map)
+                   funcs_equal_pointwise, identity_e1_check, s_dense, t2_map)
 
 DEFAULT_MEMO_BOUND = 1 << 20
 
@@ -97,7 +96,8 @@ def gnq_recurrence(n: int, q: int, ctx: FieldContext,
 
         g_(n,q) = g_(m+1,q) + S_a * g_(m,q)
 
-    memoized on n per context.  GF(2) coefficient closure holds by
+    memoized on n per context and filled bottom-up, so a large n costs
+    memo entries, not stack depth.  GF(2) coefficient closure holds by
     construction (base cases and S_a are GF(2) polynomials); the
     defining identity is checked separately by gnq_oracle_check.
     """
@@ -108,28 +108,25 @@ def gnq_recurrence(n: int, q: int, ctx: FieldContext,
     if ctx.q != q:
         raise ValueError(f"context has q={ctx.q}, not {q}")
     memo = _memo(ctx, q)
-
-    def rec(n: int) -> DensePolyF2:
-        got = memo.get(n)
-        if got is not None:
-            return got
-        if len(memo) >= memo_bound:
+    # m and m + 1 lie below n: collect the missing n with their a, then fill
+    need, stack = {}, [n]
+    while stack:
+        k = stack.pop()
+        if k in memo or k in need:
+            continue
+        if len(memo) + len(need) >= memo_bound:
             raise RuntimeError(
-                f"g_(n,{q}) memo reached {len(memo)} entries (bound {memo_bound}) "
-                f"while expanding n={n}; raise memo_bound if that is intended"
+                f"g_(n,{q}) memo reached {len(memo) + len(need)} entries (bound {memo_bound}) "
+                f"while expanding n={k}; raise memo_bound if that is intended"
             )
-        if n <= q - 1:
-            g = gnq_base(n, q, ctx)
-        else:
-            a = 1
-            while q ** (a + 1) <= n:
-                a += 1
-            m = n - q ** a
-            g = rec(m + 1) + s_dense(ctx, a) * rec(m)
-        memo[n] = g
-        return g
-
-    return rec(n)
+        # q^a <= k < q^(a+1) for q = 2^s; a = 0 marks a base case
+        need[k] = a = (max(k, 1).bit_length() - 1) // ctx.s
+        if a:
+            stack += (k - q ** a, k - q ** a + 1)
+    for k, a in sorted(need.items()):
+        memo[k] = (gnq_base(k, q, ctx) if a == 0
+                   else memo[k - q ** a + 1] + s_dense(ctx, a) * memo[k - q ** a])
+    return memo[n]
 
 
 @per_context
@@ -167,42 +164,6 @@ def gnq_closed_form(pairs, q: int, ctx: FieldContext) -> tuple[int, DensePolyF2]
     return n, g
 
 
-@per_context
-def _oracle_points(ctx: FieldContext):
-    """Cached (tq, pts) for gnq_oracle_check: the representatives x of the
-    cosets x + GF(q) are the patterns with no bit at the leading bit of any
-    nonzero a in GF(q), the least element of each coset; tq[i] is
-    x^q + x and pts[:, i] lists x + a over GF(q) for the i-th of them."""
-    a_bits = scan.subfield_elements(ctx, 1)
-    pivots = 0
-    for a in a_bits[1:].tolist():  # ascending from 0
-        pivots |= 1 << (a.bit_length() - 1)
-    xs = np.arange(ctx.order, dtype=np.uint64)
-    reps = xs[(xs & np.uint64(pivots)) == 0]
-    if reps.size != ctx.order // ctx.q:
-        raise AssertionError(
-            f"{reps.size} coset representatives of GF({ctx.q}) in {ctx!r}, "
-            f"expected {ctx.order // ctx.q}"
-        )
-    tq = scan.apply_matrix(scan.frobenius_matrix(ctx, 1), reps) ^ reps
-    return tq, a_bits[:, None] ^ reps
-
-
-@per_context
-def _oracle_rhs(ctx: FieldContext, r: int) -> np.ndarray:
-    """Cached right side of gnq_oracle_check for the reduced exponent r:
-    sum over a in GF(q) of (y + a)^r at the representatives y of
-    _oracle_points, as uint16; order <= POWER_TABLE_MAX_ORDER only.
-
-    Exact for every n with reduce_exponent(n, order) = r: y^n = y^r for
-    every nonzero y, since y^(order-1) = 1 and n = r mod (order-1), and
-    0^n = 0^r, since r = 0 only when n = 0.  So a context holds at most
-    order rows of order/q entries: 8 MB at GF(4^6), 16 MB at GF(2^12).
-    """
-    _, pts = _oracle_points(ctx)
-    return np.bitwise_xor.reduce(scan.packed_pow(ctx, pts, r), axis=0).astype(np.uint16)
-
-
 def gnq_oracle_check(n: int, q: int, ctx: FieldContext,
                      g: DensePolyF2 | None = None) -> bool:
     """Check g_(n,q)(x^q + x) = sum over a in GF(q) of (x+a)^n at every x.
@@ -214,11 +175,8 @@ def gnq_oracle_check(n: int, q: int, ctx: FieldContext,
     (x+b)^q + (x+b) = x^q + x because b^q = b; on the right, x -> x + b
     only re-indexes the sum over a.  So evaluating both sides at one
     representative per coset, order/q points in all, decides the identity
-    on the whole field exactly.
-
-    Up to POWER_TABLE_MAX_ORDER the right side is read from _oracle_rhs,
-    computed once per reduced exponent; above it, chunk by chunk on every
-    call.  The left side is always evaluated from g's own coefficients.
+    on the whole field exactly.  scan.coset_power_sums gives x^q + x and
+    the right side there; the left side is evaluated from g itself.
     """
     if n < 0:
         raise UsageError("n must be nonnegative")
@@ -228,15 +186,9 @@ def gnq_oracle_check(n: int, q: int, ctx: FieldContext,
         g = gnq_recurrence(n, q, ctx)
     elif g.ctx is not ctx:
         raise ValueError("g comes from a different field context")
-    gv = g.eval_on_field()
-    tq, pts = _oracle_points(ctx)
-    if ctx.order <= scan.POWER_TABLE_MAX_ORDER:
-        return np.array_equal(gv[tq], _oracle_rhs(ctx, reduce_exponent(n, ctx.order)))
-    for start, stop in scan.iter_chunks(tq.size):
-        rhs = np.bitwise_xor.reduce(scan.packed_pow(ctx, pts[:, start:stop], n), axis=0)
-        if not np.array_equal(gv[tq[start:stop]], rhs):
-            return False
-    return True
+    gv = g.eval_on_field()  # first: a log-table build peaks before the coset arrays
+    tq, sums = scan.coset_power_sums(ctx, n)
+    return np.array_equal(gv[tq], sums)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ arrays.  field_values alone decides how a map is evaluated on the whole
 field: a small dense polynomial from cached power rows, a map of
 algebraic degree at most 2 from three tables over pairs of bit blocks
 checked against direct evaluation at SPOT_CHECK_POINTS fixed points,
-anything else directly.
+anything else directly.  coset_power_sums alone computes the oracle's
+right side on coset representatives and decides when to keep it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ DEFAULT_CHUNK = 1 << 20
 # against direct evaluation
 SPOT_CHECK_POINTS = (1 << 12) - 1
 
-# up to this order, field_values keeps power rows of dense polynomials
+# up to this order, field_values and coset_power_sums keep rows per exponent
 POWER_TABLE_MAX_ORDER = 1 << 12
 
 
@@ -300,6 +301,53 @@ def collision_witness(values: np.ndarray, order: int) -> int:
     if counts[dup] < 2:
         raise ValueError("no value is hit twice")
     return dup
+
+
+def coset_power_sums(ctx: FieldContext, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tq, sums) at the least element y of each coset y + GF(q), ascending:
+    tq is y^q + y, sums the sum over a in GF(q) of (y + a)^n.
+
+    The sums are packed_pow over the q translates of one chunk of
+    representatives at a time.  Up to POWER_TABLE_MAX_ORDER they are kept
+    per reduced exponent r, as uint16: y^n = y^r for nonzero y, since
+    y^(order-1) = 1 and n = r mod (order-1), and 0^n = 0^r, since r = 0
+    only when n = 0.  So a context holds at most order rows of order/q
+    entries, 16 MB at GF(2^12).  Above the cap they are never kept.
+    """
+    tq = _coset_points(ctx)[1]
+    if ctx.order > POWER_TABLE_MAX_ORDER:
+        return tq, _power_sums(ctx, n)
+    return tq, _kept_power_sums(ctx, poly.reduce_exponent(n, ctx.order))
+
+
+@per_context
+def _coset_points(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, tq) of coset_power_sums.  The least element of a coset is the
+    pattern with no bit at the leading bit of any nonzero a in GF(q)."""
+    pivots = 0
+    for a in subfield_elements(ctx, 1)[1:].tolist():  # ascending from 0
+        pivots |= 1 << (a.bit_length() - 1)
+    xs = np.arange(ctx.order, dtype=np.uint64)
+    reps = xs[(xs & np.uint64(pivots)) == 0]
+    if reps.size != ctx.order // ctx.q:
+        raise AssertionError(
+            f"{reps.size} coset representatives of GF({ctx.q}) in {ctx!r}, "
+            f"expected {ctx.order // ctx.q}"
+        )
+    return reps, apply_matrix(frobenius_matrix(ctx, 1), reps) ^ reps
+
+
+def _power_sums(ctx: FieldContext, n: int) -> np.ndarray:
+    a_bits = subfield_elements(ctx, 1)[:, None]
+    reps, _ = _coset_points(ctx)
+    sums = np.empty(reps.size, dtype=np.uint16 if ctx.m <= 16 else np.uint32)
+    for start, stop in iter_chunks(reps.size):
+        sums[start:stop] = np.bitwise_xor.reduce(
+            packed_pow(ctx, a_bits ^ reps[start:stop], n), axis=0)
+    return sums
+
+
+_kept_power_sums = per_context(_power_sums)
 
 
 def kernel_elements(ctx: FieldContext, cols: np.ndarray) -> np.ndarray:

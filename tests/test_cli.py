@@ -183,6 +183,14 @@ def test_oracle_roundtrip(capsys):
     assert obj == {"n": 23, "q": 4, "e": 3, "oracle_ok": True}
 
 
+def test_oracle_above_the_power_table_cap(capsys):
+    # GF(4^7) has order 16384, so the right side is recomputed, not cached
+    assert cli.main(["oracle", "--n", "65921", "--q", "4", "--e", "7",
+                     "--format", "json"]) == EXIT_OK
+    obj = json.loads(capsys.readouterr().out)
+    assert obj == {"n": 65921, "q": 4, "e": 7, "oracle_ok": True}
+
+
 def test_t2_pass_fail_and_parse_errors(capsys):
     assert cli.main(["t2", "--k", "2", "--L", "S(3)^2"]) == EXIT_OK
     capsys.readouterr()

@@ -218,3 +218,18 @@ def test_only_field_names_the_context_cache():
                     or (isinstance(node, ast.Constant) and node.value == "_cache")):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders
+
+
+def test_only_scan_computes_the_oracle_sums():
+    # gnq reads the oracle's right side from scan.coset_power_sums; the
+    # power-table cap and the kernels that compute the sums stay in scan
+    path = Path(permpoly.__file__).parent / "gnq.py"
+    names = {"POWER_TABLE_MAX_ORDER", "packed_pow", "iter_chunks"}
+    offenders = [
+        f"gnq.py:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.alias) and node.name in names)
+    ]
+    assert not offenders

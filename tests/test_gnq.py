@@ -90,6 +90,14 @@ def test_recurrence_memo_bound_trips():
         gnq_recurrence(65921, 4, fresh, memo_bound=4)
 
 
+def test_recurrence_needs_no_call_stack_at_n_4_400():
+    # one step per memo entry: 3595 of them, far past the recursion limit
+    ctx = make_field(2, 2)
+    n = 4 ** 400 - 1
+    assert gnq_oracle_check(n, 4, ctx, g=gnq_recurrence(n, 4, ctx))
+    assert len(gnq._memo(ctx, 4)) == 3595
+
+
 def test_closed_form_validation(f4096):
     with pytest.raises(ValueError):
         gnq_closed_form([(1, 2)], 4, f4096)  # needs q/2 = 2 pairs
@@ -149,6 +157,28 @@ class _Values:
 _COSET_FIELDS = ((1, 4), (2, 2), (2, 3), (3, 2))
 
 
+def _reference_sides(n, ctx):
+    """x^q + x and the sum over a in GF(q) of (x + a)^n at every x, by
+    scalar powers over the whole field."""
+    q = ctx.q
+    xs = [ctx.element(i) for i in range(ctx.order)]
+    tq = np.array([(x ** q + x).bits for x in xs], dtype=np.uint64)
+    xn = np.array([(x ** n).bits for x in xs], dtype=np.uint64)
+    a_bits = [x.bits for x in xs if x ** q == x]
+    assert len(a_bits) == q
+    idx = np.arange(ctx.order, dtype=np.uint64)
+    rhs = np.zeros(ctx.order, dtype=np.uint64)
+    for a in a_bits:
+        rhs ^= xn[idx ^ np.uint64(a)]
+    return tq, rhs
+
+
+def _oracle_reference(n, g, ctx):
+    """The defining identity at every x, the right side by scalar powers."""
+    tq, rhs = _reference_sides(n, ctx)
+    return bool(np.array_equal(g.eval_on_field()[tq], rhs))
+
+
 @pytest.mark.parametrize("chunk", [None, 4])
 @pytest.mark.parametrize("s,e", _COSET_FIELDS)
 def test_oracle_checks_every_coset(s, e, chunk, monkeypatch):
@@ -156,16 +186,18 @@ def test_oracle_checks_every_coset(s, e, chunk, monkeypatch):
         monkeypatch.setattr(scan, "DEFAULT_CHUNK", chunk)
     ctx = make_field(s, e)
     q = ctx.q
-    tq, pts = gnq._oracle_points(ctx)
-    assert pts.shape == (q, ctx.order // q)
-    # representatives plus GF(q) hit every pattern exactly once
-    assert np.array_equal(np.sort(pts.ravel()), np.arange(ctx.order))
     n = 2 * q + 3
+    tq, sums = scan.coset_power_sums(ctx, n)
+    assert tq.shape == sums.shape == (ctx.order // q,)
+    # x^q + x = y^q + y iff x + y lies in GF(q), so order/q distinct images
+    # mean one representative in every coset
+    assert np.unique(tq).size == ctx.order // q
+    ref_tq, ref_rhs = _reference_sides(n, ctx)
+    want = dict(zip(ref_tq.tolist(), ref_rhs.tolist()))
+    assert sums.tolist() == [want[t] for t in tq.tolist()]
     gv = gnq_recurrence(n, q, ctx).eval_on_field()
     assert gnq_oracle_check(n, q, ctx, g=_Values(ctx, gv))
-    image = np.unique(tq)
-    assert image.size == ctx.order // q
-    for y in image:
+    for y in tq:
         wrong = gv.copy()
         wrong[y] ^= 1
         assert not gnq_oracle_check(n, q, ctx, g=_Values(ctx, wrong)), y
@@ -178,30 +210,17 @@ def test_oracle_chunked_path_rejects_each_flip(monkeypatch):
     assert ctx.order > POWER_TABLE_MAX_ORDER
     n = 2 * ctx.q + 3
     gv = gnq_recurrence(n, ctx.q, ctx).eval_on_field()
+    whole = scan.coset_power_sums(ctx, n)[1]
     monkeypatch.setattr(scan, "DEFAULT_CHUNK", 1000)
+    tq, sums = scan.coset_power_sums(ctx, n)
+    assert np.array_equal(sums, whole)
     assert gnq_oracle_check(n, ctx.q, ctx, g=_Values(ctx, gv))
-    tq, _ = gnq._oracle_points(ctx)
     ends = {i for start, stop in scan.iter_chunks(tq.size) for i in (start, stop - 1)}
     assert len(ends) == 10
     for i in sorted(ends | set(range(0, tq.size, 331))):
         wrong = gv.copy()
         wrong[tq[i]] ^= 1 << (i % ctx.m)
         assert not gnq_oracle_check(n, ctx.q, ctx, g=_Values(ctx, wrong)), i
-
-
-def _oracle_reference(n, g, ctx):
-    """The defining identity at every x, the right side by scalar powers."""
-    q = ctx.q
-    xs = [ctx.element(i) for i in range(ctx.order)]
-    tq = np.array([(x ** q + x).bits for x in xs], dtype=np.uint64)
-    xn = np.array([(x ** n).bits for x in xs], dtype=np.uint64)
-    a_bits = [x.bits for x in xs if x ** q == x]
-    assert len(a_bits) == q
-    idx = np.arange(ctx.order, dtype=np.uint64)
-    rhs = np.zeros(ctx.order, dtype=np.uint64)
-    for a in a_bits:
-        rhs ^= xn[idx ^ np.uint64(a)]
-    return bool(np.array_equal(g.eval_on_field()[tq], rhs))
 
 
 # q <= 32: the base cases of a new q cost about q^2 scalar powers in all
@@ -217,22 +236,19 @@ def test_oracle_matches_whole_field_reference(se, n, rng):
     assert gnq_oracle_check(n, ctx.q, ctx, g=flipped) == _oracle_reference(n, flipped, ctx)
 
 
-def _unmemoized_rhs(n, ctx):
-    """The oracle's right side at the coset representatives, from n itself."""
-    _, pts = gnq._oracle_points(ctx)
-    return np.bitwise_xor.reduce(scan.packed_pow(ctx, pts, n), axis=0)
-
-
 # GF(2), GF(4) over GF(2) and over GF(4), GF(8), GF(2^4), GF(4^2), GF(4^3)
 @pytest.mark.parametrize("s,e", [(1, 1), (1, 2), (2, 1), (1, 3), (1, 4), (2, 2), (2, 3)])
-def test_oracle_memo_matches_unmemoized_right_side(s, e):
+def test_oracle_memo_matches_unmemoized_right_side(s, e, monkeypatch):
     ctx = make_field(s, e)
     q, order = ctx.q, ctx.order
-    tq, _ = gnq._oracle_points(ctx)
     rng = random.Random(order + q)
     for n in range(3 * order + 1):
-        rhs = _unmemoized_rhs(n, ctx)
-        assert np.array_equal(gnq._oracle_rhs(ctx, reduce_exponent(n, order)), rhs), n
+        tq, memo = scan.coset_power_sums(ctx, n)
+        # with the cap below the order, the sums are computed from n itself
+        with monkeypatch.context() as mp:
+            mp.setattr(scan, "POWER_TABLE_MAX_ORDER", 0)
+            rhs = scan.coset_power_sums(ctx, n)[1]
+        assert np.array_equal(memo, rhs), n
         g = gnq_recurrence(n, q, ctx)
         flipped = DensePolyF2(ctx, g.bits ^ rng.getrandbits(order))
         for h in (g, flipped):
@@ -255,7 +271,7 @@ def test_oracle_memo_hit_rejects_a_corrupted_g(monkeypatch):
 
     monkeypatch.setattr(scan, "packed_pow", refuse)
     assert gnq_oracle_check(n2, 4, ctx, g=_Values(ctx, gv))
-    tq, _ = gnq._oracle_points(ctx)
+    tq, _ = scan.coset_power_sums(ctx, n2)
     wrong = gv.copy()
     wrong[tq[5]] ^= 1
     assert not gnq_oracle_check(n2, 4, ctx, g=_Values(ctx, wrong))
@@ -290,20 +306,21 @@ def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch):
         assert gnq_oracle_check(n, 4, ctx), n
     # n < 2000 < 4^6 needs S_1 .. S_5, each built once
     assert sorted(map(len, built)) == [1, 2, 3, 4, 5]
-    # one right side per reduced exponent: at most order of them
-    _, pts = gnq._oracle_points(ctx)
-    assert 0 < rhs_shapes.count(pts.shape) <= ctx.order
+    # one right side per reduced exponent, over the q translates of every
+    # representative at once: at most order of them
+    assert 0 < rhs_shapes.count((ctx.q, ctx.order // ctx.q)) <= ctx.order
+    # below the cap, n and n + (order - 1) share one cached array
+    assert scan.coset_power_sums(ctx, 23)[1] is scan.coset_power_sums(ctx, 23 + ctx.order - 1)[1]
 
-    # above the cap nothing is memoized
+    # above the cap nothing is memoized per exponent
     monkeypatch.undo()
-
-    def no_memo(ctx, r):
-        raise AssertionError("_oracle_rhs called above the power-table cap")
-
-    monkeypatch.setattr(gnq, "_oracle_rhs", no_memo)
     f47 = make_field(2, 7)
     assert f47.order > POWER_TABLE_MAX_ORDER
     assert gnq_oracle_check(23, 4, f47)
+    entries = len(f47._cache)
+    for n in (23, 24, 23 + f47.order - 1):
+        scan.coset_power_sums(f47, n)
+    assert len(f47._cache) == entries
 
 
 def test_oracle_rejects_a_foreign_g():
