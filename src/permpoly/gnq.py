@@ -393,6 +393,8 @@ def search_desirable(q: int, e: int, n_from: int, n_to: int,
                      timing: bool = False) -> list[DesirableTriple]:
     """Scan n in [n_from, n_to] for g_(n,q) permuting GF(q^e).
 
+    scan.permutes decides each n; above the power-table cap a collision
+    on sample points refutes most g_(n,q) without a whole-field scan.
     Each hit is re-validated against the defining identity before it is
     emitted; an oracle failure would mean the recurrence built the wrong
     polynomial and aborts the search.  workers threads test the n, at most
@@ -409,7 +411,7 @@ def search_desirable(q: int, e: int, n_from: int, n_to: int,
 
     def test_one(n: int) -> DesirableTriple | None:
         g = gnq_recurrence(n, q, ctx)
-        if not scan.bijection_from_values(g.eval_on_field(), ctx.order):
+        if not scan.permutes(g, ctx):
             return None
         if not gnq_oracle_check(n, q, ctx, g=g):
             raise RuntimeError(

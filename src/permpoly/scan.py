@@ -10,16 +10,20 @@ arrays.  field_values alone decides how a map is evaluated on the whole
 field: a small dense polynomial from cached power rows, a map of
 algebraic degree at most 2 from three tables over pairs of bit blocks
 checked against direct evaluation at SPOT_CHECK_POINTS fixed points,
-anything else directly.  coset_power_sums alone computes the oracle's
-right side on coset representatives and decides when to keep it.
+anything else directly.  permutes refutes a map by a collision on the
+spot points before it scans the whole field.  coset_power_sums alone
+computes the oracle's right side on coset representatives and decides
+when to keep it.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # poly imports scan as well; scan reads poly's names only when called
-from . import poly
+from . import gf2poly, poly
 from .field import FieldContext, FieldElement, eval_S, frobenius_q, per_context
 
 DEFAULT_CHUNK = 1 << 20
@@ -63,26 +67,31 @@ def packed_mul(ctx: FieldContext, a, b):
 def log_tables(ctx: FieldContext):
     """Cached (log, antilog) of the least generator g of the nonzero elements.
 
-    antilog[i] = g^i for i < order-1, built by doubling with packed_mul;
-    log[x] = i for x != 0.  Both are uint32, 8 bytes per element.  A
-    candidate is kept only if its powers hit every nonzero element, so a
-    non-generator is never cached: under a non-primitive modulus such as
-    GF(2^8)'s x^8+x^4+x^3+x+1, t = 2 has order 51 and g is 3.
+    antilog[i] = g^i for i < order-1, built once by doubling with
+    packed_mul; log[x] = i for x != 0.  Both are uint32, so orders above
+    2^32 are refused before order-1 is factored.  t generates iff
+    t^((order-1)/p) != 1 for every prime p | order-1: under GF(2^8)'s
+    non-primitive x^8+x^4+x^3+x+1, t = 2 has order 51 and g is 3.
     """
     order = ctx.order
-    for g in range(2, order) if order > 2 else (1,):
-        antilog = np.ones(order - 1, dtype=np.uint64)
-        step, k = np.uint64(g), 1
-        while k < order - 1:
-            n = min(k, order - 1 - k)
-            antilog[k:k + n] = packed_mul(ctx, antilog[:n], step)
-            step, k = packed_mul(ctx, step, step), k + n
-        log = np.zeros(order, dtype=np.uint32)
-        log[antilog] = np.arange(order - 1, dtype=np.uint32)
-        # a missed x keeps log[x] = 0, and antilog[0] = 1 != x
-        if np.array_equal(antilog[log[1:]], np.arange(1, order)):
-            return log, antilog.astype(np.uint32)
-    raise AssertionError(f"no generator of the nonzero elements of {ctx!r}")
+    if order > 1 << 32:
+        raise ValueError(f"log tables need order <= 2^32, got {ctx!r}")
+    cyc = order - 1
+    cofactors = [cyc // p for p in gf2poly._prime_factors(cyc)]
+    g = next((t for t in range(2, order) if all(
+        gf2poly._powmod(t, c, ctx._mod_bits) != 1 for c in cofactors)), 1)
+    antilog = np.ones(cyc, dtype=np.uint64)
+    step, k = np.uint64(g), 1
+    while k < cyc:
+        n = min(k, cyc - k)
+        antilog[k:k + n] = packed_mul(ctx, antilog[:n], step)
+        step, k = packed_mul(ctx, step, step), k + n
+    log = np.zeros(order, dtype=np.uint32)
+    log[antilog] = np.arange(cyc, dtype=np.uint32)
+    # a missed x keeps log[x] = 0, and antilog[0] = 1 != x
+    if not np.array_equal(antilog[log[1:]], np.arange(1, order)):
+        raise AssertionError(f"{g} does not generate the nonzero elements of {ctx!r}")
+    return log, antilog.astype(np.uint32)
 
 
 def packed_pow(ctx: FieldContext, a, n: int):
@@ -138,10 +147,21 @@ def iter_chunks(total: int):
 
 
 def _spot_points(m: int) -> np.ndarray:
-    """SPOT_CHECK_POINTS well-spread m-bit patterns: the top m bits of
-    i * 2^64/phi for i = 1, 2, ... (Fibonacci hashing)."""
-    i = np.arange(1, SPOT_CHECK_POINTS + 1, dtype=np.uint64)
-    return (i * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - m)
+    """SPOT_CHECK_POINTS well-spread m-bit patterns, read-only, cached per
+    m: the top m bits of i * 2^64/phi for i = 1, 2, ... (Fibonacci hashing).
+    They are distinct for m >= 13: by the three-distance theorem the
+    fractions {i/phi}, i <= 4095, lie at least ||2584/phi|| > 2^-13 apart
+    (2584 the largest Fibonacci number <= 4095).  At m = 12 only 3657 are,
+    so permutes samples only above POWER_TABLE_MAX_ORDER."""
+    return _fibonacci_points(m, SPOT_CHECK_POINTS)
+
+
+@functools.cache
+def _fibonacci_points(m: int, count: int) -> np.ndarray:
+    i = np.arange(1, count + 1, dtype=np.uint64)
+    pts = (i * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - m)
+    pts.flags.writeable = False
+    return pts
 
 
 def _block_values(f, ctx: FieldContext, b0: int, b1: int, b2: int) -> np.ndarray:
@@ -286,6 +306,21 @@ def bijection_from_values(values: np.ndarray, order: int) -> bool:
     return bool(seen.all())
 
 
+def permutes(f, ctx: FieldContext) -> bool:
+    """Whether f permutes the field: bijection_from_values on field_values.
+    Above POWER_TABLE_MAX_ORDER f is first evaluated at the _spot_points,
+    distinct there.  Two distinct inputs with one image prove f is not
+    injective, so a repeated value returns False as a certificate; only a
+    map with no repeat gets the whole-field scan, which alone returns True.
+    """
+    if ctx.order > POWER_TABLE_MAX_ORDER:
+        spots = _spot_points(ctx.m)
+        vals = np.sort(np.broadcast_to(np.asarray(f.eval_packed(spots, ctx)), spots.shape))
+        if (vals[1:] == vals[:-1]).any():
+            return False
+    return bijection_from_values(field_values(f, ctx), ctx.order)
+
+
 def collision_witness(values: np.ndarray, order: int) -> int:
     """The least value in [0, order) that the array hits twice.
 
@@ -362,11 +397,25 @@ def kernel_elements(ctx: FieldContext, cols: np.ndarray) -> np.ndarray:
 @per_context
 def subfield_elements(ctx: FieldContext, k: int) -> np.ndarray:
     """Cached bit patterns of the q^k elements of GF(q^k), ascending, as a
-    read-only uint64 array: the kernel of x -> x^(q^k) + x."""
+    read-only uint64 array: the kernel of x -> x^(q^k) + x, listed by
+    doubling from a basis.  Eliminating the map's m columns in turn, a
+    column that reduces to 0 gives the kernel vector of those it combined.
+    """
     if k < 1 or ctx.e % k != 0:
         raise ValueError(f"k={k} does not divide e={ctx.e}")
-    unit = np.uint64(1) << np.arange(ctx.m, dtype=np.uint64)
-    bits = kernel_elements(ctx, frobenius_matrix(ctx, k) ^ unit)
+    pivots = {}  # bit length -> (reduced column, columns combined in it)
+    bits = np.zeros(1, dtype=np.uint64)
+    for j, col in enumerate(frobenius_matrix(ctx, k).tolist()):
+        combo = 1 << j
+        col ^= combo
+        while col and col.bit_length() in pivots:
+            pcol, pcombo = pivots[col.bit_length()]
+            col, combo = col ^ pcol, combo ^ pcombo
+        if col:
+            pivots[col.bit_length()] = col, combo
+        else:
+            bits = np.concatenate((bits, bits ^ np.uint64(combo)))
+    bits.sort()
     if bits.size != ctx.q ** k:
         raise AssertionError(
             f"subfield GF(q^{k}) has {bits.size} elements, expected {ctx.q ** k}"

@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -507,6 +508,16 @@ def test_t2_context_validation(f4096, f64):
         check_t2_conditions(L, 4, 2, f64)  # e = 3, needs 6
     with pytest.raises(ValueError):
         check_t2_conditions(L, 4, 1, f4096)  # L from the wrong context
+
+
+def test_search_scans_the_whole_field_only_for_hits(monkeypatch):
+    # above the power-table cap every non-PP of this range collides on the
+    # sample points, so each whole-field bijection test finds a hit
+    monkeypatch.setattr(scan, "bijection_from_values",
+                        mock.Mock(wraps=scan.bijection_from_values))
+    hits = search_desirable(4, 7, 1, 64)
+    assert len(hits) == 14
+    assert scan.bijection_from_values.call_count == len(hits)
 
 
 def test_search_finds_the_corollary_exponent(f4096):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permpoly import poly, scan
+from permpoly import gnq, poly, scan
 from permpoly.field import eval_S, frobenius_q, make_field
 from permpoly.poly import (Add, Const, DensePolyF2, FrobQ, LinPoly, Mul, Pow,
                            S, Var, build_t1_g, degree_bound, expr_eval)
@@ -237,6 +237,103 @@ def test_log_tables_skip_non_generator():
     assert int(antilog[1]) == 3
 
 
+def _least_generator(ctx):
+    """The least t whose powers reach every nonzero element, by brute force."""
+    for t in range(2, ctx.order):
+        x, y, steps = ctx.element(t), ctx.element(t), 1
+        while y.bits != 1:
+            y, steps = y * x, steps + 1
+        if steps == ctx.order - 1:
+            return t
+    return 1
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_log_tables_use_the_least_generator_and_build_once(m, monkeypatch):
+    ctx = make_field(1, m)  # m = 8: the non-primitive modulus
+    calls = []
+    packed_mul = scan.packed_mul
+
+    def spy(ctx, a, b):
+        calls.append(np.size(a))
+        return packed_mul(ctx, a, b)
+
+    monkeypatch.setattr(scan, "packed_mul", spy)
+    log, antilog = scan.log_tables(ctx)
+    g = _least_generator(ctx)
+    assert int(antilog[min(1, ctx.order - 2)]) == g
+    # two products per doubling of the antilog prefix: one table, not one per candidate
+    assert len(calls) == 2 * (ctx.order - 2).bit_length()
+    assert np.array_equal(log[antilog], np.arange(ctx.order - 1))
+
+
+def test_log_tables_refuse_orders_above_2_32_before_factoring(monkeypatch):
+    ctx = make_field(1, 61, max_degree=64)  # 2^61 - 1 is prime
+
+    def refuse(n):
+        raise AssertionError("factored")
+
+    monkeypatch.setattr(scan.gf2poly, "_prime_factors", refuse)
+    with pytest.raises(ValueError, match="2\\^32"):
+        scan.log_tables(ctx)
+
+
+# (s, e, n_to): on both sides of the power-table cap, GF(2^13) included
+PERMUTES_RANGES = ((2, 7, 200), (2, 8, 100), (1, 13, 200), (2, 6, 40))
+
+
+@pytest.mark.parametrize("s, e, n_to", PERMUTES_RANGES)
+def test_permutes_agrees_with_the_whole_field_scan(s, e, n_to, monkeypatch):
+    ctx = make_field(s, e)
+    full = []
+    monkeypatch.setattr(scan, "bijection_from_values",
+                        mock.Mock(wraps=scan.bijection_from_values))
+    for n in range(1, n_to + 1):
+        g = gnq.gnq_recurrence(n, ctx.q, ctx)
+        verdict = scan.permutes(g, ctx)
+        full.append(scan.bijection_from_values(g.eval_on_field(), ctx.order))
+        assert verdict is full[-1], n
+    # above the cap every non-PP here collides on the sample, so only the
+    # PPs reach a whole-field scan besides the reference's own
+    scans = scan.bijection_from_values.call_count - n_to
+    assert scans == (sum(full) if ctx.order > scan.POWER_TABLE_MAX_ORDER else n_to)
+
+
+def test_permutes_scans_the_whole_field_when_the_sample_misses(monkeypatch):
+    cube = DensePolyF2.from_exponents(make_field(2, 7), [3])  # gcd(3, 2^14 - 1) = 3
+    monkeypatch.setattr(scan, "_spot_points", lambda m: np.arange(1, 3, dtype=np.uint64))
+    with mock.patch.object(scan, "field_values", wraps=scan.field_values) as values:
+        assert scan.permutes(cube, cube.ctx) is False
+    assert values.call_count == 1
+    odd = make_field(1, 13)  # gcd(3, 2^13 - 1) = 1
+    assert scan.permutes(DensePolyF2.from_exponents(odd, [3]), odd) is True
+
+
+@pytest.mark.parametrize("s, e", [(1, 4), (2, 3), (2, 6), (3, 4), (1, 12), (2, 5),
+                                  (2, 8), (4, 3)])
+def test_subfield_elements_equal_the_kernel_scan(s, e):
+    ctx = make_field(s, e)
+    unit = np.uint64(1) << np.arange(ctx.m, dtype=np.uint64)
+    for k in range(1, e + 1):
+        if e % k == 0:
+            kernel = scan.kernel_elements(ctx, scan.frobenius_matrix(ctx, k) ^ unit)
+            assert np.array_equal(scan.subfield_elements(ctx, k), kernel), k
+
+
+def test_subfield_elements_scan_nothing_at_gf4_12(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("whole-field scan")
+
+    monkeypatch.setattr(scan, "kernel_elements", refuse)
+    monkeypatch.setattr(scan, "iter_chunks", refuse)
+    ctx = make_field(2, 12)
+    for k in (1, 2, 3, 4, 6):
+        elems = scan.subfield_elements(ctx, k)
+        assert elems.size == 4 ** k and not elems.flags.writeable
+        assert np.all(elems[1:] > elems[:-1])
+        assert all((ctx.element(b) ** 4 ** k).bits == b for b in elems[::7].tolist())
+
+
 def test_values_equal_handles_constants(f64):
     from permpoly.poly import Add, Const
     one = Const(f64.one())
@@ -338,7 +435,14 @@ def test_spot_points_are_fixed_and_spread():
     assert np.unique(pts).size == pts.size
     # every top-8-bit slice of the field is hit
     assert np.unique(pts >> np.uint64(16)).size == 256
-    assert np.array_equal(pts, scan._spot_points(24))
+    assert scan._spot_points(24) is pts and not pts.flags.writeable
+
+
+def test_spot_points_are_distinct_above_the_power_table_cap():
+    # permutes needs distinct inputs; at m = 12 only 3657 of 4095 are
+    assert np.unique(scan._spot_points(12)).size == 3657
+    for m in range(13, 31):
+        assert np.unique(scan._spot_points(m)).size == scan.SPOT_CHECK_POINTS, m
 
 
 @pytest.mark.long
