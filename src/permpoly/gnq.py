@@ -10,7 +10,9 @@ identity at runtime rather than hardcoded, and every construction path
 can be re-validated against it via gnq_oracle_check.  Both sides of the
 identity are constant on each coset x + GF(q) (b^q = b on the left, a
 re-indexed sum on the right), so the oracle evaluates them at one
-representative per coset, which decides the identity at every x.
+representative per coset, which decides the identity at every x; above
+the power-table cap it takes the Hamming ball of their degree instead
+when that ball is the smaller set.
 
 All polynomials are kept reduced mod x^(q^e) - x throughout; unreduced
 degrees (n up to 4^8 here) would be astronomically large while the
@@ -171,12 +173,13 @@ def gnq_oracle_check(n: int, q: int, ctx: FieldContext,
     Necessary-condition oracle: it constrains g exactly on the image of
     x -> x^q + x, independently of how g was built.
 
-    Both sides are constant on each coset x + GF(q): on the left,
-    (x+b)^q + (x+b) = x^q + x because b^q = b; on the right, x -> x + b
-    only re-indexes the sum over a.  So evaluating both sides at one
-    representative per coset, order/q points in all, decides the identity
-    on the whole field exactly.  scan.coset_power_sums gives x^q + x and
-    the right side there; the left side is evaluated from g itself.
+    scan.power_sum_identity decides it.  Both sides are constant on each
+    coset x + GF(q): on the left, (x+b)^q + (x+b) = x^q + x because
+    b^q = b; on the right, x -> x + b only re-indexes the sum over a.  So
+    one representative per coset, order/q points in all, decides the
+    identity exactly.  Above the power-table cap, the points of Hamming
+    weight up to the degree of both sides decide it too, and are taken
+    when they are fewer; the argument is in that function's docstring.
     """
     if n < 0:
         raise UsageError("n must be nonnegative")
@@ -186,9 +189,7 @@ def gnq_oracle_check(n: int, q: int, ctx: FieldContext,
         g = gnq_recurrence(n, q, ctx)
     elif g.ctx is not ctx:
         raise ValueError("g comes from a different field context")
-    gv = g.eval_on_field()  # first: a log-table build peaks before the coset arrays
-    tq, sums = scan.coset_power_sums(ctx, n)
-    return np.array_equal(gv[tq], sums)
+    return scan.power_sum_identity(g, ctx, n)
 
 
 # ---------------------------------------------------------------------------

@@ -135,10 +135,7 @@ class DensePolyF2:
     def eval_packed(self, xs, ctx: FieldContext):
         if ctx is not self.ctx:
             raise ValueError("context mismatch")
-        acc = np.zeros(np.shape(xs), dtype=np.uint64)
-        for d in self.support():
-            acc ^= scan.packed_pow(ctx, xs, d)
-        return acc
+        return scan.packed_power_sum(ctx, xs, self.support())
 
     def to_json_obj(self) -> dict:
         return {

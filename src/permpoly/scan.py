@@ -11,14 +11,17 @@ field: a small dense polynomial from cached power rows, a map of
 algebraic degree at most 2 from three tables over pairs of bit blocks
 checked against direct evaluation at SPOT_CHECK_POINTS fixed points,
 anything else directly.  permutes refutes a map by a collision on the
-spot points before it scans the whole field.  coset_power_sums alone
-computes the oracle's right side on coset representatives and decides
+spot points before it scans the whole field.  power_sum_identity alone
+decides the oracle's identity, on coset representatives or, above the
+power-table cap, on the smaller Hamming ball of its degree;
+coset_power_sums alone computes the right side on the cosets and decides
 when to keep it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -95,15 +98,34 @@ def log_tables(ctx: FieldContext):
 
 
 def packed_pow(ctx: FieldContext, a, n: int):
-    """Elementwise a^n = antilog[log[a] * n mod (order-1)] for an int n >= 0,
-    applied literally: 0^n is 0 for n >= 1, and x^0 = 1 everywhere."""
-    if n < 0:
+    """Elementwise a^n for an int n >= 0; see packed_power_sum."""
+    return packed_power_sum(ctx, a, (n,))
+
+
+def packed_power_sum(ctx: FieldContext, a, exponents):
+    """Elementwise XOR over the exponents d of a^d = antilog[log[a] * d mod
+    (order-1)], each d an int >= 0, applied literally: 0^d is 0 for d >= 1,
+    and x^0 = 1 everywhere.
+
+    log[a] is gathered once for all exponents.  log[0] = 0 reads 1 at
+    a = 0 for every d, so the zero entries are fixed once at the end: 0^d
+    is 1 only for d = 0, so the sum there is the parity of the zeros among
+    the exponents.  No exponents give zeros without a log-table build.
+    """
+    exponents = [int(d) for d in exponents]
+    if any(d < 0 for d in exponents):
         raise ValueError("exponent must be nonnegative")
+    if not exponents:
+        return np.zeros(np.shape(a), dtype=np.uint64)
     log, antilog = log_tables(ctx)
     cyc = ctx.order - 1
-    res = antilog[log[a].astype(np.uint64) * np.uint64(n % cyc) % np.uint64(cyc)]
-    # log[0] = 0 reads 1 at a = 0; 0^n is 1 only for n = 0
-    return np.where(a == 0, np.uint64(n == 0), res.astype(np.uint64))
+    lg = log[a].astype(np.uint64)
+    # each gather is a fresh array, so the first takes the others in place
+    terms = (antilog[lg * np.uint64(d % cyc) % np.uint64(cyc)] for d in exponents)
+    acc = next(terms)
+    for term in terms:
+        acc ^= term
+    return np.where(a == 0, np.uint64(exponents.count(0) & 1), acc.astype(np.uint64))
 
 
 def linear_matrix(ctx: FieldContext, fn) -> np.ndarray:
@@ -282,14 +304,42 @@ def values_equal(f, g, ctx: FieldContext, degree: int) -> bool:
     wt(v) <= d.  So if h vanishes on the points of weight <= d, every
     coefficient vanishes, and h is zero everywhere.
     """
-    for start, stop in iter_chunks(ctx.order):
-        xs = np.arange(start, stop, dtype=np.uint64)
-        xs = xs[np.bitwise_count(xs) <= degree]
+    if degree >= ctx.m:
+        chunks = (np.arange(start, stop, dtype=np.uint64)
+                  for start, stop in iter_chunks(ctx.order))
+    else:
+        ball = _hamming_ball(ctx.m, degree)
+        chunks = (ball[start:stop] for start, stop in iter_chunks(ball.size))
+    for xs in chunks:
         fv = np.broadcast_to(np.asarray(f.eval_packed(xs, ctx)), xs.shape)
         gv = np.broadcast_to(np.asarray(g.eval_packed(xs, ctx)), xs.shape)
         if not np.array_equal(fv, gv):
             return False
     return True
+
+
+def _ball_size(m: int, radius: int) -> int:
+    """Number of m-bit patterns of Hamming weight <= radius."""
+    return sum(math.comb(m, i) for i in range(radius + 1))
+
+
+@functools.cache
+def _hamming_ball(m: int, radius: int) -> np.ndarray:
+    """The m-bit patterns of Hamming weight <= radius, ascending, as a
+    read-only uint64 array, built once per (m, radius).
+
+    Built level by level: a nonzero pattern of weight <= w + 1 with top bit
+    j is 2^j OR a pattern below 2^j of weight <= w.  Those are a prefix of
+    the ascending ball of radius w, and the blocks for j = 0, 1, ... are
+    ascending and lie in [2^j, 2^(j+1)), so each level comes out ascending
+    and distinct without a sort.
+    """
+    ball = np.zeros(1, dtype=np.uint64)
+    for _ in range(min(radius, m)):
+        ball = np.concatenate([ball[:1]] + [
+            ball[:np.searchsorted(ball, 1 << j)] | np.uint64(1 << j) for j in range(m)])
+    ball.flags.writeable = False
+    return ball
 
 
 def bijection_from_values(values: np.ndarray, order: int) -> bool:
@@ -338,6 +388,62 @@ def collision_witness(values: np.ndarray, order: int) -> int:
     return dup
 
 
+def power_sum_identity(g, ctx: FieldContext, n: int) -> bool:
+    """Whether g(x^q + x) = sum over a in GF(q) of (x + a)^n at every x.
+
+    Both sides are constant on each coset x + GF(q), so by default the
+    identity is decided at the order/q coset representatives of
+    coset_power_sums, from g's values on the whole field.
+
+    Above POWER_TABLE_MAX_ORDER it is decided instead on the Hamming ball
+    of radius D = max(deg g, wt2(r)), r = poly.reduce_exponent(n, order),
+    whenever that ball has fewer points than there are cosets.  That is
+    exact by the Reed-Muller argument of values_equal, since both sides
+    have algebraic degree at most D:
+    - the left side is g composed with the additive map x -> x^q + x, and
+      composing with a GF(2)-linear map does not raise the degree of g;
+    - x^n = x^r as maps, so the right side is a sum of the translates
+      x -> (x + a)^r of x^r, and each has degree wt2(r), because a
+      translation is affine.
+    wt2(r) is read first; poly.degree_bound(g) is asked only if that ball
+    is still smaller than the cosets.  On the ball path g is evaluated at
+    x^q + x of the ball points alone, never on the whole field.
+    """
+    if ctx.order > POWER_TABLE_MAX_ORDER:
+        m, cosets = ctx.m, ctx.order // ctx.q
+        radius = poly.reduce_exponent(n, ctx.order).bit_count()
+        if _ball_size(m, radius) < cosets:
+            radius = max(radius, poly.degree_bound(g, m))
+            if _ball_size(m, radius) < cosets:
+                return _identity_on_ball(g, ctx, n, radius)
+    gv = g.eval_on_field()  # first: a log-table build peaks before the coset arrays
+    tq, sums = coset_power_sums(ctx, n)
+    return np.array_equal(gv[tq], sums)
+
+
+def _identity_on_ball(g, ctx: FieldContext, n: int, radius: int) -> bool:
+    """power_sum_identity on the points of weight <= radius, chunk by chunk."""
+    tq, translates = _ball_points(ctx, radius)
+    for start, stop in iter_chunks(tq.size):
+        lhs = g.eval_packed(tq[start:stop], ctx)
+        rhs = np.bitwise_xor.reduce(packed_pow(ctx, translates[:, start:stop], n), axis=0)
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
+@per_context
+def _ball_points(ctx: FieldContext, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tq, translates) at the points x of weight <= radius, ascending:
+    tq is x^q + x and translates[i] is x + a for the i-th a in GF(q).
+    Kept per radius and read-only; nothing here depends on the exponent."""
+    xs = _hamming_ball(ctx.m, radius)
+    tq = apply_matrix(frobenius_matrix(ctx, 1), xs) ^ xs
+    translates = subfield_elements(ctx, 1)[:, None] ^ xs
+    tq.flags.writeable = translates.flags.writeable = False
+    return tq, translates
+
+
 def coset_power_sums(ctx: FieldContext, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(tq, sums) at the least element y of each coset y + GF(q), ascending:
     tq is y^q + y, sums the sum over a in GF(q) of (y + a)^n.
@@ -358,12 +464,13 @@ def coset_power_sums(ctx: FieldContext, n: int) -> tuple[np.ndarray, np.ndarray]
 @per_context
 def _coset_points(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
     """(reps, tq) of coset_power_sums.  The least element of a coset is the
-    pattern with no bit at the leading bit of any nonzero a in GF(q)."""
-    pivots = 0
-    for a in subfield_elements(ctx, 1)[1:].tolist():  # ascending from 0
-        pivots |= 1 << (a.bit_length() - 1)
-    xs = np.arange(ctx.order, dtype=np.uint64)
-    reps = xs[(xs & np.uint64(pivots)) == 0]
+    pattern with no bit at the leading bit of any nonzero a in GF(q); they
+    are listed by depositing the bits of a counter around those pivots."""
+    pivots = sorted({a.bit_length() - 1 for a in subfield_elements(ctx, 1)[1:].tolist()})
+    reps = np.arange(ctx.order >> len(pivots), dtype=np.uint64)
+    for p in pivots:  # ascending, so the bits below p are already in place
+        low = reps & np.uint64((1 << p) - 1)
+        reps = ((reps ^ low) << np.uint64(1)) | low
     if reps.size != ctx.order // ctx.q:
         raise AssertionError(
             f"{reps.size} coset representatives of GF({ctx.q}) in {ctx!r}, "

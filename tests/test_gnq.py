@@ -21,8 +21,8 @@ from permpoly.gnq import (DesirableTriple, check_t2_conditions, gnq_base,
                           probe_t1_odd, search_desirable, verify_corollary,
                           verify_t1)
 from permpoly.poly import (Add, DensePolyF2, LinPoly, PolyExpr, Pow, S, Var,
-                           funcs_equal_pointwise, lin_from_expr, reduce_exponent,
-                           s_dense)
+                           degree_bound, funcs_equal_pointwise, lin_from_expr,
+                           reduce_exponent, s_dense)
 from permpoly.scan import POWER_TABLE_MAX_ORDER
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -206,10 +206,12 @@ def test_oracle_checks_every_coset(s, e, chunk, monkeypatch):
 
 def test_oracle_chunked_path_rejects_each_flip(monkeypatch):
     # GF(4^7) lies above the power-table cap, so the right side is computed
-    # chunk by chunk on every call, never memoized
+    # chunk by chunk on every call, never memoized.  wt2(63) = 6, and the
+    # ball of radius 6 in 14 bits is larger than the 4096 cosets, so the
+    # oracle takes the cosets without asking the stand-in for its degree
     ctx = make_field(2, 7)
     assert ctx.order > POWER_TABLE_MAX_ORDER
-    n = 2 * ctx.q + 3
+    n = 63
     gv = gnq_recurrence(n, ctx.q, ctx).eval_on_field()
     whole = scan.coset_power_sums(ctx, n)[1]
     monkeypatch.setattr(scan, "DEFAULT_CHUNK", 1000)
@@ -222,6 +224,67 @@ def test_oracle_chunked_path_rejects_each_flip(monkeypatch):
         wrong = gv.copy()
         wrong[tq[i]] ^= 1 << (i % ctx.m)
         assert not gnq_oracle_check(n, ctx.q, ctx, g=_Values(ctx, wrong)), i
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("e", [7, 8])
+def test_ball_oracle_agrees_with_cosets(e):
+    # the cosets are the independent reference: every n <= 300, for g and
+    # for two one-coefficient flips of g, each also decided on the ball of
+    # its degree whether or not the oracle would choose that ball
+    ctx = make_field(2, e)
+    assert ctx.order > POWER_TABLE_MAX_ORDER
+    rng = random.Random(e)
+    chosen = 0
+    for n in range(301):
+        tq, sums = scan.coset_power_sums(ctx, n)
+        g = gnq_recurrence(n, 4, ctx)
+        flips = [DensePolyF2(ctx, g.bits ^ 1 << rng.randrange(ctx.order)) for _ in range(2)]
+        for h in [g] + flips:
+            by_cosets = bool(np.array_equal(h.eval_on_field()[tq], sums))
+            assert by_cosets == (h is g), n
+            radius = max(reduce_exponent(n, ctx.order).bit_count(), degree_bound(h, ctx.m))
+            assert scan._identity_on_ball(h, ctx, n, radius) == by_cosets, n
+            assert gnq_oracle_check(n, 4, ctx, g=h) == by_cosets, n
+            if h is g:
+                chosen += scan._ball_size(ctx.m, radius) < ctx.order // ctx.q
+    # the oracle took the ball for most g: 263 of them at e = 7, 292 at e = 8
+    assert chosen > 250
+
+
+def test_ball_path_evaluates_nothing_on_the_whole_field(monkeypatch):
+    ctx = make_field(2, 7)
+    g = gnq_recurrence(29, 4, ctx)
+
+    def refuse(*args):
+        raise AssertionError("whole-field evaluation on the ball path")
+
+    monkeypatch.setattr(scan, "field_values", refuse)
+    assert gnq_oracle_check(29, 4, ctx)
+    assert not gnq_oracle_check(29, 4, ctx, g=g + DensePolyF2.one(ctx))
+
+
+def test_coset_path_is_kept_when_the_ball_is_larger(monkeypatch):
+    # wt2(63) = 6: 6476 points of weight <= 6 in 14 bits, 4096 cosets
+    ctx = make_field(2, 7)
+    assert reduce_exponent(63, ctx.order).bit_count() == 6
+    assert scan._ball_size(ctx.m, 6) == 6476 > ctx.order // ctx.q
+    evaluated = []
+    field_values = scan.field_values
+
+    def spy(f, ctx):
+        evaluated.append(f)
+        return field_values(f, ctx)
+
+    def refuse(*args):
+        raise AssertionError("the ball was taken although it is larger")
+
+    monkeypatch.setattr(scan, "field_values", spy)
+    monkeypatch.setattr(scan, "_identity_on_ball", refuse)
+    g = gnq_recurrence(63, 4, ctx)
+    assert gnq_oracle_check(63, 4, ctx, g=g)
+    assert not gnq_oracle_check(63, 4, ctx, g=g + DensePolyF2.one(ctx))
+    assert len(evaluated) == 2
 
 
 # q <= 32: the base cases of a new q cost about q^2 scalar powers in all
@@ -313,15 +376,26 @@ def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch):
     # below the cap, n and n + (order - 1) share one cached array
     assert scan.coset_power_sums(ctx, 23)[1] is scan.coset_power_sums(ctx, 23 + ctx.order - 1)[1]
 
-    # above the cap nothing is memoized per exponent
+    # above the cap nothing is kept per exponent: the coset sums are never
+    # kept, and the ball path keeps its points once per radius
     monkeypatch.undo()
     f47 = make_field(2, 7)
     assert f47.order > POWER_TABLE_MAX_ORDER
-    assert gnq_oracle_check(23, 4, f47)
-    entries = len(f47._cache)
+    ns = (23, 24, 29, 23 + f47.order - 1, 63, 64, 1000)
+    gs = {n: gnq_recurrence(n, 4, f47) for n in ns}
+    assert gnq_oracle_check(63, 4, f47, g=gs[63])  # the coset set-up
+    before = set(f47._cache)
     for n in (23, 24, 23 + f47.order - 1):
         scan.coset_power_sums(f47, n)
-    assert len(f47._cache) == entries
+    assert set(f47._cache) == before
+    radii = set()
+    for n in ns:
+        assert gnq_oracle_check(n, 4, f47, g=gs[n]), n
+        degree = max(reduce_exponent(n, f47.order).bit_count(), degree_bound(gs[n], f47.m))
+        if scan._ball_size(f47.m, degree) < f47.order // f47.q:
+            radii.add(degree)
+    assert len(radii) >= 2
+    assert set(f47._cache) - before == {(scan._ball_points.__wrapped__, r) for r in radii}
 
 
 def test_oracle_rejects_a_foreign_g():

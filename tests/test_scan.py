@@ -1,5 +1,6 @@
 """Packed bulk engine cross-validated against scalar field arithmetic."""
 
+import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -46,6 +47,33 @@ def test_packed_mul_square_pow_match_scalar(s, e):
             assert int(pn[i]) == (ctx.element(int(xs[i])) ** n).bits, (n, int(xs[i]))
     with pytest.raises(ValueError, match="nonnegative"):
         scan.packed_pow(ctx, xs, -1)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(list(KERNEL_FIELDS.values())),
+       st.lists(st.integers(0, 1 << 20), max_size=12), st.randoms(use_true_random=False))
+def test_packed_power_sum_is_the_xor_of_the_powers(se, exponents, rng):
+    ctx = make_field(*se)
+    xs = np.append(np.uint64(0), _random_bits(ctx, rng, 40))
+    want = np.zeros(xs.shape, dtype=np.uint64)
+    for d in exponents:  # repeats cancel; 0 in the list sets the value at 0
+        want ^= scan.packed_pow(ctx, xs, d)
+    got = scan.packed_power_sum(ctx, xs, exponents)
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
+    assert int(scan.packed_power_sum(ctx, xs[1], exponents)) == int(want[1])
+
+
+def test_packed_power_sum_of_nothing_builds_no_log_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("log tables built for an empty sum")
+
+    monkeypatch.setattr(scan, "log_tables", refuse)
+    ctx = make_field(2, 7)
+    xs = np.arange(5, dtype=np.uint64)
+    assert np.array_equal(scan.packed_power_sum(ctx, xs, []), np.zeros(5, dtype=np.uint64))
+    assert not DensePolyF2.zero(ctx).eval_packed(xs, ctx).any()
+    with pytest.raises(ValueError, match="nonnegative"):
+        scan.packed_power_sum(ctx, xs, [3, -1])
 
 
 def test_linear_matrix_requires_additive_map(f64):
@@ -340,6 +368,56 @@ def test_values_equal_handles_constants(f64):
     assert scan.values_equal(one, one, f64, 0)
     assert not scan.values_equal(one, Var(), f64, 1)
     assert scan.values_equal(Add((Var(), Var())), Const(f64.zero()), f64, 1)
+
+
+def test_hamming_ball_lists_the_points_of_weight_at_most_r():
+    for m in range(1, 25):
+        for r in range(m + 1):
+            size = sum(math.comb(m, i) for i in range(r + 1))
+            if size > 1 << 18:
+                break
+            # uncached, so the sweep leaves nothing behind in the process
+            ball = scan._hamming_ball.__wrapped__(m, r)
+            # ascending, hence distinct, and as many as the ball has points
+            assert ball.dtype == np.uint64 and ball.size == size, (m, r)
+            assert np.all(ball[1:] > ball[:-1]), (m, r)
+            assert int(np.bitwise_count(ball).max()) <= r and int(ball.max()) < 1 << m
+            if m <= 12:
+                xs = np.arange(1 << m, dtype=np.uint64)
+                assert np.array_equal(ball, xs[np.bitwise_count(xs) <= r]), (m, r)
+    ball = scan._hamming_ball(24, 2)
+    assert ball.size == 301 and not ball.flags.writeable
+    assert scan._hamming_ball(24, 2) is ball
+
+
+def test_values_equal_evaluates_the_ball_alone_at_m24(monkeypatch):
+    ctx = make_field(2, 12)
+    sizes = []
+    eval_packed = poly.PolyExpr.eval_packed
+
+    def spy(self, xs, ctx):
+        sizes.append(np.size(xs))
+        return eval_packed(self, xs, ctx)
+
+    monkeypatch.setattr(poly.PolyExpr, "eval_packed", spy)
+    # products, not powers, so no log tables are built at m = 24
+    xxq = Mul((Var(), FrobQ(Var(), 1)))
+    assert scan.values_equal(xxq, Mul((FrobQ(Var(), 1), Var())), ctx, 2)
+    assert sizes == [301, 301]
+    assert not scan.values_equal(xxq, Mul((Var(), Var())), ctx, 2)
+
+
+@pytest.mark.parametrize("s, e", [(1, 4), (2, 3), (3, 2), (2, 7), (4, 3), (1, 13), (3, 5)])
+def test_coset_representatives_are_the_patterns_off_the_pivots(s, e):
+    ctx = make_field(s, e)
+    pivots = 0
+    for a in scan.subfield_elements(ctx, 1)[1:].tolist():
+        pivots |= 1 << (a.bit_length() - 1)
+    xs = np.arange(ctx.order, dtype=np.uint64)
+    reps, tq = scan._coset_points(ctx)
+    assert np.array_equal(reps, xs[(xs & np.uint64(pivots)) == 0])
+    # x^q + x = y^q + y iff x + y lies in GF(q): one representative per coset
+    assert np.unique(tq).size == reps.size == ctx.order // ctx.q
 
 
 # fields whose m takes the block path once the spot check has one point:
