@@ -15,11 +15,13 @@ Recorded, single-threaded, over REPEATS passes:
   for e = 7, 8, 10, timed after the search on the search's own context,
   so per-context tables are already built: the median over the passes of
   the mean per call;
-- wall time and peak RSS (VmHWM) of three CLI runs: two searches and the
-  oracle at GF(4^12), with the median and every wall time and the
-  largest peak RSS;
-- the log-table build at m = 24, once per checkout, since it is most of
-  `oracle --e 12` whichever path the oracle takes.
+- wall time and peak RSS (VmHWM) of four CLI runs: two searches, the
+  oracle at GF(4^12) and the oracle at GF(4^10) for n = 1023, which takes
+  the coset representatives above the power-table cap; with the median
+  and every wall time and the largest peak RSS;
+- the time and peak RSS (VmHWM) of a process that only builds the log
+  tables at m = 24, once per checkout, since they are most of
+  `oracle --e 12` whichever points the oracle takes.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ CLI_RUNS = (
     ("search", "--q", "4", "--e", "7", "--from", "1", "--to", "3000"),
     ("search", "--q", "4", "--e", "10", "--from", "1", "--to", "1000"),
     ("oracle", "--n", "65921", "--q", "4", "--e", "12"),
+    ("oracle", "--n", "1023", "--q", "4", "--e", "10"),
 )
 # the mean ms per oracle call on the hits, for each e in argv
 ORACLE_SCRIPT = """\
@@ -72,6 +75,7 @@ with open("/proc/self/status") as status:
     hwm = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
 sys.stderr.write(f"\\nbench: {code} {hwm}\\n")
 """
+# prints the build time in s and the process's VmHWM in kB
 LOG_TABLES_SCRIPT = """\
 import time
 from permpoly import scan
@@ -79,7 +83,10 @@ from permpoly.field import make_field
 ctx = make_field(2, 12)
 t0 = time.perf_counter()
 scan.log_tables(ctx)
-print(time.perf_counter() - t0)
+wall = time.perf_counter() - t0
+with open("/proc/self/status") as status:
+    hwm = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(wall, hwm)
 """
 
 
@@ -110,6 +117,7 @@ def measure_pass(src: Path, raw: dict) -> None:
 
 
 def summary(src: Path, raw: dict) -> dict:
+    wall, hwm = run(src, LOG_TABLES_SCRIPT)[1].stdout.split()
     return {
         "conditions": {"cpus": os.cpu_count(), "python": platform.python_version(),
                        "machine": platform.machine(), "passes": REPEATS},
@@ -122,7 +130,8 @@ def summary(src: Path, raw: dict) -> dict:
                       "wall_s_runs": [round(w, 2) for w in walls],
                       "peak_rss_mb": round(max(rss), 1)}
                 for cmd, (walls, rss) in raw["cli"].items()},
-        "log_tables_m24_s": round(float(run(src, LOG_TABLES_SCRIPT)[1].stdout), 2),
+        "log_tables_m24_s": round(float(wall), 2),
+        "log_tables_m24_peak_rss_mb": round(int(hwm) / 1024, 1),
     }
 
 

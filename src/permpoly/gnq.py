@@ -7,12 +7,8 @@ g_(n,q) is pinned down by the defining identity
 
 (char 2, so x^q - x = x^q + x).  Base cases are derived from that
 identity at runtime rather than hardcoded, and every construction path
-can be re-validated against it via gnq_oracle_check.  Both sides of the
-identity are constant on each coset x + GF(q) (b^q = b on the left, a
-re-indexed sum on the right), so the oracle evaluates them at one
-representative per coset, which decides the identity at every x; above
-the power-table cap it takes the Hamming ball of their degree instead
-when that ball is the smaller set.
+can be re-validated against it via gnq_oracle_check, which decides it on
+one of two exact point sets; scan.power_sum_identity gives the argument.
 
 All polynomials are kept reduced mod x^(q^e) - x throughout; unreduced
 degrees (n up to 4^8 here) would be astronomically large while the
@@ -173,13 +169,9 @@ def gnq_oracle_check(n: int, q: int, ctx: FieldContext,
     Necessary-condition oracle: it constrains g exactly on the image of
     x -> x^q + x, independently of how g was built.
 
-    scan.power_sum_identity decides it.  Both sides are constant on each
-    coset x + GF(q): on the left, (x+b)^q + (x+b) = x^q + x because
-    b^q = b; on the right, x -> x + b only re-indexes the sum over a.  So
-    one representative per coset, order/q points in all, decides the
-    identity exactly.  Above the power-table cap, the points of Hamming
-    weight up to the degree of both sides decide it too, and are taken
-    when they are fewer; the argument is in that function's docstring.
+    scan.power_sum_identity decides it exactly, at one representative
+    per coset x + GF(q) or on a Hamming ball of the degree of both sides;
+    its docstring gives the argument.
     """
     if n < 0:
         raise UsageError("n must be nonnegative")

@@ -13,9 +13,8 @@ checked against direct evaluation at SPOT_CHECK_POINTS fixed points,
 anything else directly.  permutes refutes a map by a collision on the
 spot points before it scans the whole field.  power_sum_identity alone
 decides the oracle's identity, on coset representatives or, above the
-power-table cap, on the smaller Hamming ball of its degree;
-coset_power_sums alone computes the right side on the cosets and decides
-when to keep it.
+power-table cap, on the Hamming ball of its degree when that is smaller;
+its docstring gives the argument for both point sets.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ DEFAULT_CHUNK = 1 << 20
 # against direct evaluation
 SPOT_CHECK_POINTS = (1 << 12) - 1
 
-# up to this order, field_values and coset_power_sums keep rows per exponent
+# up to this order, field_values and power_sum_identity keep rows per exponent
 POWER_TABLE_MAX_ORDER = 1 << 12
 
 
@@ -71,10 +70,13 @@ def log_tables(ctx: FieldContext):
     """Cached (log, antilog) of the least generator g of the nonzero elements.
 
     antilog[i] = g^i for i < order-1, built once by doubling with
-    packed_mul; log[x] = i for x != 0.  Both are uint32, so orders above
-    2^32 are refused before order-1 is factored.  t generates iff
-    t^((order-1)/p) != 1 for every prime p | order-1: under GF(2^8)'s
-    non-primitive x^8+x^4+x^3+x+1, t = 2 has order 51 and g is 3.
+    packed_mul, one iter_chunks slice at a time, each widened to uint64
+    only for the product; log[x] = i for x != 0.  Both are uint32, so
+    orders above 2^32 are refused before order-1 is factored.  t
+    generates iff t^((order-1)/p) != 1 for every prime p | order-1: under
+    GF(2^8)'s non-primitive x^8+x^4+x^3+x+1, t = 2 has order 51 and g is
+    3.  One scatter checks it: when the order-1 powers hit every nonzero
+    element, by pigeonhole each is hit once and 0 is not.
     """
     order = ctx.order
     if order > 1 << 32:
@@ -83,18 +85,21 @@ def log_tables(ctx: FieldContext):
     cofactors = [cyc // p for p in gf2poly._prime_factors(cyc)]
     g = next((t for t in range(2, order) if all(
         gf2poly._powmod(t, c, ctx._mod_bits) != 1 for c in cofactors)), 1)
-    antilog = np.ones(cyc, dtype=np.uint64)
+    antilog = np.ones(cyc, dtype=np.uint32)
     step, k = np.uint64(g), 1
     while k < cyc:
         n = min(k, cyc - k)
-        antilog[k:k + n] = packed_mul(ctx, antilog[:n], step)
+        for start, stop in iter_chunks(n):
+            antilog[k + start:k + stop] = packed_mul(
+                ctx, antilog[start:stop].astype(np.uint64), step)
         step, k = packed_mul(ctx, step, step), k + n
     log = np.zeros(order, dtype=np.uint32)
     log[antilog] = np.arange(cyc, dtype=np.uint32)
-    # a missed x keeps log[x] = 0, and antilog[0] = 1 != x
-    if not np.array_equal(antilog[log[1:]], np.arange(1, order)):
+    hit = np.zeros(order, dtype=bool)
+    hit[antilog] = True
+    if not hit[1:].all():
         raise AssertionError(f"{g} does not generate the nonzero elements of {ctx!r}")
-    return log, antilog.astype(np.uint32)
+    return log, antilog
 
 
 def packed_pow(ctx: FieldContext, a, n: int):
@@ -391,105 +396,93 @@ def collision_witness(values: np.ndarray, order: int) -> int:
 def power_sum_identity(g, ctx: FieldContext, n: int) -> bool:
     """Whether g(x^q + x) = sum over a in GF(q) of (x + a)^n at every x.
 
-    Both sides are constant on each coset x + GF(q), so by default the
-    identity is decided at the order/q coset representatives of
-    coset_power_sums, from g's values on the whole field.
-
-    Above POWER_TABLE_MAX_ORDER it is decided instead on the Hamming ball
-    of radius D = max(deg g, wt2(r)), r = poly.reduce_exponent(n, order),
-    whenever that ball has fewer points than there are cosets.  That is
-    exact by the Reed-Muller argument of values_equal, since both sides
-    have algebraic degree at most D:
-    - the left side is g composed with the additive map x -> x^q + x, and
-      composing with a GF(2)-linear map does not raise the degree of g;
-    - x^n = x^r as maps, so the right side is a sum of the translates
+    Either of two point sets decides the identity exactly:
+    - the least element of each coset x + GF(q), order/q points.  Both
+      sides are constant on a coset: on the left, (x+b)^q + (x+b) =
+      x^q + x because b^q = b; on the right, x -> x + b only re-indexes
+      the sum over a;
+    - the points of Hamming weight <= D = max(deg g, wt2(r)), with
+      r = poly.reduce_exponent(n, order), by the Reed-Muller argument of
+      values_equal, since both sides have algebraic degree at most D.
+      The left side is g composed with the additive map x -> x^q + x, and
+      composing with a GF(2)-linear map does not raise the degree of g.
+      x^n = x^r as maps, so the right side is a sum of the translates
       x -> (x + a)^r of x^r, and each has degree wt2(r), because a
       translation is affine.
-    wt2(r) is read first; poly.degree_bound(g) is asked only if that ball
-    is still smaller than the cosets.  On the ball path g is evaluated at
-    x^q + x of the ball points alone, never on the whole field.
+
+    Up to POWER_TABLE_MAX_ORDER the cosets are taken: g.eval_on_field()
+    is gathered at their x^q + x and compared with _kept_power_sums.
+    Above it, _oracle_points takes the ball when it is the smaller set;
+    wt2(r) is read first, and poly.degree_bound(g) is asked only if that
+    ball is still smaller than the cosets.  One loop then compares, chunk
+    by chunk, g at x^q + x with the XOR of packed_pow over the q
+    translates x + a, so g is never evaluated on the whole field there.
     """
-    if ctx.order > POWER_TABLE_MAX_ORDER:
-        m, cosets = ctx.m, ctx.order // ctx.q
-        radius = poly.reduce_exponent(n, ctx.order).bit_count()
-        if _ball_size(m, radius) < cosets:
-            radius = max(radius, poly.degree_bound(g, m))
-            if _ball_size(m, radius) < cosets:
-                return _identity_on_ball(g, ctx, n, radius)
-    gv = g.eval_on_field()  # first: a log-table build peaks before the coset arrays
-    tq, sums = coset_power_sums(ctx, n)
-    return np.array_equal(gv[tq], sums)
-
-
-def _identity_on_ball(g, ctx: FieldContext, n: int, radius: int) -> bool:
-    """power_sum_identity on the points of weight <= radius, chunk by chunk."""
-    tq, translates = _ball_points(ctx, radius)
-    for start, stop in iter_chunks(tq.size):
+    r = poly.reduce_exponent(n, ctx.order)
+    if ctx.order <= POWER_TABLE_MAX_ORDER:
+        gv = g.eval_on_field()  # first: a log-table build peaks before the sums
+        return np.array_equal(gv[_kept_oracle_points(ctx, ctx.m)[1]], _kept_power_sums(ctx, r))
+    radius = r.bit_count()
+    if _ball_size(ctx.m, radius) < ctx.order // ctx.q:
+        radius = max(radius, poly.degree_bound(g, ctx.m))
+    xs, tq = _oracle_points(ctx, radius)
+    a_bits = subfield_elements(ctx, 1)[:, None]
+    for start, stop in iter_chunks(xs.size):
         lhs = g.eval_packed(tq[start:stop], ctx)
-        rhs = np.bitwise_xor.reduce(packed_pow(ctx, translates[:, start:stop], n), axis=0)
+        rhs = np.bitwise_xor.reduce(packed_pow(ctx, a_bits ^ xs[start:stop], n), axis=0)
         if not np.array_equal(lhs, rhs):
             return False
     return True
 
 
+def _oracle_points(ctx: FieldContext, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, xs^q + xs), read-only, ascending: xs is the points of Hamming
+    weight <= radius if they are fewer than the order/q cosets, and the
+    least element of each coset otherwise.  Every radius whose ball is not
+    smaller is kept under the one key m, so a context holds the coset
+    points once; nothing here depends on the exponent."""
+    if _ball_size(ctx.m, radius) >= ctx.order // ctx.q:
+        radius = ctx.m
+    return _kept_oracle_points(ctx, radius)
+
+
 @per_context
-def _ball_points(ctx: FieldContext, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """(tq, translates) at the points x of weight <= radius, ascending:
-    tq is x^q + x and translates[i] is x + a for the i-th a in GF(q).
-    Kept per radius and read-only; nothing here depends on the exponent."""
-    xs = _hamming_ball(ctx.m, radius)
+def _kept_oracle_points(ctx: FieldContext, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """_oracle_points for a radius below m, or the cosets for radius m.
+    The least element of a coset is the pattern with no bit at the leading
+    bit of any nonzero a in GF(q); they are listed by depositing the bits
+    of a counter around those pivots."""
+    if radius < ctx.m:
+        xs = _hamming_ball(ctx.m, radius)
+    else:
+        pivots = sorted({a.bit_length() - 1 for a in subfield_elements(ctx, 1)[1:].tolist()})
+        xs = np.arange(ctx.order >> len(pivots), dtype=np.uint64)
+        for p in pivots:  # ascending, so the bits below p are already in place
+            low = xs & np.uint64((1 << p) - 1)
+            xs = ((xs ^ low) << np.uint64(1)) | low
+        if xs.size != ctx.order // ctx.q:
+            raise AssertionError(
+                f"{xs.size} coset representatives of GF({ctx.q}) in {ctx!r}, "
+                f"expected {ctx.order // ctx.q}"
+            )
+        xs.flags.writeable = False
     tq = apply_matrix(frobenius_matrix(ctx, 1), xs) ^ xs
-    translates = subfield_elements(ctx, 1)[:, None] ^ xs
-    tq.flags.writeable = translates.flags.writeable = False
-    return tq, translates
+    tq.flags.writeable = False
+    return xs, tq
 
 
-def coset_power_sums(ctx: FieldContext, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(tq, sums) at the least element y of each coset y + GF(q), ascending:
-    tq is y^q + y, sums the sum over a in GF(q) of (y + a)^n.
-
-    The sums are packed_pow over the q translates of one chunk of
-    representatives at a time.  Up to POWER_TABLE_MAX_ORDER they are kept
-    per reduced exponent r, as uint16: y^n = y^r for nonzero y, since
+@per_context
+def _kept_power_sums(ctx: FieldContext, r: int) -> np.ndarray:
+    """The oracle's right side at the coset points up to
+    POWER_TABLE_MAX_ORDER: the sum over a in GF(q) of (y + a)^r, as
+    uint16, kept per reduced exponent r.  That serves every n with
+    reduce_exponent(n, order) = r: y^n = y^r for nonzero y, since
     y^(order-1) = 1 and n = r mod (order-1), and 0^n = 0^r, since r = 0
     only when n = 0.  So a context holds at most order rows of order/q
-    entries, 16 MB at GF(2^12).  Above the cap they are never kept.
-    """
-    tq = _coset_points(ctx)[1]
-    if ctx.order > POWER_TABLE_MAX_ORDER:
-        return tq, _power_sums(ctx, n)
-    return tq, _kept_power_sums(ctx, poly.reduce_exponent(n, ctx.order))
-
-
-@per_context
-def _coset_points(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
-    """(reps, tq) of coset_power_sums.  The least element of a coset is the
-    pattern with no bit at the leading bit of any nonzero a in GF(q); they
-    are listed by depositing the bits of a counter around those pivots."""
-    pivots = sorted({a.bit_length() - 1 for a in subfield_elements(ctx, 1)[1:].tolist()})
-    reps = np.arange(ctx.order >> len(pivots), dtype=np.uint64)
-    for p in pivots:  # ascending, so the bits below p are already in place
-        low = reps & np.uint64((1 << p) - 1)
-        reps = ((reps ^ low) << np.uint64(1)) | low
-    if reps.size != ctx.order // ctx.q:
-        raise AssertionError(
-            f"{reps.size} coset representatives of GF({ctx.q}) in {ctx!r}, "
-            f"expected {ctx.order // ctx.q}"
-        )
-    return reps, apply_matrix(frobenius_matrix(ctx, 1), reps) ^ reps
-
-
-def _power_sums(ctx: FieldContext, n: int) -> np.ndarray:
-    a_bits = subfield_elements(ctx, 1)[:, None]
-    reps, _ = _coset_points(ctx)
-    sums = np.empty(reps.size, dtype=np.uint16 if ctx.m <= 16 else np.uint32)
-    for start, stop in iter_chunks(reps.size):
-        sums[start:stop] = np.bitwise_xor.reduce(
-            packed_pow(ctx, a_bits ^ reps[start:stop], n), axis=0)
-    return sums
-
-
-_kept_power_sums = per_context(_power_sums)
+    entries, 16 MB at GF(2^12)."""
+    reps = _kept_oracle_points(ctx, ctx.m)[0]
+    powers = packed_pow(ctx, subfield_elements(ctx, 1)[:, None] ^ reps, r)
+    return np.bitwise_xor.reduce(powers, axis=0).astype(np.uint16)
 
 
 def kernel_elements(ctx: FieldContext, cols: np.ndarray) -> np.ndarray:

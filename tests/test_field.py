@@ -221,8 +221,8 @@ def test_only_field_names_the_context_cache():
 
 
 def test_only_scan_computes_the_oracle_sums():
-    # gnq reads the oracle's right side from scan.coset_power_sums; the
-    # power-table cap and the kernels that compute the sums stay in scan
+    # gnq hands the oracle's identity to scan.power_sum_identity; the
+    # power-table cap and the kernels that compute its sides stay in scan
     path = Path(permpoly.__file__).parent / "gnq.py"
     names = {"POWER_TABLE_MAX_ORDER", "packed_pow", "iter_chunks"}
     offenders = [

@@ -145,13 +145,16 @@ def test_oracle_in_strictly_larger_field(f4096):
 
 
 class _Values:
-    """A g stand-in: only ctx and eval_on_field, which is all the oracle reads."""
+    """A g stand-in: only ctx and its values, which is all the oracle reads."""
 
     def __init__(self, ctx, values):
         self.ctx, self.values = ctx, values
 
     def eval_on_field(self):
         return self.values
+
+    def eval_packed(self, xs, ctx):
+        return self.values[xs]
 
 
 # GF(2^4), GF(4^2), GF(4^3), GF(8^2)
@@ -180,16 +183,21 @@ def _oracle_reference(n, g, ctx):
     return bool(np.array_equal(g.eval_on_field()[tq], rhs))
 
 
+def _coset_sums(ctx, reps, n):
+    """The sum over a in GF(q) of (y + a)^n at each y of reps, from n itself."""
+    a_bits = scan.subfield_elements(ctx, 1)[:, None]
+    return np.bitwise_xor.reduce(scan.packed_pow(ctx, a_bits ^ reps, n), axis=0)
+
+
 @pytest.mark.parametrize("chunk", [None, 4])
 @pytest.mark.parametrize("s,e", _COSET_FIELDS)
 def test_oracle_checks_every_coset(s, e, chunk, monkeypatch):
-    if chunk is not None:
-        monkeypatch.setattr(scan, "DEFAULT_CHUNK", chunk)
     ctx = make_field(s, e)
     q = ctx.q
     n = 2 * q + 3
-    tq, sums = scan.coset_power_sums(ctx, n)
-    assert tq.shape == sums.shape == (ctx.order // q,)
+    reps, tq = scan._oracle_points(ctx, ctx.m)
+    sums = scan._kept_power_sums(ctx, reduce_exponent(n, ctx.order))
+    assert reps.shape == tq.shape == sums.shape == (ctx.order // q,)
     # x^q + x = y^q + y iff x + y lies in GF(q), so order/q distinct images
     # mean one representative in every coset
     assert np.unique(tq).size == ctx.order // q
@@ -197,6 +205,11 @@ def test_oracle_checks_every_coset(s, e, chunk, monkeypatch):
     want = dict(zip(ref_tq.tolist(), ref_rhs.tolist()))
     assert sums.tolist() == [want[t] for t in tq.tolist()]
     gv = gnq_recurrence(n, q, ctx).eval_on_field()
+    if chunk is not None:
+        # with the cap below the order, the oracle takes its chunked loop,
+        # and wt2(n) = 3 gives a ball no smaller than the cosets
+        monkeypatch.setattr(scan, "POWER_TABLE_MAX_ORDER", 0)
+        monkeypatch.setattr(scan, "DEFAULT_CHUNK", chunk)
     assert gnq_oracle_check(n, q, ctx, g=_Values(ctx, gv))
     for y in tq:
         wrong = gv.copy()
@@ -206,17 +219,16 @@ def test_oracle_checks_every_coset(s, e, chunk, monkeypatch):
 
 def test_oracle_chunked_path_rejects_each_flip(monkeypatch):
     # GF(4^7) lies above the power-table cap, so the right side is computed
-    # chunk by chunk on every call, never memoized.  wt2(63) = 6, and the
-    # ball of radius 6 in 14 bits is larger than the 4096 cosets, so the
-    # oracle takes the cosets without asking the stand-in for its degree
+    # chunk by chunk on every call, never kept.  wt2(63) = 6, and the ball
+    # of radius 6 in 14 bits is larger than the 4096 cosets, so the oracle
+    # takes the cosets without asking the stand-in for its degree
     ctx = make_field(2, 7)
     assert ctx.order > POWER_TABLE_MAX_ORDER
     n = 63
     gv = gnq_recurrence(n, ctx.q, ctx).eval_on_field()
-    whole = scan.coset_power_sums(ctx, n)[1]
+    reps, tq = scan._oracle_points(ctx, 6)
+    assert reps.size == ctx.order // ctx.q
     monkeypatch.setattr(scan, "DEFAULT_CHUNK", 1000)
-    tq, sums = scan.coset_power_sums(ctx, n)
-    assert np.array_equal(sums, whole)
     assert gnq_oracle_check(n, ctx.q, ctx, g=_Values(ctx, gv))
     ends = {i for start, stop in scan.iter_chunks(tq.size) for i in (start, stop - 1)}
     assert len(ends) == 10
@@ -229,39 +241,53 @@ def test_oracle_chunked_path_rejects_each_flip(monkeypatch):
 @pytest.mark.long
 @pytest.mark.parametrize("e", [7, 8])
 def test_ball_oracle_agrees_with_cosets(e):
-    # the cosets are the independent reference: every n <= 300, for g and
-    # for two one-coefficient flips of g, each also decided on the ball of
-    # its degree whether or not the oracle would choose that ball
+    # the cosets are the independent reference, computed here: the first
+    # x of each value of x^q + x, and the sums from n itself.  Every
+    # n <= 300, for g and for two one-coefficient flips of g, is also
+    # decided here on the ball of its degree whether or not the oracle
+    # would choose that ball
     ctx = make_field(2, e)
     assert ctx.order > POWER_TABLE_MAX_ORDER
+    xs = np.arange(ctx.order, dtype=np.uint64)
+    frob = scan.frobenius_matrix(ctx, 1)
+    _, first = np.unique(scan.apply_matrix(frob, xs) ^ xs, return_index=True)
+    reps = xs[first]
+    tq = scan.apply_matrix(frob, reps) ^ reps
+    assert reps.size == ctx.order // ctx.q
     rng = random.Random(e)
     chosen = 0
     for n in range(301):
-        tq, sums = scan.coset_power_sums(ctx, n)
+        sums = _coset_sums(ctx, reps, n)
         g = gnq_recurrence(n, 4, ctx)
         flips = [DensePolyF2(ctx, g.bits ^ 1 << rng.randrange(ctx.order)) for _ in range(2)]
         for h in [g] + flips:
             by_cosets = bool(np.array_equal(h.eval_on_field()[tq], sums))
             assert by_cosets == (h is g), n
             radius = max(reduce_exponent(n, ctx.order).bit_count(), degree_bound(h, ctx.m))
-            assert scan._identity_on_ball(h, ctx, n, radius) == by_cosets, n
+            ball = scan._hamming_ball(ctx.m, radius)
+            ball_tq = scan.apply_matrix(frob, ball) ^ ball
+            by_ball = bool(np.array_equal(h.eval_packed(ball_tq, ctx), _coset_sums(ctx, ball, n)))
+            assert by_ball == by_cosets, n
             assert gnq_oracle_check(n, 4, ctx, g=h) == by_cosets, n
             if h is g:
-                chosen += scan._ball_size(ctx.m, radius) < ctx.order // ctx.q
+                chosen += ball.size < ctx.order // ctx.q
     # the oracle took the ball for most g: 263 of them at e = 7, 292 at e = 8
     assert chosen > 250
 
 
 def test_ball_path_evaluates_nothing_on_the_whole_field(monkeypatch):
+    # above the cap neither point set needs g on the whole field: n = 29
+    # takes the ball, n = 63 the cosets
     ctx = make_field(2, 7)
-    g = gnq_recurrence(29, 4, ctx)
+    gs = {n: gnq_recurrence(n, 4, ctx) for n in (29, 63)}
 
     def refuse(*args):
-        raise AssertionError("whole-field evaluation on the ball path")
+        raise AssertionError("whole-field evaluation above the power-table cap")
 
     monkeypatch.setattr(scan, "field_values", refuse)
-    assert gnq_oracle_check(29, 4, ctx)
-    assert not gnq_oracle_check(29, 4, ctx, g=g + DensePolyF2.one(ctx))
+    for n, g in gs.items():
+        assert gnq_oracle_check(n, 4, ctx)
+        assert not gnq_oracle_check(n, 4, ctx, g=g + DensePolyF2.one(ctx))
 
 
 def test_coset_path_is_kept_when_the_ball_is_larger(monkeypatch):
@@ -269,22 +295,35 @@ def test_coset_path_is_kept_when_the_ball_is_larger(monkeypatch):
     ctx = make_field(2, 7)
     assert reduce_exponent(63, ctx.order).bit_count() == 6
     assert scan._ball_size(ctx.m, 6) == 6476 > ctx.order // ctx.q
-    evaluated = []
-    field_values = scan.field_values
+    taken = []
+    oracle_points = scan._oracle_points
 
-    def spy(f, ctx):
-        evaluated.append(f)
-        return field_values(f, ctx)
+    def spy(ctx, radius):
+        xs, tq = oracle_points(ctx, radius)
+        taken.append(xs)
+        return xs, tq
 
-    def refuse(*args):
-        raise AssertionError("the ball was taken although it is larger")
-
-    monkeypatch.setattr(scan, "field_values", spy)
-    monkeypatch.setattr(scan, "_identity_on_ball", refuse)
+    monkeypatch.setattr(scan, "_oracle_points", spy)
     g = gnq_recurrence(63, 4, ctx)
     assert gnq_oracle_check(63, 4, ctx, g=g)
     assert not gnq_oracle_check(63, 4, ctx, g=g + DensePolyF2.one(ctx))
-    assert len(evaluated) == 2
+    assert len(taken) == 2 and taken[0] is taken[1]
+    assert np.array_equal(taken[0], scan._oracle_points(ctx, ctx.m)[0])
+    assert taken[0].size == ctx.order // ctx.q
+
+
+def test_coset_points_are_kept_once_per_context():
+    # n = 63 and n = 1023 reach the cosets from the radii 6 and 10
+    ctx = make_field(2, 7)
+    radii = [reduce_exponent(n, ctx.order).bit_count() for n in (63, 1023)]
+    assert radii == [6, 10]
+    assert all(scan._ball_size(ctx.m, r) >= ctx.order // ctx.q for r in radii)
+    points = scan._kept_oracle_points.__wrapped__
+    for n in (63, 1023):
+        assert gnq_oracle_check(n, 4, ctx)
+    kept = [key for key in ctx._cache if key[0] is points]
+    assert kept == [(points, ctx.m)]
+    assert scan._oracle_points(ctx, 6) is scan._oracle_points(ctx, 10)
 
 
 # q <= 32: the base cases of a new q cost about q^2 scalar powers in all
@@ -306,12 +345,10 @@ def test_oracle_memo_matches_unmemoized_right_side(s, e, monkeypatch):
     ctx = make_field(s, e)
     q, order = ctx.q, ctx.order
     rng = random.Random(order + q)
+    reps, tq = scan._oracle_points(ctx, ctx.m)
     for n in range(3 * order + 1):
-        tq, memo = scan.coset_power_sums(ctx, n)
-        # with the cap below the order, the sums are computed from n itself
-        with monkeypatch.context() as mp:
-            mp.setattr(scan, "POWER_TABLE_MAX_ORDER", 0)
-            rhs = scan.coset_power_sums(ctx, n)[1]
+        memo = scan._kept_power_sums(ctx, reduce_exponent(n, order))
+        rhs = _coset_sums(ctx, reps, n)
         assert np.array_equal(memo, rhs), n
         g = gnq_recurrence(n, q, ctx)
         flipped = DensePolyF2(ctx, g.bits ^ rng.getrandbits(order))
@@ -319,6 +356,11 @@ def test_oracle_memo_matches_unmemoized_right_side(s, e, monkeypatch):
             want = _oracle_reference(n, h, ctx)
             assert np.array_equal(h.eval_on_field()[tq], rhs) == want, n
             assert gnq_oracle_check(n, q, ctx, g=h) == want, n
+            # with the cap below the order, the chunked loop computes the
+            # right side from n itself
+            with monkeypatch.context() as mp:
+                mp.setattr(scan, "POWER_TABLE_MAX_ORDER", 0)
+                assert gnq_oracle_check(n, q, ctx, g=h) == want, n
 
 
 def test_oracle_memo_hit_rejects_a_corrupted_g(monkeypatch):
@@ -335,7 +377,7 @@ def test_oracle_memo_hit_rejects_a_corrupted_g(monkeypatch):
 
     monkeypatch.setattr(scan, "packed_pow", refuse)
     assert gnq_oracle_check(n2, 4, ctx, g=_Values(ctx, gv))
-    tq, _ = scan.coset_power_sums(ctx, n2)
+    tq = scan._oracle_points(ctx, ctx.m)[1]
     wrong = gv.copy()
     wrong[tq[5]] ^= 1
     assert not gnq_oracle_check(n2, 4, ctx, g=_Values(ctx, wrong))
@@ -373,29 +415,28 @@ def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch):
     # one right side per reduced exponent, over the q translates of every
     # representative at once: at most order of them
     assert 0 < rhs_shapes.count((ctx.q, ctx.order // ctx.q)) <= ctx.order
-    # below the cap, n and n + (order - 1) share one cached array
-    assert scan.coset_power_sums(ctx, 23)[1] is scan.coset_power_sums(ctx, 23 + ctx.order - 1)[1]
+    # below the cap, n and n + (order - 1) share one cached row
+    sums = scan._kept_power_sums.__wrapped__
+    kept = {key[1] for key in ctx._cache if key[0] is sums}
+    assert kept == {reduce_exponent(n, ctx.order) for n in range(2000)}
 
-    # above the cap nothing is kept per exponent: the coset sums are never
-    # kept, and the ball path keeps its points once per radius
+    # above the cap nothing is kept per exponent: the coset points are
+    # kept once, and the ball points once per radius
     monkeypatch.undo()
     f47 = make_field(2, 7)
     assert f47.order > POWER_TABLE_MAX_ORDER
-    ns = (23, 24, 29, 23 + f47.order - 1, 63, 64, 1000)
-    gs = {n: gnq_recurrence(n, 4, f47) for n in ns}
-    assert gnq_oracle_check(63, 4, f47, g=gs[63])  # the coset set-up
-    before = set(f47._cache)
-    for n in (23, 24, 23 + f47.order - 1):
-        scan.coset_power_sums(f47, n)
-    assert set(f47._cache) == before
-    radii = set()
+    ns = (23, 24, 29, 23 + f47.order - 1, 63, 64, 1000, 1023)
+    radii = {f47.m}
     for n in ns:
-        assert gnq_oracle_check(n, 4, f47, g=gs[n]), n
-        degree = max(reduce_exponent(n, f47.order).bit_count(), degree_bound(gs[n], f47.m))
+        g = gnq_recurrence(n, 4, f47)
+        assert gnq_oracle_check(n, 4, f47, g=g), n
+        degree = max(reduce_exponent(n, f47.order).bit_count(), degree_bound(g, f47.m))
         if scan._ball_size(f47.m, degree) < f47.order // f47.q:
             radii.add(degree)
-    assert len(radii) >= 2
-    assert set(f47._cache) - before == {(scan._ball_points.__wrapped__, r) for r in radii}
+    assert len(radii) >= 3
+    points = scan._kept_oracle_points.__wrapped__
+    oracle_keys = {key for key in f47._cache if key[0] in (points, sums)}
+    assert oracle_keys == {(points, r) for r in radii}
 
 
 def test_oracle_rejects_a_foreign_g():

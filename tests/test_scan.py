@@ -265,6 +265,23 @@ def test_log_tables_skip_non_generator():
     assert int(antilog[1]) == 3
 
 
+def test_log_tables_reject_a_non_generator(monkeypatch):
+    # with no prime factors to test, t = 2 passes the order test; its
+    # powers then cover 51 of the 255 nonzero elements
+    monkeypatch.setattr(scan.gf2poly, "_prime_factors", lambda n: [])
+    ctx = make_field(1, 8)
+    with pytest.raises(AssertionError, match="does not generate"):
+        scan.log_tables(ctx)
+
+
+@pytest.mark.parametrize("m", [7, 8, 12, 16])
+def test_log_tables_built_in_slices_equal_one_chunk(m, monkeypatch):
+    whole = scan.log_tables(make_field(1, m))
+    monkeypatch.setattr(scan, "DEFAULT_CHUNK", 64)
+    sliced = scan.log_tables(make_field(1, m))
+    assert all(np.array_equal(a, b) for a, b in zip(whole, sliced))
+
+
 def _least_generator(ctx):
     """The least t whose powers reach every nonzero element, by brute force."""
     for t in range(2, ctx.order):
@@ -414,7 +431,8 @@ def test_coset_representatives_are_the_patterns_off_the_pivots(s, e):
     for a in scan.subfield_elements(ctx, 1)[1:].tolist():
         pivots |= 1 << (a.bit_length() - 1)
     xs = np.arange(ctx.order, dtype=np.uint64)
-    reps, tq = scan._coset_points(ctx)
+    reps, tq = scan._oracle_points(ctx, ctx.m)
+    assert not reps.flags.writeable and not tq.flags.writeable
     assert np.array_equal(reps, xs[(xs & np.uint64(pivots)) == 0])
     # x^q + x = y^q + y iff x + y lies in GF(q): one representative per coset
     assert np.unique(tq).size == reps.size == ctx.order // ctx.q
