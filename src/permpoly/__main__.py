@@ -1,0 +1,7 @@
+"""`python3 -m permpoly`: the command line of cli.main."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

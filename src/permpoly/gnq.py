@@ -386,8 +386,9 @@ def search_desirable(q: int, e: int, n_from: int, n_to: int,
                      timing: bool = False) -> list[DesirableTriple]:
     """Scan n in [n_from, n_to] for g_(n,q) permuting GF(q^e).
 
-    scan.permutes decides each n; above the power-table cap a collision
-    on sample points refutes most g_(n,q) without a whole-field scan.
+    scan.permutes decides each n exactly on one point per orbit of
+    x -> x^2 (352 of 4096 at e = 6, 1182 of 16384 at e = 7); from e = 8
+    on, q = 4, a collision on its spot sample refutes most g_(n,q) first.
     Each hit is re-validated against the defining identity before it is
     emitted; an oracle failure would mean the recurrence built the wrong
     polynomial and aborts the search.  workers threads test the n, at most

@@ -10,8 +10,9 @@ arrays.  field_values alone decides how a map is evaluated on the whole
 field: a small dense polynomial from cached power rows, a map of
 algebraic degree at most 2 from three tables over pairs of bit blocks
 checked against direct evaluation at SPOT_CHECK_POINTS fixed points,
-anything else directly.  permutes refutes a map by a collision on the
-spot points before it scans the whole field.  power_sum_identity alone
+anything else directly.  permutes decides a dense polynomial with GF(2)
+coefficients on one point per orbit of x -> x^2, and never scans the
+whole field; its docstring gives the argument.  power_sum_identity alone
 decides the oracle's identity, on coset representatives or, above the
 power-table cap, on the Hamming ball of its degree when that is smaller;
 its docstring gives the argument for both point sets.
@@ -178,8 +179,9 @@ def _spot_points(m: int) -> np.ndarray:
     m: the top m bits of i * 2^64/phi for i = 1, 2, ... (Fibonacci hashing).
     They are distinct for m >= 13: by the three-distance theorem the
     fractions {i/phi}, i <= 4095, lie at least ||2584/phi|| > 2^-13 apart
-    (2584 the largest Fibonacci number <= 4095).  At m = 12 only 3657 are,
-    so permutes samples only above POWER_TABLE_MAX_ORDER."""
+    (2584 the largest Fibonacci number <= 4095).  At m = 12 only 3657 are;
+    permutes samples only where the orbit representatives outnumber them,
+    which is m >= 16."""
     return _fibonacci_points(m, SPOT_CHECK_POINTS)
 
 
@@ -261,15 +263,7 @@ def field_values(f, ctx: FieldContext) -> np.ndarray:
     if isinstance(f, poly.DensePolyF2) and ctx.order <= POWER_TABLE_MAX_ORDER:
         if f.ctx is not ctx:
             raise ValueError("context mismatch")
-        rows = _power_rows(ctx)
-        out = np.zeros(ctx.order, dtype=np.uint16)
-        for d in f.support():
-            row = rows.get(d)
-            if row is None:
-                xs = np.arange(ctx.order, dtype=np.uint64)
-                row = rows.setdefault(d, packed_pow(ctx, xs, d).astype(np.uint16))
-            out ^= row
-        return out.astype(np.uint32)
+        return _power_row_sum(ctx, f.support(), _field_points, ctx.order).astype(np.uint32)
 
     m = ctx.m
     b0 = m // 3
@@ -287,13 +281,33 @@ def field_values(f, ctx: FieldContext) -> np.ndarray:
 
 
 @per_context
-def _power_rows(ctx: FieldContext) -> dict[int, np.ndarray]:
-    """The power rows of field_values: exponent d -> uint16 row x^d, 8 KB
-    per exponent read at order 4096.  dict.setdefault publishes only
-    complete rows, so threads sharing the context never read a partial
-    one; of two threads that build the same row, the first stored is kept.
+def _power_rows(ctx: FieldContext, points) -> dict[int, np.ndarray]:
+    """Rows kept up to POWER_TABLE_MAX_ORDER for the point set that
+    points(ctx) lists: exponent d -> uint16 row of x^d there.  The point
+    sets are _field_points (field_values, 8 KB per exponent at order 4096)
+    and _orbit_points (permutes).  dict.setdefault publishes only complete
+    rows, so threads sharing the context never read a partial one; of two
+    threads that build the same row, the first stored is kept.
     """
     return {}
+
+
+def _power_row_sum(ctx: FieldContext, exponents, points, size: int) -> np.ndarray:
+    """XOR over the exponents d of the kept rows x^d at the size points
+    that points(ctx) lists; points is called only to build a missing row."""
+    rows = _power_rows(ctx, points)
+    out = np.zeros(size, dtype=np.uint16)
+    for d in exponents:
+        row = rows.get(d)
+        if row is None:
+            row = rows.setdefault(d, packed_pow(ctx, points(ctx), d).astype(np.uint16))
+        out ^= row
+    return out
+
+
+def _field_points(ctx: FieldContext) -> np.ndarray:
+    """Every element, in bit-pattern order."""
+    return np.arange(ctx.order, dtype=np.uint64)
 
 
 def values_equal(f, g, ctx: FieldContext, degree: int) -> bool:
@@ -362,18 +376,92 @@ def bijection_from_values(values: np.ndarray, order: int) -> bool:
 
 
 def permutes(f, ctx: FieldContext) -> bool:
-    """Whether f permutes the field: bijection_from_values on field_values.
-    Above POWER_TABLE_MAX_ORDER f is first evaluated at the _spot_points,
-    distinct there.  Two distinct inputs with one image prove f is not
-    injective, so a repeated value returns False as a certificate; only a
-    map with no repeat gets the whole-field scan, which alone returns True.
+    """Whether the DensePolyF2 f permutes the field, decided exactly on one
+    point per orbit of x -> x^2; any other f raises TypeError.
+
+    f has GF(2) coefficients, so f(x^2) = f(x)^2: f maps the orbit O(x)
+    of x onto O(f(x)), and |O(f(x))| <= |O(x)|.  Each value v gets an
+    orbit id: the class of log(v) under doubling (_orbit_classes), and one
+    more id for v = 0.  If the values at the R + 1 representatives (R
+    nonzero classes and the point 0) have distinct ids, f induces a
+    bijection on the orbits.  The orbit sizes then sum to the field order
+    on both sides, and no image orbit is larger than its source, so every
+    size matches: f maps each orbit onto its image bijectively, and f is
+    injective.  If two ids are equal, two distinct orbits share an image
+    orbit, so two distinct points share a value.  So the verdict is
+    bijection_from_values on the R + 1 ids, and every True and every
+    False is exhaustive.
+
+    Up to POWER_TABLE_MAX_ORDER the values are the XOR of power rows kept
+    at the representatives; above it f is evaluated there, chunk by chunk,
+    and nothing is kept.  Where the representatives outnumber the
+    _spot_points (m >= 16), f is first evaluated at those, distinct
+    there, and a repeated value returns False as a certificate.
     """
-    if ctx.order > POWER_TABLE_MAX_ORDER:
-        spots = _spot_points(ctx.m)
-        vals = np.sort(np.broadcast_to(np.asarray(f.eval_packed(spots, ctx)), spots.shape))
+    if not isinstance(f, poly.DensePolyF2):
+        raise TypeError(f"permutes needs a DensePolyF2, got {type(f).__name__}")
+    if f.ctx is not ctx:
+        raise ValueError("context mismatch")
+    _, points, classes = _orbit_classes(ctx)
+    if points.size > SPOT_CHECK_POINTS:
+        vals = np.sort(f.eval_packed(_spot_points(ctx.m), ctx))
         if (vals[1:] == vals[:-1]).any():
             return False
-    return bijection_from_values(field_values(f, ctx), ctx.order)
+    if ctx.order <= POWER_TABLE_MAX_ORDER:
+        vals = _power_row_sum(ctx, f.support(), _orbit_points, points.size)
+    else:
+        vals = np.concatenate([f.eval_packed(points[start:stop], ctx)
+                               for start, stop in iter_chunks(points.size)])
+    log = log_tables(ctx)[0]
+    ids = np.where(vals == 0, np.uint32(points.size - 1), classes[log[vals]])
+    return bijection_from_values(ids, points.size)
+
+
+def _orbit_points(ctx: FieldContext) -> np.ndarray:
+    """One point per orbit of x -> x^2; see _orbit_classes."""
+    return _orbit_classes(ctx)[1]
+
+
+@per_context
+def _orbit_classes(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(leaders, points, classes) of the orbits of x -> x^2, read-only.
+
+    With g the generator of log_tables, g^i squares to g^(2i mod 2^m - 1),
+    so the orbits of the nonzero elements are the classes of exponents
+    under doubling mod 2^m - 1, the cyclotomic cosets of 2 (Lidl &
+    Niederreiter, ch. 2-3).  Doubling rotates the m-bit exponent, so the
+    leader of a class, its least member, is the least of the m rotations
+    of any member.  leaders is ascending, uint32; classes[i], uint32 like
+    the log table, is the index in leaders of the class of exponent i;
+    points is 0 followed by g^l for each leader l, as uint64.
+
+    classes is built one iter_chunks slice at a time, with no whole-table
+    temporary: the leaders of a slice get their indices at their own
+    positions first, and every member's leader is at most the member, so
+    one gather then reads each member's index from its leader's position.
+    """
+    antilog = log_tables(ctx)[1]
+    m, cyc = ctx.m, ctx.order - 1
+    mask = np.uint32(cyc)  # the m low bits
+    classes = np.empty(cyc, dtype=np.uint32)
+    leaders = []
+    count = 0
+    for start, stop in iter_chunks(cyc):
+        idx = np.arange(start, stop, dtype=np.uint32)
+        lead, rot = idx.copy(), idx
+        for _ in range(m - 1):
+            rot = ((rot << np.uint32(1)) | (rot >> np.uint32(m - 1))) & mask
+            np.minimum(lead, rot, out=lead)
+        own = idx[lead == idx]
+        classes[own] = np.arange(count, count + own.size, dtype=np.uint32)
+        count += own.size
+        leaders.append(own)
+        classes[start:stop] = classes[lead]
+    leaders = np.concatenate(leaders)
+    points = np.concatenate((np.zeros(1, dtype=np.uint64), antilog[leaders].astype(np.uint64)))
+    for a in (leaders, points, classes):
+        a.flags.writeable = False
+    return leaders, points, classes
 
 
 def collision_witness(values: np.ndarray, order: int) -> int:

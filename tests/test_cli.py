@@ -1,10 +1,15 @@
 """CLI surface: parsing, config precedence, output formats, exit codes.
 
 Everything runs in-process through cli.main(argv) so exit codes and
-stdout/stderr can be asserted exactly.
+stdout/stderr can be asserted exactly; one test runs `python3 -m permpoly`
+in a subprocess.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -245,6 +250,32 @@ def test_search_threads_share_the_power_table(capsys):
     assert cli.main(argv + ["--workers", "2"]) == EXIT_OK
     assert capsys.readouterr().out == run1
     assert len(run1.splitlines()) > 10
+
+
+@pytest.mark.parametrize("e, n_to", [(6, 1000), (7, 600)])
+def test_search_orbit_verdicts_ignore_the_worker_count(e, n_to, capsys):
+    # threads share the orbit rows at e = 6 and the orbit classes at e = 7
+    argv = ["search", "--q", "4", "--e", str(e), "--from", "1", "--to", str(n_to),
+            "--format", "csv"]
+    assert cli.main(argv + ["--workers", "1"]) == EXIT_OK
+    run1 = capsys.readouterr().out
+    assert cli.main(argv + ["--workers", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == run1
+    assert len(run1.splitlines()) > 10
+
+
+def test_python_m_permpoly_runs_the_command_line(capsys):
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["search", "--q", "4", "--e", "3", "--from", "1", "--to", "60", "--format", "csv"]
+    proc = subprocess.run([sys.executable, "-m", "permpoly", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert cli.main(argv) == EXIT_OK
+    assert (proc.returncode, proc.stdout) == (EXIT_OK, capsys.readouterr().out)
+    bad = subprocess.run([sys.executable, "-m", "permpoly", "search", "--q", "3", "--e", "2",
+                          "--from", "1", "--to", "5"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert bad.returncode == EXIT_USAGE and "q must be a power of 2" in bad.stderr
 
 
 def test_search_timing_fills_elapsed_ms(capsys, monkeypatch):

@@ -625,14 +625,22 @@ def test_t2_context_validation(f4096, f64):
         check_t2_conditions(L, 4, 1, f4096)  # L from the wrong context
 
 
-def test_search_scans_the_whole_field_only_for_hits(monkeypatch):
-    # above the power-table cap every non-PP of this range collides on the
-    # sample points, so each whole-field bijection test finds a hit
-    monkeypatch.setattr(scan, "bijection_from_values",
-                        mock.Mock(wraps=scan.bijection_from_values))
-    hits = search_desirable(4, 7, 1, 64)
+def test_search_never_scans_the_whole_field_above_the_cap(monkeypatch):
+    # at e = 7 every verdict is one bijection over the 1182 orbit ids, and
+    # neither permutes nor the oracle of a hit evaluates g on the whole field
+    sizes = []
+    bijection = scan.bijection_from_values
+
+    def spy(values, order):
+        sizes.append((len(values), order))
+        return bijection(values, order)
+
+    monkeypatch.setattr(scan, "bijection_from_values", spy)
+    with mock.patch.object(scan, "field_values", wraps=scan.field_values) as values:
+        hits = search_desirable(4, 7, 1, 64)
     assert len(hits) == 14
-    assert scan.bijection_from_values.call_count == len(hits)
+    assert values.call_count == 0
+    assert sizes == [(1182, 1182)] * 64
 
 
 def test_search_finds_the_corollary_exponent(f4096):
@@ -683,13 +691,18 @@ def test_search_threads_capped_by_n_and_cpus(f64, monkeypatch):
 
 
 def test_search_fills_only_the_power_rows_it_reads():
+    # permutes reads orbit rows for every n; only the oracle of a hit reads
+    # whole-field rows
     ctx = make_field(2, 6)
-    search_desirable(4, 6, 1, 50, ctx=ctx)
-    support = set()
+    hits = [t.n for t in search_desirable(4, 6, 1, 50, ctx=ctx)]
+    support, hit_support = set(), set()
     for n in range(1, 51):
         support.update(gnq_recurrence(n, 4, ctx).support())
-    filled = set(scan._power_rows(ctx))
-    assert filled == support and len(support) < ctx.order // 10
+    for n in hits:
+        hit_support.update(gnq_recurrence(n, 4, ctx).support())
+    assert set(scan._power_rows(ctx, scan._orbit_points)) == support
+    assert set(scan._power_rows(ctx, scan._field_points)) == hit_support
+    assert hits and len(hit_support) < len(support) < ctx.order // 10
 
 
 def test_search_and_t2_pay_for_no_collision_witness(f4096, monkeypatch):

@@ -52,7 +52,7 @@ def test_exhaustive_reads_power_rows_of_a_dense_polynomial(monkeypatch):
 
     monkeypatch.setattr(DensePolyF2, "eval_packed", refuse)
     assert is_pp_exhaustive(g, ctx).is_pp
-    assert set(scan._power_rows(ctx)) == set(g.support())
+    assert set(scan._power_rows(ctx, scan._field_points)) == set(g.support())
 
 
 def test_exhaustive_collision_pair_is_genuine(f4):

@@ -194,7 +194,7 @@ def test_field_values_builds_each_power_row_once(monkeypatch):
             for x in range(64):  # x = 0 included
                 assert int(values[x]) == g.eval_at(ctx.element(x)).bits, (reads, x)
         assert sorted(built) == sorted(exponents)
-        rows = scan._power_rows(ctx)
+        rows = scan._power_rows(ctx, scan._field_points)
         assert set(rows) == set(exponents)
         for d, row in rows.items():
             assert row.dtype == np.uint16
@@ -227,7 +227,7 @@ def test_field_values_threads_never_read_a_partial_power_row():
     support = set()
     for r in reads:
         support.update(DensePolyF2.from_exponents(ctx, r).support())
-    assert set(scan._power_rows(ctx)) == support
+    assert set(scan._power_rows(ctx, scan._field_points)) == support
 
 
 def test_field_values_keeps_no_power_rows_above_the_cap():
@@ -236,7 +236,7 @@ def test_field_values_keeps_no_power_rows_above_the_cap():
     g = DensePolyF2.from_exponents(ctx, [0, 1, 5, 21, ctx.order - 1])
     xs = np.arange(ctx.order, dtype=np.uint64)
     assert np.array_equal(scan.field_values(g, ctx), g.eval_packed(xs, ctx))
-    assert scan._power_rows(ctx) == {}
+    assert scan._power_rows(ctx, scan._field_points) == {}
 
 
 def test_field_values_rejects_a_dense_polynomial_of_another_context():
@@ -323,35 +323,167 @@ def test_log_tables_refuse_orders_above_2_32_before_factoring(monkeypatch):
         scan.log_tables(ctx)
 
 
-# (s, e, n_to): on both sides of the power-table cap, GF(2^13) included
+# (s, e, n_to): on both sides of the power-table cap, GF(2^13) included,
+# and GF(4^8), where the spot sample runs first
 PERMUTES_RANGES = ((2, 7, 200), (2, 8, 100), (1, 13, 200), (2, 6, 40))
 
 
 @pytest.mark.parametrize("s, e, n_to", PERMUTES_RANGES)
 def test_permutes_agrees_with_the_whole_field_scan(s, e, n_to, monkeypatch):
     ctx = make_field(s, e)
+    orbits = scan._orbit_classes(ctx)[1].size
+    sizes = []
+    bijection = scan.bijection_from_values
+
+    def spy(values, order):
+        sizes.append(len(values))
+        return bijection(values, order)
+
     full = []
-    monkeypatch.setattr(scan, "bijection_from_values",
-                        mock.Mock(wraps=scan.bijection_from_values))
     for n in range(1, n_to + 1):
         g = gnq.gnq_recurrence(n, ctx.q, ctx)
-        verdict = scan.permutes(g, ctx)
+        monkeypatch.setattr(scan, "bijection_from_values", spy)
+        with mock.patch.object(scan, "field_values", side_effect=AssertionError):
+            verdict = scan.permutes(g, ctx)
+        monkeypatch.undo()
         full.append(scan.bijection_from_values(g.eval_on_field(), ctx.order))
         assert verdict is full[-1], n
-    # above the cap every non-PP here collides on the sample, so only the
-    # PPs reach a whole-field scan besides the reference's own
-    scans = scan.bijection_from_values.call_count - n_to
-    assert scans == (sum(full) if ctx.order > scan.POWER_TABLE_MAX_ORDER else n_to)
+    # each verdict is one bijection over the orbit ids; where the sample
+    # runs first, every non-PP here collides on it, so only the PPs get one
+    assert set(sizes) == {orbits}
+    assert len(sizes) == (sum(full) if orbits > scan.SPOT_CHECK_POINTS else n_to)
 
 
-def test_permutes_scans_the_whole_field_when_the_sample_misses(monkeypatch):
-    cube = DensePolyF2.from_exponents(make_field(2, 7), [3])  # gcd(3, 2^14 - 1) = 3
+def test_permutes_decides_on_the_orbits_when_the_sample_misses(monkeypatch):
+    # gcd(3, 2^14 - 1) = gcd(3, 2^16 - 1) = 3 and gcd(3, 2^13 - 1) = 1
+    cube = DensePolyF2.from_exponents(make_field(2, 7), [3])
+    with mock.patch.object(scan, "_spot_points", side_effect=AssertionError):
+        assert scan.permutes(cube, cube.ctx) is False  # m = 14: no sample
+    wide = DensePolyF2.from_exponents(make_field(2, 8), [3])
     monkeypatch.setattr(scan, "_spot_points", lambda m: np.arange(1, 3, dtype=np.uint64))
-    with mock.patch.object(scan, "field_values", wraps=scan.field_values) as values:
-        assert scan.permutes(cube, cube.ctx) is False
-    assert values.call_count == 1
-    odd = make_field(1, 13)  # gcd(3, 2^13 - 1) = 1
+    with mock.patch.object(scan, "bijection_from_values",
+                           wraps=scan.bijection_from_values) as bijection:
+        assert scan.permutes(wide, wide.ctx) is False
+    assert bijection.call_count == 1
+    odd = make_field(1, 13)
     assert scan.permutes(DensePolyF2.from_exponents(odd, [3]), odd) is True
+
+
+def _necklaces(m):
+    """Binary necklaces of length m: (1/m) * sum over d | m of phi(d) 2^(m/d)."""
+    phi = [sum(math.gcd(k, d) == 1 for k in range(1, d + 1)) for d in range(m + 1)]
+    return sum(phi[d] << (m // d) for d in range(1, m + 1) if m % d == 0) // m
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_orbit_classes_are_the_cyclotomic_cosets_of_2(m):
+    ctx = make_field(1, m)
+    leaders, points, classes = scan._orbit_classes(ctx)
+    cyc = ctx.order - 1
+    # one point per necklace: the R classes of nonzero exponents, and 0
+    assert points.size == leaders.size + 1 == _necklaces(m)
+    assert classes.dtype == leaders.dtype == np.uint32 and classes.size == cyc
+    sizes = []
+    for i, lead in enumerate(leaders.tolist()):
+        members = {lead * (1 << j) % cyc if cyc > 1 else 0 for j in range(m)}
+        assert min(members) == lead, lead
+        assert all(int(classes[x]) == i for x in members), lead
+        sizes.append(len(members))
+    assert sum(sizes) == cyc
+    assert np.array_equal(np.bincount(classes, minlength=leaders.size), sizes)
+    antilog = scan.log_tables(ctx)[1]
+    assert points[0] == 0 and np.array_equal(points[1:], antilog[leaders])
+    assert not any(a.flags.writeable for a in (leaders, points, classes))
+
+
+@pytest.mark.parametrize("m", [7, 12, 14])
+def test_orbit_classes_built_in_slices_equal_one_chunk(m, monkeypatch):
+    # with 64-entry slices most members' leaders lie in earlier slices
+    whole = scan._orbit_classes(make_field(1, m))
+    monkeypatch.setattr(scan, "DEFAULT_CHUNK", 64)
+    sliced = scan._orbit_classes(make_field(1, m))
+    assert all(np.array_equal(a, b) for a, b in zip(whole, sliced))
+
+
+# fields with m <= 14, on both sides of the power-table cap
+ORBIT_FIELDS = ((1, 1), (1, 2), (2, 2), (1, 5), (2, 3), (3, 2), (1, 8), (2, 5),
+                (2, 6), (1, 13), (2, 7))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(ORBIT_FIELDS), st.data())
+def test_permutes_matches_the_whole_field_bijection(se, data):
+    ctx = make_field(*se)
+    # a random support, a sum of x^(2^i), which is additive and permutes
+    # iff its kernel is trivial, or a monomial x^d
+    kind = data.draw(st.sampled_from(("support", "additive", "monomial")))
+    if kind == "support":
+        exps = data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=10))
+    elif kind == "additive":
+        exps = [1 << i for i in data.draw(st.sets(st.integers(0, ctx.m - 1)))]
+    else:
+        exps = [data.draw(st.integers(0, 4 * ctx.order))]
+    g = DensePolyF2.from_exponents(ctx, exps)
+    assert scan.permutes(g, ctx) is scan.bijection_from_values(g.eval_on_field(), ctx.order)
+
+
+@pytest.mark.parametrize("s, e, exps, want", [
+    (1, 14, [1 << i for i in range(14)], False),  # the absolute trace, into GF(2)
+    (2, 6, [1 << i for i in range(12)], False),
+    (2, 7, [3], False),
+    (1, 13, [3], True),
+    (2, 8, [1 << i for i in range(16)], False),  # m = 16: the sample runs first
+])
+def test_permutes_planted_maps(s, e, exps, want):
+    ctx = make_field(s, e)
+    assert scan.permutes(DensePolyF2.from_exponents(ctx, exps), ctx) is want
+
+
+def test_permutes_runs_the_sample_only_where_it_is_smaller():
+    for e, sampled in ((7, False), (8, True)):
+        ctx = make_field(2, e)
+        assert (scan._orbit_classes(ctx)[1].size > scan.SPOT_CHECK_POINTS) is sampled
+        for d, pp in ((7, True), (3, False)):  # gcd(d, 2^m - 1) for m = 14, 16
+            g = DensePolyF2.from_exponents(ctx, [d])
+            with mock.patch.object(scan, "_spot_points", wraps=scan._spot_points) as spots, \
+                    mock.patch.object(scan, "bijection_from_values",
+                                      wraps=scan.bijection_from_values) as bijection:
+                assert scan.permutes(g, ctx) is pp
+            assert spots.called is sampled
+            # at m = 16 the sample refutes the cube before the orbit verdict
+            assert bijection.called is (pp or not sampled)
+
+
+def test_permutes_takes_only_a_dense_polynomial():
+    ctx = make_field(2, 3)
+    for f in (Pow(Var(), 3), Var(), LinPoly(ctx, [ctx.one()] * ctx.m)):
+        with pytest.raises(TypeError, match="DensePolyF2"):
+            scan.permutes(f, ctx)
+    with pytest.raises(ValueError, match="context mismatch"):
+        scan.permutes(DensePolyF2.from_exponents(make_field(2, 3), [1]), ctx)
+
+
+def test_permutes_keeps_orbit_rows_only_up_to_the_cap():
+    small, large = make_field(2, 6), make_field(2, 7)
+    for ctx in (small, large):
+        g = DensePolyF2.from_exponents(ctx, [0, 1, 5, 21])
+        scan.permutes(g, ctx)
+    rows = scan._power_rows(small, scan._orbit_points)
+    points = scan._orbit_classes(small)[1]
+    assert set(rows) == {0, 1, 5, 21} and scan._power_rows(large, scan._orbit_points) == {}
+    for d, row in rows.items():
+        assert row.dtype == np.uint16
+        assert np.array_equal(row, scan.packed_pow(small, points, d))
+
+
+@pytest.mark.long
+def test_permutes_matches_brute_force_at_e8():
+    # every n <= 300 at m = 16, against the whole-field scan
+    ctx = make_field(2, 8)
+    for n in range(1, 301):
+        g = gnq.gnq_recurrence(n, 4, ctx)
+        assert scan.permutes(g, ctx) is scan.bijection_from_values(
+            g.eval_on_field(), ctx.order), n
 
 
 @pytest.mark.parametrize("s, e", [(1, 4), (2, 3), (2, 6), (3, 4), (1, 12), (2, 5),
