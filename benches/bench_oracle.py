@@ -11,6 +11,10 @@ every side alike.  The results are stored under the label
 labels are kept.
 
 Recorded, single-threaded, over REPEATS passes:
+- us per gnq_oracle_check over the desk sweep, n = 0..DESK_N_TO on each
+  field of DESK_FIELDS, all below the power-table cap: once on a fresh
+  context, which builds the recurrence memo, the rows and the sums, and
+  once more on the same, now warm, context; the median over the passes;
 - ms per gnq_oracle_check on each hit of search_desirable(4, e, 1, 300)
   for e = 7, 8, 10, timed after the search on the search's own context,
   so per-context tables are already built: the median over the passes of
@@ -39,6 +43,9 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_oracle.json"
 
 REPEATS = 3
+# the oracle sweep of the desk-suite benchmark workload: (q, e), n = 0..2000
+DESK_FIELDS = ((2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3))
+DESK_N_TO = 2000
 ORACLE_E = (7, 8, 10)
 ORACLE_N_TO = 300
 CLI_RUNS = (
@@ -64,6 +71,26 @@ for e in map(int, sys.argv[1:-1]):
             raise AssertionError(f"oracle rejects the hit n = {n} at e = {e}")
         ms.append((time.perf_counter() - t0) * 1000)
     out[e] = [len(hits), statistics.fmean(ms)]
+print(json.dumps(out))
+"""
+# us per oracle call over n = 0..argv[1] on each (q, e) of the JSON argv[2],
+# on a fresh context and then on the same, warm, one
+DESK_SCRIPT = """\
+import json, sys, time
+from permpoly import gnq
+from permpoly.field import make_field
+n_to = int(sys.argv[1])
+out = {}
+for q, e in json.loads(sys.argv[2]):
+    ctx = make_field(q.bit_length() - 1, e)
+    us = []
+    for _ in ("fresh", "warm"):
+        t0 = time.perf_counter()
+        for n in range(n_to + 1):
+            if not gnq.gnq_oracle_check(n, q, ctx):
+                raise AssertionError(f"oracle rejects g_({n},{q}) over GF({q}^{e})")
+        us.append((time.perf_counter() - t0) / (n_to + 1) * 1e6)
+    out[f"GF({q}^{e})"] = us
 print(json.dumps(out))
 """
 # runs the command line in-process, then reports its exit code and VmHWM
@@ -103,6 +130,9 @@ def run(src: Path, script: str, *args: str) -> tuple[float, subprocess.Completed
 
 
 def measure_pass(src: Path, raw: dict) -> None:
+    _, proc = run(src, DESK_SCRIPT, str(DESK_N_TO), json.dumps(DESK_FIELDS))
+    for field, us in json.loads(proc.stdout).items():
+        raw["desk"].setdefault(field, []).append(us)
     _, proc = run(src, ORACLE_SCRIPT, *map(str, ORACLE_E), str(ORACLE_N_TO))
     for e, (hits, ms) in json.loads(proc.stdout).items():
         raw["oracle"].setdefault(e, (hits, []))[1].append(ms)
@@ -121,6 +151,11 @@ def summary(src: Path, raw: dict) -> dict:
     return {
         "conditions": {"cpus": os.cpu_count(), "python": platform.python_version(),
                        "machine": platform.machine(), "passes": REPEATS},
+        "oracle_us_per_call_desk": {
+            field: {"fresh_us": round(statistics.median(u[0] for u in us), 2),
+                    "warm_us": round(statistics.median(u[1] for u in us), 2),
+                    "passes": [[round(v, 2) for v in u] for u in us]}
+            for field, us in raw["desk"].items()},
         "oracle_ms_per_hit": {
             f"search_desirable(4, {e}, 1, {ORACLE_N_TO})": {
                 "hits": hits, "ms_per_call": round(statistics.median(ms), 3),
@@ -137,7 +172,7 @@ def summary(src: Path, raw: dict) -> dict:
 
 def main(argv: list[str]) -> None:
     srcs = [Path(a).resolve() for a in argv] or [ROOT / "src"]
-    raw = {src: {"oracle": {}, "cli": {}} for src in srcs}
+    raw = {src: {"desk": {}, "oracle": {}, "cli": {}} for src in srcs}
     for i in range(REPEATS):
         for src in (srcs if i % 2 == 0 else srcs[::-1]):
             measure_pass(src, raw[src])

@@ -106,6 +106,9 @@ def gnq_recurrence(n: int, q: int, ctx: FieldContext,
     if ctx.q != q:
         raise ValueError(f"context has q={ctx.q}, not {q}")
     memo = _memo(ctx, q)
+    g = memo.get(n)
+    if g is not None:
+        return g
     # m and m + 1 lie below n: collect the missing n with their a, then fill
     need, stack = {}, [n]
     while stack:

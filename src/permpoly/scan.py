@@ -15,7 +15,9 @@ coefficients on one point per orbit of x -> x^2, and never scans the
 whole field; its docstring gives the argument.  power_sum_identity alone
 decides the oracle's identity, on coset representatives or, above the
 power-table cap, on the Hamming ball of its degree when that is smaller;
-its docstring gives the argument for both point sets.
+its docstring gives the argument for both point sets.  Up to that cap the
+three share one store of power rows per point set, each row packed into
+one Python int (_power_rows).
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ DEFAULT_CHUNK = 1 << 20
 # against direct evaluation
 SPOT_CHECK_POINTS = (1 << 12) - 1
 
-# up to this order, field_values and power_sum_identity keep rows per exponent
+# up to this order, field_values, permutes and power_sum_identity keep
+# rows per exponent
 POWER_TABLE_MAX_ORDER = 1 << 12
 
 
@@ -263,7 +266,8 @@ def field_values(f, ctx: FieldContext) -> np.ndarray:
     if isinstance(f, poly.DensePolyF2) and ctx.order <= POWER_TABLE_MAX_ORDER:
         if f.ctx is not ctx:
             raise ValueError("context mismatch")
-        return _power_row_sum(ctx, f.support(), _field_points, ctx.order).astype(np.uint32)
+        row = _power_row_sum(ctx, f.support(), _field_points)
+        return _unpack(row, ctx.order).astype(np.uint32)
 
     m = ctx.m
     b0 = m // 3
@@ -281,28 +285,45 @@ def field_values(f, ctx: FieldContext) -> np.ndarray:
 
 
 @per_context
-def _power_rows(ctx: FieldContext, points) -> dict[int, np.ndarray]:
+def _power_rows(ctx: FieldContext, points) -> dict[int, int]:
     """Rows kept up to POWER_TABLE_MAX_ORDER for the point set that
-    points(ctx) lists: exponent d -> uint16 row of x^d there.  The point
-    sets are _field_points (field_values, 8 KB per exponent at order 4096)
-    and _orbit_points (permutes).  dict.setdefault publishes only complete
-    rows, so threads sharing the context never read a partial one; of two
+    points(ctx) lists: exponent d -> the values of x^d there, packed by
+    _pack into one int, 2 bytes per point (a Python int stores 30 bits
+    per 4-byte digit, so about 2.13 bytes in memory: 8.5 KB per exponent
+    for the 4096 points of GF(2^12)).  The point sets are _field_points
+    (field_values), _orbit_points (permutes) and _coset_images
+    (power_sum_identity).  dict.setdefault publishes only complete rows,
+    so threads sharing the context never read a partial one; of two
     threads that build the same row, the first stored is kept.
     """
     return {}
 
 
-def _power_row_sum(ctx: FieldContext, exponents, points, size: int) -> np.ndarray:
-    """XOR over the exponents d of the kept rows x^d at the size points
-    that points(ctx) lists; points is called only to build a missing row."""
+def _power_row_sum(ctx: FieldContext, exponents, points) -> int:
+    """XOR over the exponents d of the kept rows x^d at the points that
+    points(ctx) lists, packed as _power_rows keeps them; points is called
+    only to build a missing row.  Each value lies in its own 16-bit field,
+    so the XOR of the ints is the packed XOR of the rows; at desk sizes
+    one int XOR costs a fraction of one numpy call."""
     rows = _power_rows(ctx, points)
-    out = np.zeros(size, dtype=np.uint16)
+    acc = 0
     for d in exponents:
         row = rows.get(d)
         if row is None:
-            row = rows.setdefault(d, packed_pow(ctx, points(ctx), d).astype(np.uint16))
-        out ^= row
-    return out
+            row = rows.setdefault(d, _pack(packed_pow(ctx, points(ctx), d)))
+        acc ^= row
+    return acc
+
+
+def _pack(values: np.ndarray) -> int:
+    """Values below 2^16 as one int whose little-endian 16-bit fields hold
+    them in order; _unpack inverts it."""
+    return int.from_bytes(values.astype("<u2").tobytes(), "little")
+
+
+def _unpack(packed: int, size: int) -> np.ndarray:
+    """The size values that _pack packed, as a read-only uint16 array."""
+    return np.frombuffer(packed.to_bytes(2 * size, "little"), dtype="<u2")
 
 
 def _field_points(ctx: FieldContext) -> np.ndarray:
@@ -408,7 +429,7 @@ def permutes(f, ctx: FieldContext) -> bool:
         if (vals[1:] == vals[:-1]).any():
             return False
     if ctx.order <= POWER_TABLE_MAX_ORDER:
-        vals = _power_row_sum(ctx, f.support(), _orbit_points, points.size)
+        vals = _unpack(_power_row_sum(ctx, f.support(), _orbit_points), points.size)
     else:
         vals = np.concatenate([f.eval_packed(points[start:stop], ctx)
                                for start, stop in iter_chunks(points.size)])
@@ -498,18 +519,19 @@ def power_sum_identity(g, ctx: FieldContext, n: int) -> bool:
       x -> (x + a)^r of x^r, and each has degree wt2(r), because a
       translation is affine.
 
-    Up to POWER_TABLE_MAX_ORDER the cosets are taken: g.eval_on_field()
-    is gathered at their x^q + x and compared with _kept_power_sums.
-    Above it, _oracle_points takes the ball when it is the smaller set;
-    wt2(r) is read first, and poly.degree_bound(g) is asked only if that
-    ball is still smaller than the cosets.  One loop then compares, chunk
-    by chunk, g at x^q + x with the XOR of packed_pow over the q
-    translates x + a, so g is never evaluated on the whole field there.
+    Up to POWER_TABLE_MAX_ORDER the cosets are taken, and g must be a
+    DensePolyF2: the left side is the XOR of the power rows of its
+    support kept at the coset images x^q + x (_coset_images), and the
+    verdict compares it with _kept_power_sums as two packed ints.  Above
+    it, _oracle_points takes the ball when it is the smaller set; wt2(r)
+    is read first, and poly.degree_bound(g) is asked only if that ball is
+    still smaller than the cosets.  One loop then compares, chunk by
+    chunk, g at x^q + x with the XOR of packed_pow over the q translates
+    x + a.  So g is never evaluated on the whole field.
     """
     r = poly.reduce_exponent(n, ctx.order)
     if ctx.order <= POWER_TABLE_MAX_ORDER:
-        gv = g.eval_on_field()  # first: a log-table build peaks before the sums
-        return np.array_equal(gv[_kept_oracle_points(ctx, ctx.m)[1]], _kept_power_sums(ctx, r))
+        return _power_row_sum(ctx, g.support(), _coset_images) == _kept_power_sums(ctx, r)
     radius = r.bit_count()
     if _ball_size(ctx.m, radius) < ctx.order // ctx.q:
         radius = max(radius, poly.degree_bound(g, ctx.m))
@@ -559,18 +581,26 @@ def _kept_oracle_points(ctx: FieldContext, radius: int) -> tuple[np.ndarray, np.
     return xs, tq
 
 
+def _coset_images(ctx: FieldContext) -> np.ndarray:
+    """x^q + x at each coset representative; see _kept_oracle_points."""
+    return _kept_oracle_points(ctx, ctx.m)[1]
+
+
 @per_context
-def _kept_power_sums(ctx: FieldContext, r: int) -> np.ndarray:
+def _kept_power_sums(ctx: FieldContext, r: int) -> int:
     """The oracle's right side at the coset points up to
-    POWER_TABLE_MAX_ORDER: the sum over a in GF(q) of (y + a)^r, as
-    uint16, kept per reduced exponent r.  That serves every n with
+    POWER_TABLE_MAX_ORDER: the sum over a in GF(q) of (y + a)^r, packed
+    like a power row (_pack), kept per reduced exponent r.  Its entries
+    line up with _coset_images, so it equals _power_row_sum there exactly
+    when the identity holds.  That serves every n with
     reduce_exponent(n, order) = r: y^n = y^r for nonzero y, since
     y^(order-1) = 1 and n = r mod (order-1), and 0^n = 0^r, since r = 0
-    only when n = 0.  So a context holds at most order rows of order/q
-    entries, 16 MB at GF(2^12)."""
+    only when n = 0.  So a context holds at most order sums of order/q
+    entries, about 17 MB at GF(2^12) over GF(2), and as many rows at the
+    coset images."""
     reps = _kept_oracle_points(ctx, ctx.m)[0]
     powers = packed_pow(ctx, subfield_elements(ctx, 1)[:, None] ^ reps, r)
-    return np.bitwise_xor.reduce(powers, axis=0).astype(np.uint16)
+    return _pack(np.bitwise_xor.reduce(powers, axis=0))
 
 
 def kernel_elements(ctx: FieldContext, cols: np.ndarray) -> np.ndarray:

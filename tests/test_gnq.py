@@ -196,7 +196,10 @@ def test_oracle_checks_every_coset(s, e, chunk, monkeypatch):
     q = ctx.q
     n = 2 * q + 3
     reps, tq = scan._oracle_points(ctx, ctx.m)
-    sums = scan._kept_power_sums(ctx, reduce_exponent(n, ctx.order))
+    assert tq is scan._coset_images(ctx)
+    packed = scan._kept_power_sums(ctx, reduce_exponent(n, ctx.order))
+    assert type(packed) is int and packed.bit_length() <= 16 * tq.size
+    sums = scan._unpack(packed, tq.size)
     assert reps.shape == tq.shape == sums.shape == (ctx.order // q,)
     # x^q + x = y^q + y iff x + y lies in GF(q), so order/q distinct images
     # mean one representative in every coset
@@ -204,12 +207,28 @@ def test_oracle_checks_every_coset(s, e, chunk, monkeypatch):
     ref_tq, ref_rhs = _reference_sides(n, ctx)
     want = dict(zip(ref_tq.tolist(), ref_rhs.tolist()))
     assert sums.tolist() == [want[t] for t in tq.tolist()]
-    gv = gnq_recurrence(n, q, ctx).eval_on_field()
-    if chunk is not None:
-        # with the cap below the order, the oracle takes its chunked loop,
-        # and wt2(n) = 3 gives a ball no smaller than the cosets
-        monkeypatch.setattr(scan, "POWER_TABLE_MAX_ORDER", 0)
-        monkeypatch.setattr(scan, "DEFAULT_CHUNK", chunk)
+    g = gnq_recurrence(n, q, ctx)
+    if chunk is None:
+        # up to the cap the two sides are packed ints, entry i at tq[i]
+        # (g is 0 over GF(8^2)): one corrupted entry of the kept right
+        # side, at any image, is rejected
+        assert gnq_oracle_check(n, q, ctx, g=g)
+        assert set(scan._power_rows(ctx, scan._coset_images)) == set(g.support())
+        key = (scan._kept_power_sums.__wrapped__, reduce_exponent(n, ctx.order))
+        assert ctx._cache[key] == packed
+        for i, y in enumerate(tq.tolist()):
+            wrong = sums.copy()
+            wrong[i] ^= 1
+            ctx._cache[key] = scan._pack(wrong)
+            assert not gnq_oracle_check(n, q, ctx, g=g), y
+        ctx._cache[key] = packed
+        assert gnq_oracle_check(n, q, ctx, g=g)
+        return
+    # with the cap below the order, the oracle takes its chunked loop,
+    # and wt2(n) = 3 gives a ball no smaller than the cosets
+    gv = g.eval_on_field()
+    monkeypatch.setattr(scan, "POWER_TABLE_MAX_ORDER", 0)
+    monkeypatch.setattr(scan, "DEFAULT_CHUNK", chunk)
     assert gnq_oracle_check(n, q, ctx, g=_Values(ctx, gv))
     for y in tq:
         wrong = gv.copy()
@@ -347,13 +366,15 @@ def test_oracle_memo_matches_unmemoized_right_side(s, e, monkeypatch):
     rng = random.Random(order + q)
     reps, tq = scan._oracle_points(ctx, ctx.m)
     for n in range(3 * order + 1):
-        memo = scan._kept_power_sums(ctx, reduce_exponent(n, order))
+        memo = scan._unpack(scan._kept_power_sums(ctx, reduce_exponent(n, order)), tq.size)
         rhs = _coset_sums(ctx, reps, n)
         assert np.array_equal(memo, rhs), n
         g = gnq_recurrence(n, q, ctx)
         flipped = DensePolyF2(ctx, g.bits ^ rng.getrandbits(order))
         for h in (g, flipped):
             want = _oracle_reference(n, h, ctx)
+            lhs = scan._power_row_sum(ctx, h.support(), scan._coset_images)
+            assert np.array_equal(scan._unpack(lhs, tq.size), h.eval_on_field()[tq]), n
             assert np.array_equal(h.eval_on_field()[tq], rhs) == want, n
             assert gnq_oracle_check(n, q, ctx, g=h) == want, n
             # with the cap below the order, the chunked loop computes the
@@ -370,17 +391,52 @@ def test_oracle_memo_hit_rejects_a_corrupted_g(monkeypatch):
     # n + (order - 1) reduces to the same row, so this call is a memo hit
     n2 = n + ctx.order - 1
     assert reduce_exponent(n2, ctx.order) == reduce_exponent(n, ctx.order)
-    gv = gnq_recurrence(n2, 4, ctx).eval_on_field()
+    g = gnq_recurrence(n2, 4, ctx)
+    # g's rows at the coset images are the left side; build them first
+    scan._power_row_sum(ctx, g.support(), scan._coset_images)
 
     def refuse(*args):
         raise AssertionError("packed_pow called on a memo hit")
 
     monkeypatch.setattr(scan, "packed_pow", refuse)
-    assert gnq_oracle_check(n2, 4, ctx, g=_Values(ctx, gv))
-    tq = scan._oracle_points(ctx, ctx.m)[1]
-    wrong = gv.copy()
-    wrong[tq[5]] ^= 1
-    assert not gnq_oracle_check(n2, 4, ctx, g=_Values(ctx, wrong))
+    assert gnq_oracle_check(n2, 4, ctx, g=g)
+    # a dropped term reads only kept rows, and so does a corrupted row
+    for d in g.support():
+        assert not gnq_oracle_check(n2, 4, ctx, g=DensePolyF2(ctx, g.bits ^ 1 << d)), d
+    tq = scan._coset_images(ctx)
+    rows = scan._power_rows(ctx, scan._coset_images)
+    d = g.support()[0]
+    values = scan._unpack(rows[d], tq.size).copy()
+    values[5] ^= 1
+    rows[d] = scan._pack(values)
+    assert not gnq_oracle_check(n2, 4, ctx, g=g)
+
+
+@pytest.mark.parametrize("q,e", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3)])
+def test_oracle_builds_no_whole_field_row_below_the_cap(q, e, monkeypatch):
+    # the fields of the desk-suite oracle sweep, n = 0..2000; g's values
+    # for the reference come from eval_packed, which keeps no rows
+    ctx = make_field(q.bit_length() - 1, e)
+    xs = np.arange(ctx.order, dtype=np.uint64)
+    rng = random.Random(q * 100 + e)
+
+    def refuse(*args):
+        raise AssertionError("whole-field evaluation below the power-table cap")
+
+    monkeypatch.setattr(scan, "field_values", refuse)
+    rejected = 0
+    for n in range(2001):
+        g = gnq_recurrence(n, q, ctx)
+        flipped = DensePolyF2(ctx, g.bits ^ 1 << rng.randrange(ctx.order))
+        tq, rhs = _reference_sides(n, ctx)
+        verdicts = [gnq_oracle_check(n, q, ctx, g=h) for h in (g, flipped)]
+        assert verdicts == [bool(np.array_equal(h.eval_packed(xs, ctx)[tq], rhs))
+                            for h in (g, flipped)], n
+        assert verdicts[0], n
+        rejected += not verdicts[1]
+    # over GF(2) only a flip of the constant term changes g at 0, the one image
+    assert rejected > 0
+    assert scan._power_rows(ctx, scan._field_points) == {}
 
 
 def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch):
@@ -692,7 +748,7 @@ def test_search_threads_capped_by_n_and_cpus(f64, monkeypatch):
 
 def test_search_fills_only_the_power_rows_it_reads():
     # permutes reads orbit rows for every n; only the oracle of a hit reads
-    # whole-field rows
+    # rows at the coset images, and nothing reads whole-field rows
     ctx = make_field(2, 6)
     hits = [t.n for t in search_desirable(4, 6, 1, 50, ctx=ctx)]
     support, hit_support = set(), set()
@@ -701,7 +757,8 @@ def test_search_fills_only_the_power_rows_it_reads():
     for n in hits:
         hit_support.update(gnq_recurrence(n, 4, ctx).support())
     assert set(scan._power_rows(ctx, scan._orbit_points)) == support
-    assert set(scan._power_rows(ctx, scan._field_points)) == hit_support
+    assert set(scan._power_rows(ctx, scan._coset_images)) == hit_support
+    assert scan._power_rows(ctx, scan._field_points) == {}
     assert hits and len(hit_support) < len(support) < ctx.order // 10
 
 

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permpoly import gnq, poly, scan
@@ -197,8 +197,10 @@ def test_field_values_builds_each_power_row_once(monkeypatch):
         rows = scan._power_rows(ctx, scan._field_points)
         assert set(rows) == set(exponents)
         for d, row in rows.items():
-            assert row.dtype == np.uint16
-            assert [int(v) for v in row] == [(ctx.element(x) ** d).bits for x in range(64)]
+            assert type(row) is int and row.bit_length() <= 16 * 64
+            values = scan._unpack(row, 64)
+            assert values.dtype == np.uint16
+            assert [int(v) for v in values] == [(ctx.element(x) ** d).bits for x in range(64)]
 
 
 def test_field_values_threads_never_read_a_partial_power_row():
@@ -472,8 +474,39 @@ def test_permutes_keeps_orbit_rows_only_up_to_the_cap():
     points = scan._orbit_classes(small)[1]
     assert set(rows) == {0, 1, 5, 21} and scan._power_rows(large, scan._orbit_points) == {}
     for d, row in rows.items():
-        assert row.dtype == np.uint16
-        assert np.array_equal(row, scan.packed_pow(small, points, d))
+        assert type(row) is int and row.bit_length() <= 16 * points.size
+        values = scan._unpack(row, points.size)
+        assert values.dtype == np.uint16
+        assert np.array_equal(values, scan.packed_pow(small, points, d))
+
+
+# GF(2^m), m <= 12, as (s, e): q = 2, 4, 8, 16, 64 give the coset images
+# order/q points each
+ROW_FIELDS = ((1, 1), (2, 1), (1, 5), (2, 3), (3, 2), (1, 8), (4, 2), (2, 5), (2, 6),
+              (6, 2), (1, 12))
+ROW_POINTS = (scan._field_points, scan._orbit_points, scan._coset_images)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(ROW_FIELDS), st.sampled_from(ROW_POINTS),
+       st.lists(st.integers(0, (1 << 12) - 1), unique=True, max_size=12))
+@example((1, 1), scan._field_points, [])
+@example((2, 3), scan._orbit_points, [])
+@example((2, 3), scan._coset_images, [])
+@example((1, 1), scan._field_points, [0])
+@example((2, 3), scan._orbit_points, [0, 5])
+@example((2, 6), scan._coset_images, [7, 0])
+def test_power_row_sum_unpacks_to_the_xor_of_the_powers(se, points, support):
+    ctx = make_field(*se)
+    pts = points(ctx)
+    expect = np.zeros(pts.size, dtype=np.uint64)
+    for d in support:
+        expect ^= scan.packed_pow(ctx, pts, d)
+    got = scan._unpack(scan._power_row_sum(ctx, support, points), pts.size)
+    assert got.dtype == np.uint16 and np.array_equal(got, expect)
+    # 0 is a point of every set; 0^d is 1 only for d = 0
+    assert (pts == 0).sum() == 1 and got[pts == 0][0] == (0 in support)
+    assert set(support) <= set(scan._power_rows(ctx, points))
 
 
 @pytest.mark.long
