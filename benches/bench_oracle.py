@@ -11,10 +11,11 @@ every side alike.  The results are stored under the label
 labels are kept.
 
 Recorded, single-threaded, over REPEATS passes:
-- us per gnq_oracle_check over the desk sweep, n = 0..DESK_N_TO on each
-  field of DESK_FIELDS, all below the power-table cap: once on a fresh
-  context, which builds the recurrence memo, the rows and the sums, and
-  once more on the same, now warm, context; the median over the passes;
+- us per gnq_oracle_check over the desk sweep, n = 0..ORACLE_N on each
+  field of ORACLE_FIELDS (both read from perfbench/workloads.py), all
+  below the power-table cap: once on a fresh context, which builds the
+  recurrence memo, the rows and the sums, and once more on the same, now
+  warm, context; the median over the passes;
 - ms per gnq_oracle_check on each hit of search_desirable(4, e, 1, 300)
   for e = 7, 8, 10, timed after the search on the search's own context,
   so per-context tables are already built: the median over the passes of
@@ -33,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import runpy
 import statistics
 import subprocess
 import sys
@@ -43,9 +45,8 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_oracle.json"
 
 REPEATS = 3
-# the oracle sweep of the desk-suite benchmark workload: (q, e), n = 0..2000
-DESK_FIELDS = ((2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3))
-DESK_N_TO = 2000
+# the oracle sweep of the desk-suite benchmark workload
+DESK = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
 ORACLE_E = (7, 8, 10)
 ORACLE_N_TO = 300
 CLI_RUNS = (
@@ -130,7 +131,8 @@ def run(src: Path, script: str, *args: str) -> tuple[float, subprocess.Completed
 
 
 def measure_pass(src: Path, raw: dict) -> None:
-    _, proc = run(src, DESK_SCRIPT, str(DESK_N_TO), json.dumps(DESK_FIELDS))
+    _, proc = run(src, DESK_SCRIPT, str(DESK["ORACLE_N"]),
+                  json.dumps(DESK["ORACLE_FIELDS"]))
     for field, us in json.loads(proc.stdout).items():
         raw["desk"].setdefault(field, []).append(us)
     _, proc = run(src, ORACLE_SCRIPT, *map(str, ORACLE_E), str(ORACLE_N_TO))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import scan
+from . import poly, scan
 from .field import (FieldContext, FieldElement, eval_S, frobenius_q,
                     per_context, trace_absolute, trace_to_subfield)
 
@@ -64,12 +64,14 @@ def is_pp_exhaustive(f, ctx: FieldContext, timing: bool = False) -> PPReport:
 
     Only a map that fails pays for its witness: the least value hit
     twice, and the two least elements that map to it, are then read off
-    the value array.
+    the value array.  A DensePolyF2 of this context is evaluated by its
+    own eval_on_field, other maps by scan.field_values.
     """
     if ctx.order > EXHAUSTIVE_MAX_ORDER:
         raise ValueError(f"field order {ctx.order} exceeds the exhaustive-scan ceiling")
     t0 = time.perf_counter()
-    values = scan.field_values(f, ctx)
+    values = (f.eval_on_field() if isinstance(f, poly.DensePolyF2) and f.ctx is ctx
+              else scan.field_values(f, ctx))
     ok = scan.bijection_from_values(values, ctx.order)
     elapsed = int((time.perf_counter() - t0) * 1000) if timing else 0
     if ok:

@@ -87,15 +87,12 @@ class DensePolyF2:
         return cls(ctx, bits)
 
     def support(self) -> list[int]:
-        # top bit first: clearing it shrinks bits, where bits & -bits
-        # would build a full-width int per term
         out = []
         bits = self.bits
         while bits:
-            d = bits.bit_length() - 1
-            out.append(d)
-            bits ^= 1 << d
-        out.reverse()
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
         return out
 
     def __add__(self, other: "DensePolyF2") -> "DensePolyF2":

@@ -18,11 +18,7 @@ def test_tracer_installs_and_sees_the_wrapped_names():
             "from permpoly.field import make_field\n"
             "hits = gnq.search_desirable(4, 3, 1, 40)\n"
             "ctx = make_field(2, 3)\n"
-            "g = gnq.gnq_recurrence(65921, 4, ctx)\n"
-            "permtest.is_pp_exhaustive(g, ctx)\n"
-            # no pipeline calls eval_on_field since the oracle reads rows at
-            # the coset images, but the tracer still wraps it
-            "g.eval_on_field()\n"
+            "permtest.is_pp_exhaustive(gnq.gnq_recurrence(65921, 4, ctx), ctx)\n"
             "methods = ['.'.join(m) for m in METHODS]\n"
             "print(json.dumps({'layers': tracer.layers(), 'methods': methods,\n"
             "                  'hits': len(hits)}))\n")

@@ -55,6 +55,21 @@ def test_exhaustive_reads_power_rows_of_a_dense_polynomial(monkeypatch):
     assert set(scan._power_rows(ctx, scan._field_points)) == set(g.support())
 
 
+def test_exhaustive_evaluates_a_dense_polynomial_of_its_context_itself(monkeypatch):
+    ctx = make_field(2, 6)
+    g = gnq_recurrence(65921, 4, ctx)
+    calls = []
+    eval_on_field = DensePolyF2.eval_on_field
+    monkeypatch.setattr(DensePolyF2, "eval_on_field",
+                        lambda self: calls.append(self) or eval_on_field(self))
+    assert is_pp_exhaustive(g, ctx).is_pp
+    assert calls == [g]
+    # a polynomial of another field is refused, not evaluated on its own
+    with pytest.raises(ValueError, match="context mismatch"):
+        is_pp_exhaustive(g, make_field(2, 5))
+    assert calls == [g]
+
+
 def test_exhaustive_collision_pair_is_genuine(f4):
     cube = Pow(Var(), 3)  # gcd(3, 3) = 3, not a permutation of GF(4)
     rep = is_pp_exhaustive(cube, f4)
