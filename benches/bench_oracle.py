@@ -18,8 +18,9 @@ Recorded, single-threaded, over REPEATS passes:
   warm, context; the median over the passes;
 - ms per gnq_oracle_check on each hit of search_desirable(4, e, 1, 300)
   for e = 7, 8, 10, timed after the search on the search's own context,
-  so per-context tables are already built: the median over the passes of
-  the mean per call;
+  so per-context tables are already built; each hit is timed as the mean
+  of HIT_CALLS repeated calls, since one call lasts too short a time to
+  time alone: the median over the passes of the mean per call;
 - wall time and peak RSS (VmHWM) of four CLI runs: two searches, the
   oracle at GF(4^12) and the oracle at GF(4^10) for n = 1023, which takes
   the coset representatives above the power-table cap; with the median
@@ -55,22 +56,27 @@ CLI_RUNS = (
     ("oracle", "--n", "65921", "--q", "4", "--e", "12"),
     ("oracle", "--n", "1023", "--q", "4", "--e", "10"),
 )
-# the mean ms per oracle call on the hits, for each e in argv
+# warm oracle calls timed together per hit
+HIT_CALLS = 20
+# the mean ms per oracle call on the hits, for each e in argv[2:-1], with
+# argv[1] calls per hit
 ORACLE_SCRIPT = """\
 import json, statistics, sys, time
 from permpoly import gnq
 from permpoly.field import make_field
+calls = int(sys.argv[1])
 out = {}
-for e in map(int, sys.argv[1:-1]):
+for e in map(int, sys.argv[2:-1]):
     ctx = make_field(2, e)
     hits = [t.n for t in gnq.search_desirable(4, e, 1, int(sys.argv[-1]), ctx=ctx)]
     ms = []
     for n in hits:
         g = gnq.gnq_recurrence(n, 4, ctx)
         t0 = time.perf_counter()
-        if not gnq.gnq_oracle_check(n, 4, ctx, g=g):
-            raise AssertionError(f"oracle rejects the hit n = {n} at e = {e}")
-        ms.append((time.perf_counter() - t0) * 1000)
+        for _ in range(calls):
+            if not gnq.gnq_oracle_check(n, 4, ctx, g=g):
+                raise AssertionError(f"oracle rejects the hit n = {n} at e = {e}")
+        ms.append((time.perf_counter() - t0) / calls * 1000)
     out[e] = [len(hits), statistics.fmean(ms)]
 print(json.dumps(out))
 """
@@ -135,7 +141,7 @@ def measure_pass(src: Path, raw: dict) -> None:
                   json.dumps(DESK["ORACLE_FIELDS"]))
     for field, us in json.loads(proc.stdout).items():
         raw["desk"].setdefault(field, []).append(us)
-    _, proc = run(src, ORACLE_SCRIPT, *map(str, ORACLE_E), str(ORACLE_N_TO))
+    _, proc = run(src, ORACLE_SCRIPT, str(HIT_CALLS), *map(str, ORACLE_E), str(ORACLE_N_TO))
     for e, (hits, ms) in json.loads(proc.stdout).items():
         raw["oracle"].setdefault(e, (hits, []))[1].append(ms)
     for args in CLI_RUNS:

@@ -94,10 +94,12 @@ def gnq_recurrence(n: int, q: int, ctx: FieldContext,
 
         g_(n,q) = g_(m+1,q) + S_a * g_(m,q)
 
-    memoized on n per context and filled bottom-up, so a large n costs
-    memo entries, not stack depth.  GF(2) coefficient closure holds by
-    construction (base cases and S_a are GF(2) polynomials); the
-    defining identity is checked separately by gnq_oracle_check.
+    memoized on n per context and filled from an explicit stack, so a
+    large n costs memo entries, not call depth: a k stays on the stack
+    until g at m and m + 1, both below k, is in the memo, and is then
+    computed.  GF(2) coefficient closure holds by construction (base cases
+    and S_a are GF(2) polynomials); the defining identity is checked
+    separately by gnq_oracle_check.
     """
     if n < 0:
         raise UsageError("n must be nonnegative")
@@ -105,34 +107,34 @@ def gnq_recurrence(n: int, q: int, ctx: FieldContext,
         raise UsageError(f"memo bound must be >= 1, got {memo_bound}")
     if ctx.q != q:
         raise ValueError(f"context has q={ctx.q}, not {q}")
-    memo = _memo(ctx, q)
-    g = memo.get(n)
-    if g is not None:
-        return g
-    # m and m + 1 lie below n: collect the missing n with their a, then fill
-    need, stack = {}, [n]
+    memo = _memo(ctx)
+    stack = [n]
     while stack:
-        k = stack.pop()
-        if k in memo or k in need:
+        k = stack[-1]
+        if k in memo:
+            stack.pop()
             continue
-        if len(memo) + len(need) >= memo_bound:
+        # q^a <= k < q^(a+1) for q = 2^s; a = 0 marks a base case
+        a = (max(k, 1).bit_length() - 1) // ctx.s
+        if a:
+            m = k - q ** a
+            lo, hi = memo.get(m), memo.get(m + 1)
+            if lo is None or hi is None:
+                stack += [j for j in (m + 1, m) if j not in memo]
+                continue
+        if len(memo) >= memo_bound:
             raise RuntimeError(
-                f"g_(n,{q}) memo reached {len(memo) + len(need)} entries (bound {memo_bound}) "
+                f"g_(n,{q}) memo reached {len(memo)} entries (bound {memo_bound}) "
                 f"while expanding n={k}; raise memo_bound if that is intended"
             )
-        # q^a <= k < q^(a+1) for q = 2^s; a = 0 marks a base case
-        need[k] = a = (max(k, 1).bit_length() - 1) // ctx.s
-        if a:
-            stack += (k - q ** a, k - q ** a + 1)
-    for k, a in sorted(need.items()):
-        memo[k] = (gnq_base(k, q, ctx) if a == 0
-                   else memo[k - q ** a + 1] + s_dense(ctx, a) * memo[k - q ** a])
+        memo[k] = hi + s_dense(ctx, a) * lo if a else gnq_base(k, q, ctx)
+        stack.pop()
     return memo[n]
 
 
 @per_context
-def _memo(ctx: FieldContext, q: int) -> dict[int, DensePolyF2]:
-    """The per-context memo of gnq_recurrence: g_(n,q) by n."""
+def _memo(ctx: FieldContext) -> dict[int, DensePolyF2]:
+    """The per-context memo of gnq_recurrence: g_(n,q) by n, q = ctx.q."""
     return {}
 
 

@@ -7,17 +7,16 @@ products use per-bit carry-less shift-and-add, powers discrete-log tables.
 
 Scans are chunked so peak memory stays bounded by a few chunk-sized
 arrays.  field_values alone decides how a map is evaluated on the whole
-field: a small dense polynomial from cached power rows, a map of
-algebraic degree at most 2 from three tables over pairs of bit blocks
-checked against direct evaluation at SPOT_CHECK_POINTS fixed points,
-anything else directly.  permutes decides a dense polynomial with GF(2)
-coefficients on one point per orbit of x -> x^2, and never scans the
-whole field; its docstring gives the argument.  power_sum_identity alone
-decides the oracle's identity, on coset representatives or, above the
-power-table cap, on the Hamming ball of its degree when that is smaller;
-its docstring gives the argument for both point sets.  Up to that cap the
-three share one store of power rows per point set, each row packed into
-one Python int (_power_rows).
+field: a map of algebraic degree at most 2 from three tables over pairs
+of bit blocks checked against direct evaluation at SPOT_CHECK_POINTS
+fixed points, anything else directly.  permutes decides a dense
+polynomial with GF(2) coefficients on one point per orbit of x -> x^2,
+and never scans the whole field; its docstring gives the argument.
+power_sum_identity alone decides the oracle's identity, on coset
+representatives or, above the power-table cap, on the Hamming ball of its
+degree when that is smaller; its docstring gives the argument for both
+point sets.  Up to that cap the two share one store of power rows per
+point set, each row packed into one Python int (_power_rows).
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ DEFAULT_CHUNK = 1 << 20
 # against direct evaluation
 SPOT_CHECK_POINTS = (1 << 12) - 1
 
-# up to this order, field_values, permutes and power_sum_identity keep
-# rows per exponent
+# up to this order, permutes and power_sum_identity keep rows per exponent
 POWER_TABLE_MAX_ORDER = 1 << 12
 
 
@@ -177,6 +175,7 @@ def iter_chunks(total: int):
         yield start, min(start + DEFAULT_CHUNK, total)
 
 
+@functools.cache
 def _spot_points(m: int) -> np.ndarray:
     """SPOT_CHECK_POINTS well-spread m-bit patterns, read-only, cached per
     m: the top m bits of i * 2^64/phi for i = 1, 2, ... (Fibonacci hashing).
@@ -185,12 +184,7 @@ def _spot_points(m: int) -> np.ndarray:
     (2584 the largest Fibonacci number <= 4095).  At m = 12 only 3657 are;
     permutes samples only where the orbit representatives outnumber them,
     which is m >= 16."""
-    return _fibonacci_points(m, SPOT_CHECK_POINTS)
-
-
-@functools.cache
-def _fibonacci_points(m: int, count: int) -> np.ndarray:
-    i = np.arange(1, count + 1, dtype=np.uint64)
+    i = np.arange(1, SPOT_CHECK_POINTS + 1, dtype=np.uint64)
     pts = (i * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - m)
     pts.flags.writeable = False
     return pts
@@ -236,11 +230,7 @@ def field_values(f, ctx: FieldContext) -> np.ndarray:
 
     Returns a uint32 array of length ctx.order; entry i is f(element i).
 
-    A DensePolyF2 over a field of order <= POWER_TABLE_MAX_ORDER is the
-    XOR of the rows x -> x^d of the exponents d in its support.  A row is
-    built on its first read and kept in the context; see _power_rows.
-
-    Any other map whose poly.degree_bound is at most 2 is assembled from
+    A map whose poly.degree_bound is at most 2 is assembled from
     block tables whenever they need fewer points than the field has.
     Split the m bits into blocks of b0 = m // 3, b1 = (m - b0) // 2 and
     b2 = m - b0 - b1 bits, x = x0 | x1 | x2.  Every third-order
@@ -261,14 +251,9 @@ def field_values(f, ctx: FieldContext) -> np.ndarray:
     (Reed-Muller distance), so 4095 points miss a wrong bound for D <= 8
     with probability at most (1 - 2^-8)^4095 < e^-16.
 
-    Other maps are evaluated directly, chunk by chunk.
+    Other maps, a DensePolyF2 among them, are evaluated directly, chunk by
+    chunk, and nothing is kept.
     """
-    if isinstance(f, poly.DensePolyF2) and ctx.order <= POWER_TABLE_MAX_ORDER:
-        if f.ctx is not ctx:
-            raise ValueError("context mismatch")
-        row = _power_row_sum(ctx, f.support(), _field_points)
-        return _unpack(row, ctx.order).astype(np.uint32)
-
     m = ctx.m
     b0 = m // 3
     b1 = (m - b0) // 2
@@ -289,10 +274,11 @@ def _power_rows(ctx: FieldContext, points) -> dict[int, int]:
     """Rows kept up to POWER_TABLE_MAX_ORDER for the point set that
     points(ctx) lists: exponent d -> the values of x^d there, packed by
     _pack into one int, 2 bytes per point (a Python int stores 30 bits
-    per 4-byte digit, so about 2.13 bytes in memory: 8.5 KB per exponent
-    for the 4096 points of GF(2^12)).  The point sets are _field_points
-    (field_values), _orbit_points (permutes) and _coset_images
-    (power_sum_identity).  dict.setdefault publishes only complete rows,
+    per 4-byte digit, so about 2.13 bytes in memory: 4.4 KB per exponent
+    for the 2048 coset images of GF(2^12) over GF(2)).  The point sets
+    are the two that a context reads again and again: _orbit_points
+    (permutes, once per search n) and _coset_images (power_sum_identity,
+    once per oracle call).  dict.setdefault publishes only complete rows,
     so threads sharing the context never read a partial one; of two
     threads that build the same row, the first stored is kept.
     """
@@ -324,11 +310,6 @@ def _pack(values: np.ndarray) -> int:
 def _unpack(packed: int, size: int) -> np.ndarray:
     """The size values that _pack packed, as a read-only uint16 array."""
     return np.frombuffer(packed.to_bytes(2 * size, "little"), dtype="<u2")
-
-
-def _field_points(ctx: FieldContext) -> np.ndarray:
-    """Every element, in bit-pattern order."""
-    return np.arange(ctx.order, dtype=np.uint64)
 
 
 def values_equal(f, g, ctx: FieldContext, degree: int) -> bool:

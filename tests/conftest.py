@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from permpoly import scan
 from permpoly.field import make_field
 
 # fixed example sequence and no example database: tier-1 runs are reproducible
@@ -26,3 +27,10 @@ def f64():
 @pytest.fixture(scope="session")
 def f4096():
     return make_field(2, 6)
+
+
+@pytest.fixture(scope="session")
+def row_point_sets():
+    """ctx -> the set of point sets that ctx keeps power rows for."""
+    build = scan._power_rows.__wrapped__
+    return lambda ctx: {key[1] for key in ctx._cache if key[0] is build}

@@ -220,6 +220,23 @@ def test_only_field_names_the_context_cache():
     assert not offenders
 
 
+def test_only_permutes_and_the_oracle_read_the_power_table_cap():
+    # the cap decides only where power rows are kept, and only permutes and
+    # power_sum_identity keep them; field_values evaluates every dense
+    # polynomial without it
+    name = "POWER_TABLE_MAX_ORDER"
+    readers = set()
+    for path in sorted(Path(permpoly.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if any((isinstance(node, ast.Name) and node.id == name
+                    and not isinstance(node.ctx, ast.Store))
+                   or (isinstance(node, ast.Attribute) and node.attr == name)
+                   or (isinstance(node, ast.alias) and node.name == name)
+                   for node in ast.walk(stmt)):
+                readers.add(f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}")
+    assert readers == {"scan.permutes", "scan.power_sum_identity"}
+
+
 def test_only_scan_computes_the_oracle_sums():
     # gnq hands the oracle's identity to scan.power_sum_identity; the
     # power-table cap and the kernels that compute its sides stay in scan

@@ -89,6 +89,7 @@ def test_recurrence_memo_bound_trips():
     fresh = make_field(2, 3)
     with pytest.raises(RuntimeError, match="memo"):
         gnq_recurrence(65921, 4, fresh, memo_bound=4)
+    assert len(gnq._memo(fresh)) <= 4
 
 
 def test_recurrence_needs_no_call_stack_at_n_4_400():
@@ -96,7 +97,31 @@ def test_recurrence_needs_no_call_stack_at_n_4_400():
     ctx = make_field(2, 2)
     n = 4 ** 400 - 1
     assert gnq_oracle_check(n, 4, ctx, g=gnq_recurrence(n, 4, ctx))
-    assert len(gnq._memo(ctx, 4)) == 3595
+    assert len(gnq._memo(ctx)) == 3595
+
+
+def _reachable(n: int, q: int) -> set[int]:
+    """n and every n' that the digit recurrence reads below it: for n' >= q,
+    with q^a <= n' < q^(a+1), the n' - q^a and n' - q^a + 1."""
+    seen, todo = set(), [n]
+    while todo:
+        k = todo.pop()
+        if k not in seen:
+            seen.add(k)
+            if k >= q:
+                p = q
+                while p * q <= k:
+                    p *= q
+                todo += [k - p, k - p + 1]
+    return seen
+
+
+def test_recurrence_memo_holds_exactly_the_reachable_n():
+    for ns in ([65921], [4 ** 400 - 1], range(2001)):
+        ctx = make_field(2, 2)
+        for n in ns:
+            gnq_recurrence(n, 4, ctx)
+        assert set(gnq._memo(ctx)) == set().union(*(_reachable(n, 4) for n in ns))
 
 
 def test_closed_form_validation(f4096):
@@ -413,7 +438,7 @@ def test_oracle_memo_hit_rejects_a_corrupted_g(monkeypatch):
 
 
 @pytest.mark.parametrize("q,e", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3)])
-def test_oracle_builds_no_whole_field_row_below_the_cap(q, e, monkeypatch):
+def test_oracle_builds_no_whole_field_row_below_the_cap(q, e, monkeypatch, row_point_sets):
     # the fields of the desk-suite oracle sweep, n = 0..2000; g's values
     # for the reference come from eval_packed, which keeps no rows
     ctx = make_field(q.bit_length() - 1, e)
@@ -436,7 +461,7 @@ def test_oracle_builds_no_whole_field_row_below_the_cap(q, e, monkeypatch):
         rejected += not verdicts[1]
     # over GF(2) only a flip of the constant term changes g at 0, the one image
     assert rejected > 0
-    assert scan._power_rows(ctx, scan._field_points) == {}
+    assert row_point_sets(ctx) == {scan._coset_images}
 
 
 def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch):
@@ -746,9 +771,9 @@ def test_search_threads_capped_by_n_and_cpus(f64, monkeypatch):
     assert pools == [2, 2]
 
 
-def test_search_fills_only_the_power_rows_it_reads():
+def test_search_fills_only_the_power_rows_it_reads(row_point_sets):
     # permutes reads orbit rows for every n; only the oracle of a hit reads
-    # rows at the coset images, and nothing reads whole-field rows
+    # rows at the coset images, and no other point set keeps rows
     ctx = make_field(2, 6)
     hits = [t.n for t in search_desirable(4, 6, 1, 50, ctx=ctx)]
     support, hit_support = set(), set()
@@ -758,7 +783,7 @@ def test_search_fills_only_the_power_rows_it_reads():
         hit_support.update(gnq_recurrence(n, 4, ctx).support())
     assert set(scan._power_rows(ctx, scan._orbit_points)) == support
     assert set(scan._power_rows(ctx, scan._coset_images)) == hit_support
-    assert scan._power_rows(ctx, scan._field_points) == {}
+    assert row_point_sets(ctx) == {scan._orbit_points, scan._coset_images}
     assert hits and len(hit_support) < len(support) < ctx.order // 10
 
 

@@ -175,70 +175,27 @@ def test_bijection_from_values_matches_naive(chunk, values):
             assert scan.collision_witness(values, len(values)) == dup
 
 
-def test_field_values_builds_each_power_row_once(monkeypatch):
-    built = []
-    packed_pow = scan.packed_pow
-
-    def spy(ctx, a, n):
-        built.append(n)
-        return packed_pow(ctx, a, n)
-
-    monkeypatch.setattr(scan, "packed_pow", spy)
-    for exponents in ([5], [0, 63], [63, 0, 5, 17], list(range(64))[::-1], []):
-        ctx = make_field(2, 3)  # fresh context: rows fill as the calls read them
-        built.clear()
-        for reads in (exponents, exponents[::2], exponents):
-            g = DensePolyF2.from_exponents(ctx, reads)
-            values = scan.field_values(g, ctx)
-            assert values.dtype == np.uint32 and values.shape == (64,)
-            for x in range(64):  # x = 0 included
-                assert int(values[x]) == g.eval_at(ctx.element(x)).bits, (reads, x)
-        assert sorted(built) == sorted(exponents)
-        rows = scan._power_rows(ctx, scan._field_points)
-        assert set(rows) == set(exponents)
-        for d, row in rows.items():
-            assert type(row) is int and row.bit_length() <= 16 * 64
-            values = scan._unpack(row, 64)
-            assert values.dtype == np.uint16
-            assert [int(v) for v in values] == [(ctx.element(x) ** d).bits for x in range(64)]
+@pytest.mark.parametrize("s, e, sample", [(1, 6, None), (2, 6, 60)], ids=["gf2_6", "gf4_6"])
+def test_field_values_keeps_no_power_rows_of_a_dense_polynomial(s, e, sample, row_point_sets):
+    ctx = make_field(s, e)
+    g = gnq.gnq_recurrence(65921, 4, ctx) if s == 2 else DensePolyF2.from_exponents(
+        ctx, [0, 1, 5, 21, 62, 63])
+    values = scan.field_values(g, ctx)
+    assert values.dtype == np.uint32 and values.shape == (ctx.order,)
+    xs = range(ctx.order) if sample is None else [0, 1] + random.Random(20).sample(
+        range(2, ctx.order), sample)
+    for x in xs:
+        assert int(values[x]) == g.eval_at(ctx.element(x)).bits, x
+    assert row_point_sets(ctx) == set()
 
 
-def test_field_values_threads_never_read_a_partial_power_row():
-    ctx = make_field(2, 6)
-    rng = random.Random(14)
-    reads = [[rng.randrange(300) for _ in range(rng.randrange(1, 12))]
-             for _ in range(400)]
-    xs = np.arange(ctx.order, dtype=np.uint64)
-    rows = {d: scan.packed_pow(ctx, xs, d) for d in set().union(*reads)}
-
-    def read(exponents):
-        g = DensePolyF2.from_exponents(ctx, exponents)
-        expect = np.zeros(ctx.order, dtype=np.uint64)
-        for d in g.support():
-            expect ^= rows[d]
-        return np.array_equal(scan.field_values(g, ctx), expect)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(read, r) for r in reads]
-            assert all(f.result(timeout=60) for f in futures)
-    finally:
-        sys.setswitchinterval(old)
-    support = set()
-    for r in reads:
-        support.update(DensePolyF2.from_exponents(ctx, r).support())
-    assert set(scan._power_rows(ctx, scan._field_points)) == support
-
-
-def test_field_values_keeps_no_power_rows_above_the_cap():
+def test_field_values_keeps_no_power_rows_above_the_cap(row_point_sets):
     ctx = make_field(2, 7)
     assert ctx.order > scan.POWER_TABLE_MAX_ORDER
     g = DensePolyF2.from_exponents(ctx, [0, 1, 5, 21, ctx.order - 1])
     xs = np.arange(ctx.order, dtype=np.uint64)
     assert np.array_equal(scan.field_values(g, ctx), g.eval_packed(xs, ctx))
-    assert scan._power_rows(ctx, scan._field_points) == {}
+    assert row_point_sets(ctx) == set()
 
 
 def test_field_values_rejects_a_dense_polynomial_of_another_context():
@@ -484,16 +441,17 @@ def test_permutes_keeps_orbit_rows_only_up_to_the_cap():
 # order/q points each
 ROW_FIELDS = ((1, 1), (2, 1), (1, 5), (2, 3), (3, 2), (1, 8), (4, 2), (2, 5), (2, 6),
               (6, 2), (1, 12))
-ROW_POINTS = (scan._field_points, scan._orbit_points, scan._coset_images)
+# the two point sets whose power rows a context reads again and again
+ROW_POINTS = (scan._orbit_points, scan._coset_images)
 
 
 @settings(max_examples=80)
 @given(st.sampled_from(ROW_FIELDS), st.sampled_from(ROW_POINTS),
        st.lists(st.integers(0, (1 << 12) - 1), unique=True, max_size=12))
-@example((1, 1), scan._field_points, [])
+@example((1, 1), scan._orbit_points, [])
 @example((2, 3), scan._orbit_points, [])
 @example((2, 3), scan._coset_images, [])
-@example((1, 1), scan._field_points, [0])
+@example((1, 1), scan._coset_images, [0])
 @example((2, 3), scan._orbit_points, [0, 5])
 @example((2, 6), scan._coset_images, [7, 0])
 def test_power_row_sum_unpacks_to_the_xor_of_the_powers(se, points, support):
@@ -507,6 +465,64 @@ def test_power_row_sum_unpacks_to_the_xor_of_the_powers(se, points, support):
     # 0 is a point of every set; 0^d is 1 only for d = 0
     assert (pts == 0).sum() == 1 and got[pts == 0][0] == (0 in support)
     assert set(support) <= set(scan._power_rows(ctx, points))
+
+
+def test_power_rows_are_built_once_and_packed(monkeypatch):
+    built = []
+    packed_pow = scan.packed_pow
+
+    def spy(ctx, a, n):
+        built.append(n)
+        return packed_pow(ctx, a, n)
+
+    monkeypatch.setattr(scan, "packed_pow", spy)
+    for points in ROW_POINTS:
+        for exponents in ([5], [0, 63], [63, 0, 5, 17], list(range(64))[::-1], []):
+            ctx = make_field(2, 3)  # fresh context: rows fill as the calls read them
+            pts = [ctx.element(int(x)) for x in points(ctx)]
+            built.clear()
+            for reads in (exponents, exponents[::2], exponents):
+                got = scan._unpack(scan._power_row_sum(ctx, reads, points), len(pts))
+                for i, x in enumerate(pts):  # x = 0 included
+                    expect = 0
+                    for d in reads:
+                        expect ^= (x ** d).bits
+                    assert int(got[i]) == expect, (points.__name__, reads, i)
+            assert sorted(built) == sorted(exponents), points.__name__
+            rows = scan._power_rows(ctx, points)
+            assert set(rows) == set(exponents)
+            for d, row in rows.items():
+                assert type(row) is int and row.bit_length() <= 16 * len(pts)
+                values = scan._unpack(row, len(pts))
+                assert values.dtype == np.uint16
+                assert [int(v) for v in values] == [(x ** d).bits for x in pts]
+
+
+def test_power_row_threads_never_read_a_partial_row():
+    rng = random.Random(14)
+    reads = [[rng.randrange(300) for _ in range(rng.randrange(1, 12))]
+             for _ in range(400)]
+    for points in ROW_POINTS:
+        ctx = make_field(2, 6)
+        pts = points(ctx)
+        rows = {d: scan.packed_pow(ctx, pts, d) for d in set().union(*reads)}
+
+        def read(exponents):
+            expect = np.zeros(pts.size, dtype=np.uint64)
+            for d in exponents:
+                expect ^= rows[d]
+            got = scan._unpack(scan._power_row_sum(ctx, exponents, points), pts.size)
+            return np.array_equal(got, expect)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(read, r) for r in reads]
+                assert all(f.result(timeout=60) for f in futures), points.__name__
+        finally:
+            sys.setswitchinterval(old)
+        assert set(scan._power_rows(ctx, points)) == set().union(*reads)
 
 
 @pytest.mark.long
