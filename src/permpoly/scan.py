@@ -13,16 +13,18 @@ fixed points, anything else directly.  permutes decides a dense
 polynomial with GF(2) coefficients on one point per orbit of x -> x^2,
 and never scans the whole field; its docstring gives the argument.
 power_sum_identity alone decides the oracle's identity, on coset
-representatives or, above the power-table cap, on the Hamming ball of its
-degree when that is smaller; its docstring gives the argument for both
-point sets.  Up to that cap the two share one store of power rows per
-point set, each row packed into one Python int (_power_rows).
+representatives or on the Hamming ball of its degree, whichever is
+smaller; its docstring gives the argument for both point sets.  Both read
+their values from one store of rows packed into ints (_power_row_sum),
+kept per context within POWER_ROW_BUDGET bytes.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -36,8 +38,8 @@ DEFAULT_CHUNK = 1 << 20
 # against direct evaluation
 SPOT_CHECK_POINTS = (1 << 12) - 1
 
-# up to this order, permutes and power_sum_identity keep rows per exponent
-POWER_TABLE_MAX_ORDER = 1 << 12
+# bytes of packed rows that one context keeps, over all its point sets
+POWER_ROW_BUDGET = 64 << 20
 
 
 @per_context
@@ -269,47 +271,68 @@ def field_values(f, ctx: FieldContext) -> np.ndarray:
     return out
 
 
+# one context's rows for the point set points(ctx, *args): kept maps d to
+# row d, budget is its _kept_row_bytes, dtype is <u2 up to m = 16, else <u4
+_Rows = collections.namedtuple("_Rows", "kept points args budget dtype")
+
+
 @per_context
-def _power_rows(ctx: FieldContext, points) -> dict[int, int]:
-    """Rows kept up to POWER_TABLE_MAX_ORDER for the point set that
-    points(ctx) lists: exponent d -> the values of x^d there, packed by
-    _pack into one int, 2 bytes per point (a Python int stores 30 bits
-    per 4-byte digit, so about 2.13 bytes in memory: 4.4 KB per exponent
-    for the 2048 coset images of GF(2^12) over GF(2)).  The point sets
-    are the two that a context reads again and again: _orbit_points
-    (permutes, once per search n) and _coset_images (power_sum_identity,
-    once per oracle call).  dict.setdefault publishes only complete rows,
-    so threads sharing the context never read a partial one; of two
-    threads that build the same row, the first stored is kept.
-    """
-    return {}
+def _power_rows(ctx: FieldContext, points, *args) -> _Rows:
+    """The rows kept for the point set points(ctx, *args), d -> row d, each
+    packed by _pack in fields of dtype.  A point set returns (xs,
+    shifts): row d holds x^d at each x of xs or, if shifts is a column,
+    the sum of (x + a)^d over its a.  The point sets are _orbit_points
+    (permutes) and, per radius, _oracle_images and _oracle_translates
+    (power_sum_identity).  Rows are inserted whole under the lock of
+    _kept_row_bytes, so no thread reads a partial one."""
+    return _Rows({}, points, args, _kept_row_bytes(ctx), np.dtype("<u2" if ctx.m <= 16 else "<u4"))
 
 
-def _power_row_sum(ctx: FieldContext, exponents, points) -> int:
-    """XOR over the exponents d of the kept rows x^d at the points that
-    points(ctx) lists, packed as _power_rows keeps them; points is called
-    only to build a missing row.  Each value lies in its own 16-bit field,
-    so the XOR of the ints is the packed XOR of the rows; at desk sizes
-    one int XOR costs a fraction of one numpy call."""
-    rows = _power_rows(ctx, points)
+@per_context
+def _kept_row_bytes(ctx: FieldContext) -> tuple[list[int], threading.Lock]:
+    """([bytes of the rows ctx keeps], the lock of each insert into them)."""
+    return [0], threading.Lock()
+
+
+def _power_row_sum(ctx: FieldContext, rows: _Rows, exponents) -> int:
+    """XOR over the exponents d of row d of rows, a _power_rows of ctx: one
+    int XOR per row, each value in its own field of rows.dtype.  A
+    missing row is built one iter_chunks slice at a time, and kept if the
+    context's rows, over all point sets, still fit POWER_ROW_BUDGET bytes
+    with it; else it serves this call and is dropped, so no verdict
+    depends on the budget."""
     acc = 0
+    kept = rows.kept
     for d in exponents:
-        row = rows.get(d)
+        row = kept.get(d)
         if row is None:
-            row = rows.setdefault(d, _pack(packed_pow(ctx, points(ctx), d)))
+            xs, shifts = rows.points(ctx, *rows.args)
+            values = np.empty(xs.size, dtype=rows.dtype)
+            for start, stop in iter_chunks(xs.size):
+                if shifts is None:
+                    values[start:stop] = packed_pow(ctx, xs[start:stop], d)
+                else:  # one row of powers per shift, summed
+                    powers = packed_pow(ctx, shifts ^ xs[start:stop], d)
+                    values[start:stop] = np.bitwise_xor.reduce(powers, axis=0)
+            row = _pack(values, rows.dtype)
+            total, lock = rows.budget
+            with lock:
+                if d not in kept and total[0] + values.nbytes <= POWER_ROW_BUDGET:
+                    total[0] += values.nbytes
+                    kept[d] = row
         acc ^= row
     return acc
 
 
-def _pack(values: np.ndarray) -> int:
-    """Values below 2^16 as one int whose little-endian 16-bit fields hold
-    them in order; _unpack inverts it."""
-    return int.from_bytes(values.astype("<u2").tobytes(), "little")
+def _pack(values: np.ndarray, dtype: np.dtype) -> int:
+    """Values that fit dtype, a little-endian unsigned type, as one int
+    whose fields of that type hold them in order; _unpack inverts it."""
+    return int.from_bytes(values.astype(dtype, copy=False).tobytes(), "little")
 
 
-def _unpack(packed: int, size: int) -> np.ndarray:
-    """The size values that _pack packed, as a read-only uint16 array."""
-    return np.frombuffer(packed.to_bytes(2 * size, "little"), dtype="<u2")
+def _unpack(packed: int, size: int, dtype: np.dtype) -> np.ndarray:
+    """The size values that _pack packed, as a read-only array of dtype."""
+    return np.frombuffer(packed.to_bytes(dtype.itemsize * size, "little"), dtype=dtype)
 
 
 def values_equal(f, g, ctx: FieldContext, degree: int) -> bool:
@@ -394,10 +417,9 @@ def permutes(f, ctx: FieldContext) -> bool:
     bijection_from_values on the R + 1 ids, and every True and every
     False is exhaustive.
 
-    Up to POWER_TABLE_MAX_ORDER the values are the XOR of power rows kept
-    at the representatives; above it f is evaluated there, chunk by chunk,
-    and nothing is kept.  Where the representatives outnumber the
-    _spot_points (m >= 16), f is first evaluated at those, distinct
+    The values are the XOR of the power rows of f's support at the
+    representatives (_power_row_sum).  Where the representatives outnumber
+    the _spot_points (m >= 16), f is first evaluated at those, distinct
     there, and a repeated value returns False as a certificate.
     """
     if not isinstance(f, poly.DensePolyF2):
@@ -409,19 +431,16 @@ def permutes(f, ctx: FieldContext) -> bool:
         vals = np.sort(f.eval_packed(_spot_points(ctx.m), ctx))
         if (vals[1:] == vals[:-1]).any():
             return False
-    if ctx.order <= POWER_TABLE_MAX_ORDER:
-        vals = _unpack(_power_row_sum(ctx, f.support(), _orbit_points), points.size)
-    else:
-        vals = np.concatenate([f.eval_packed(points[start:stop], ctx)
-                               for start, stop in iter_chunks(points.size)])
+    rows = _power_rows(ctx, _orbit_points)
+    vals = _unpack(_power_row_sum(ctx, rows, f.support()), points.size, rows.dtype)
     log = log_tables(ctx)[0]
     ids = np.where(vals == 0, np.uint32(points.size - 1), classes[log[vals]])
     return bijection_from_values(ids, points.size)
 
 
-def _orbit_points(ctx: FieldContext) -> np.ndarray:
-    """One point per orbit of x -> x^2; see _orbit_classes."""
-    return _orbit_classes(ctx)[1]
+def _orbit_points(ctx: FieldContext) -> tuple[np.ndarray, None]:
+    """One point per orbit of x -> x^2 (_orbit_classes); see _power_rows."""
+    return _orbit_classes(ctx)[1], None
 
 
 @per_context
@@ -484,7 +503,8 @@ def collision_witness(values: np.ndarray, order: int) -> int:
 
 
 def power_sum_identity(g, ctx: FieldContext, n: int) -> bool:
-    """Whether g(x^q + x) = sum over a in GF(q) of (x + a)^n at every x.
+    """Whether the DensePolyF2 g satisfies g(x^q + x) = sum over a in GF(q)
+    of (x + a)^n at every x.
 
     Either of two point sets decides the identity exactly:
     - the least element of each coset x + GF(q), order/q points.  Both
@@ -496,50 +516,48 @@ def power_sum_identity(g, ctx: FieldContext, n: int) -> bool:
       values_equal, since both sides have algebraic degree at most D.
       The left side is g composed with the additive map x -> x^q + x, and
       composing with a GF(2)-linear map does not raise the degree of g.
-      x^n = x^r as maps, so the right side is a sum of the translates
-      x -> (x + a)^r of x^r, and each has degree wt2(r), because a
-      translation is affine.
+      The right side is a sum of the translates x -> (x + a)^r of x^r,
+      and each has degree wt2(r), because a translation is affine.
 
-    Up to POWER_TABLE_MAX_ORDER the cosets are taken, and g must be a
-    DensePolyF2: the left side is the XOR of the power rows of its
-    support kept at the coset images x^q + x (_coset_images), and the
-    verdict compares it with _kept_power_sums as two packed ints.  Above
-    it, _oracle_points takes the ball when it is the smaller set; wt2(r)
-    is read first, and poly.degree_bound(g) is asked only if that ball is
-    still smaller than the cosets.  One loop then compares, chunk by
-    chunk, g at x^q + x with the XOR of packed_pow over the q translates
-    x + a.  So g is never evaluated on the whole field.
+    x^n = x^r as maps (y^(order-1) = 1 for y != 0, and r = 0 only if n = 0),
+    so the right side is row r of _oracle_translates.  The ball is taken
+    when it is the smaller set (_oracle_rows): wt2(r) is read first, then
+    the weights in g's support (deg g is the largest, poly.degree_bound)
+    until one gives a ball no smaller than the cosets.  The left side XORs
+    g's rows at the images x^q + x (_oracle_images): two packed ints are
+    compared, and g is never evaluated on the whole field.
     """
+    support = g.support()
     r = poly.reduce_exponent(n, ctx.order)
-    if ctx.order <= POWER_TABLE_MAX_ORDER:
-        return _power_row_sum(ctx, g.support(), _coset_images) == _kept_power_sums(ctx, r)
-    radius = r.bit_count()
-    if _ball_size(ctx.m, radius) < ctx.order // ctx.q:
-        radius = max(radius, poly.degree_bound(g, ctx.m))
-    xs, tq = _oracle_points(ctx, radius)
-    a_bits = subfield_elements(ctx, 1)[:, None]
-    for start, stop in iter_chunks(xs.size):
-        lhs = g.eval_packed(tq[start:stop], ctx)
-        rhs = np.bitwise_xor.reduce(packed_pow(ctx, a_bits ^ xs[start:stop], n), axis=0)
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
-
-
-def _oracle_points(ctx: FieldContext, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, xs^q + xs), read-only, ascending: xs is the points of Hamming
-    weight <= radius if they are fewer than the order/q cosets, and the
-    least element of each coset otherwise.  Every radius whose ball is not
-    smaller is kept under the one key m, so a context holds the coset
-    points once; nothing here depends on the exponent."""
-    if _ball_size(ctx.m, radius) >= ctx.order // ctx.q:
-        radius = ctx.m
-    return _kept_oracle_points(ctx, radius)
+    plans = _oracle_rows(ctx)
+    radius, images, translates = plans[r.bit_count()]
+    for d in support if radius < ctx.m else ():
+        if d.bit_count() > radius:
+            radius, images, translates = plans[d.bit_count()]
+            if radius == ctx.m:
+                break
+    rhs = translates.kept.get(r)  # a kept row, read without a call
+    if rhs is None:
+        rhs = _power_row_sum(ctx, translates, (r,))
+    return _power_row_sum(ctx, images, support) == rhs
 
 
 @per_context
-def _kept_oracle_points(ctx: FieldContext, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """_oracle_points for a radius below m, or the cosets for radius m.
+def _oracle_rows(ctx: FieldContext) -> list[tuple[int, _Rows, _Rows]]:
+    """(R, images, translates) for each radius 0..m: R is the radius if its
+    Hamming ball has fewer points than the order/q cosets, and else m, which
+    names the cosets, so a context keeps them once; images and translates
+    are the _power_rows of _oracle_images and _oracle_translates at R."""
+    radii = [r if _ball_size(ctx.m, r) < ctx.order // ctx.q else ctx.m for r in range(ctx.m + 1)]
+    return [(r, _power_rows(ctx, _oracle_images, r), _power_rows(ctx, _oracle_translates, r))
+            for r in radii]
+
+
+@per_context
+def _oracle_translates(ctx: FieldContext, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, GF(q) as a column), read-only, xs ascending: the points of
+    Hamming weight <= radius for a radius below m, and the least element
+    of each coset x + GF(q) for radius m (_oracle_rows); see _power_rows.
     The least element of a coset is the pattern with no bit at the leading
     bit of any nonzero a in GF(q); they are listed by depositing the bits
     of a counter around those pivots."""
@@ -552,61 +570,30 @@ def _kept_oracle_points(ctx: FieldContext, radius: int) -> tuple[np.ndarray, np.
             low = xs & np.uint64((1 << p) - 1)
             xs = ((xs ^ low) << np.uint64(1)) | low
         if xs.size != ctx.order // ctx.q:
-            raise AssertionError(
-                f"{xs.size} coset representatives of GF({ctx.q}) in {ctx!r}, "
-                f"expected {ctx.order // ctx.q}"
-            )
+            raise AssertionError(f"{xs.size} coset representatives of GF({ctx.q}) in {ctx!r}")
         xs.flags.writeable = False
+    return xs, subfield_elements(ctx, 1)[:, None]
+
+
+@per_context
+def _oracle_images(ctx: FieldContext, radius: int) -> tuple[np.ndarray, None]:
+    """(xs^q + xs, None), read-only, at the xs of _oracle_translates; see
+    _power_rows."""
+    xs = _oracle_translates(ctx, radius)[0]
     tq = apply_matrix(frobenius_matrix(ctx, 1), xs) ^ xs
     tq.flags.writeable = False
-    return xs, tq
+    return tq, None
 
 
-def _coset_images(ctx: FieldContext) -> np.ndarray:
-    """x^q + x at each coset representative; see _kept_oracle_points."""
-    return _kept_oracle_points(ctx, ctx.m)[1]
-
-
-@per_context
-def _kept_power_sums(ctx: FieldContext, r: int) -> int:
-    """The oracle's right side at the coset points up to
-    POWER_TABLE_MAX_ORDER: the sum over a in GF(q) of (y + a)^r, packed
-    like a power row (_pack), kept per reduced exponent r.  Its entries
-    line up with _coset_images, so it equals _power_row_sum there exactly
-    when the identity holds.  That serves every n with
-    reduce_exponent(n, order) = r: y^n = y^r for nonzero y, since
-    y^(order-1) = 1 and n = r mod (order-1), and 0^n = 0^r, since r = 0
-    only when n = 0.  So a context holds at most order sums of order/q
-    entries, about 17 MB at GF(2^12) over GF(2), and as many rows at the
-    coset images."""
-    reps = _kept_oracle_points(ctx, ctx.m)[0]
-    powers = packed_pow(ctx, subfield_elements(ctx, 1)[:, None] ^ reps, r)
-    return _pack(np.bitwise_xor.reduce(powers, axis=0))
-
-
-def kernel_elements(ctx: FieldContext, cols: np.ndarray) -> np.ndarray:
-    """Bit patterns x with apply_matrix(cols, x) = 0, ascending, as uint64."""
-    parts = []
-    for start, stop in iter_chunks(ctx.order):
-        xs = np.arange(start, stop, dtype=np.uint64)
-        parts.append(xs[apply_matrix(cols, xs) == 0])
-    return np.concatenate(parts)
-
-
-@per_context
-def subfield_elements(ctx: FieldContext, k: int) -> np.ndarray:
-    """Cached bit patterns of the q^k elements of GF(q^k), ascending, as a
-    read-only uint64 array: the kernel of x -> x^(q^k) + x, listed by
-    doubling from a basis.  Eliminating the map's m columns in turn, a
-    column that reduces to 0 gives the kernel vector of those it combined.
-    """
-    if k < 1 or ctx.e % k != 0:
-        raise ValueError(f"k={k} does not divide e={ctx.e}")
+def linear_kernel(cols: np.ndarray) -> np.ndarray:
+    """Bit patterns x with apply_matrix(cols, x) = 0, ascending, as uint64,
+    listed by doubling from a basis, with no scan: eliminating the columns
+    in turn, one that reduces to 0 gives the kernel vector of those it
+    combined."""
     pivots = {}  # bit length -> (reduced column, columns combined in it)
     bits = np.zeros(1, dtype=np.uint64)
-    for j, col in enumerate(frobenius_matrix(ctx, k).tolist()):
+    for j, col in enumerate(cols.tolist()):
         combo = 1 << j
-        col ^= combo
         while col and col.bit_length() in pivots:
             pcol, pcombo = pivots[col.bit_length()]
             col, combo = col ^ pcol, combo ^ pcombo
@@ -615,6 +602,17 @@ def subfield_elements(ctx: FieldContext, k: int) -> np.ndarray:
         else:
             bits = np.concatenate((bits, bits ^ np.uint64(combo)))
     bits.sort()
+    return bits
+
+
+@per_context
+def subfield_elements(ctx: FieldContext, k: int) -> np.ndarray:
+    """Cached bit patterns of the q^k elements of GF(q^k), ascending, as a
+    read-only uint64 array: the linear_kernel of x -> x^(q^k) + x."""
+    if k < 1 or ctx.e % k != 0:
+        raise ValueError(f"k={k} does not divide e={ctx.e}")
+    unit = np.uint64(1) << np.arange(ctx.m, dtype=np.uint64)
+    bits = linear_kernel(frobenius_matrix(ctx, k) ^ unit)
     if bits.size != ctx.q ** k:
         raise AssertionError(
             f"subfield GF(q^{k}) has {bits.size} elements, expected {ctx.q ** k}"

@@ -30,7 +30,15 @@ def f4096():
 
 
 @pytest.fixture(scope="session")
-def row_point_sets():
-    """ctx -> the set of point sets that ctx keeps power rows for."""
+def kept_rows():
+    """ctx -> {(points, *args): {d: row}}, the rows that ctx keeps for
+    each point set it has read."""
     build = scan._power_rows.__wrapped__
-    return lambda ctx: {key[1] for key in ctx._cache if key[0] is build}
+    return lambda ctx: {key[1:]: rows.kept for key, rows in ctx._cache.items()
+                        if key[0] is build}
+
+
+@pytest.fixture(scope="session")
+def row_point_sets(kept_rows):
+    """ctx -> the point-set functions that ctx has read rows for."""
+    return lambda ctx: {key[0] for key in kept_rows(ctx)}

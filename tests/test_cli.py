@@ -188,8 +188,8 @@ def test_oracle_roundtrip(capsys):
     assert obj == {"n": 23, "q": 4, "e": 3, "oracle_ok": True}
 
 
-def test_oracle_above_the_power_table_cap(capsys):
-    # GF(4^7) has order 16384, so the right side is recomputed, not cached
+def test_oracle_at_gf4_7(capsys):
+    # GF(4^7) has order 16384: the oracle reads rows at a Hamming ball
     assert cli.main(["oracle", "--n", "65921", "--q", "4", "--e", "7",
                      "--format", "json"]) == EXIT_OK
     obj = json.loads(capsys.readouterr().out)
@@ -242,7 +242,7 @@ def test_search_csv_and_worker_determinism(capsys):
 
 
 def test_search_threads_share_the_power_table(capsys):
-    # worker threads fill power-table rows of one GF(4^6) context concurrently
+    # worker threads fill the power rows of one GF(4^6) context concurrently
     argv = ["search", "--q", "4", "--e", "6", "--from", "1", "--to", "400",
             "--format", "csv"]
     assert cli.main(argv + ["--workers", "1"]) == EXIT_OK

@@ -220,11 +220,11 @@ def test_only_field_names_the_context_cache():
     assert not offenders
 
 
-def test_only_permutes_and_the_oracle_read_the_power_table_cap():
-    # the cap decides only where power rows are kept, and only permutes and
-    # power_sum_identity keep them; field_values evaluates every dense
-    # polynomial without it
-    name = "POWER_TABLE_MAX_ORDER"
+def test_only_the_row_store_reads_the_row_budget():
+    # the budget decides only which rows a context keeps, so only the
+    # store's one evaluator reads it; permutes and power_sum_identity take
+    # their rows from it at every field order
+    name = "POWER_ROW_BUDGET"
     readers = set()
     for path in sorted(Path(permpoly.__file__).parent.glob("*.py")):
         for stmt in ast.parse(path.read_text(), str(path)).body:
@@ -234,14 +234,14 @@ def test_only_permutes_and_the_oracle_read_the_power_table_cap():
                    or (isinstance(node, ast.alias) and node.name == name)
                    for node in ast.walk(stmt)):
                 readers.add(f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}")
-    assert readers == {"scan.permutes", "scan.power_sum_identity"}
+    assert readers == {"scan._power_row_sum"}
 
 
 def test_only_scan_computes_the_oracle_sums():
     # gnq hands the oracle's identity to scan.power_sum_identity; the
-    # power-table cap and the kernels that compute its sides stay in scan
+    # kernels that compute its sides stay in scan
     path = Path(permpoly.__file__).parent / "gnq.py"
-    names = {"POWER_TABLE_MAX_ORDER", "packed_pow", "iter_chunks"}
+    names = {"packed_pow", "iter_chunks"}
     offenders = [
         f"gnq.py:{node.lineno}"
         for node in ast.walk(ast.parse(path.read_text(), str(path)))

@@ -23,7 +23,6 @@ from permpoly.gnq import (DesirableTriple, check_t2_conditions, gnq_base,
 from permpoly.poly import (Add, DensePolyF2, LinPoly, PolyExpr, Pow, S, Var,
                            degree_bound, funcs_equal_pointwise, lin_from_expr,
                            reduce_exponent, s_dense)
-from permpoly.scan import POWER_TABLE_MAX_ORDER
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -144,42 +143,35 @@ def test_closed_form_matches_recurrence_on_random_pairs(f4096):
         assert g_rec == g_cf, (pairs, n)
 
 
-def test_oracle_accepts_recurrence_and_rejects_corruption(f16, f64):
+def _corruption_verdicts():
+    """([(expected, oracle verdict)], fields): g_(n,q) must pass and
+    g_(n,q) + 1 fail over fresh GF(4^2), GF(4^3), GF(2^3) and GF(4^7)."""
+    f16, f64, f8, f47 = (make_field(2, 2), make_field(2, 3), make_field(1, 3),
+                         make_field(2, 7))
+    verdicts = []
     for n in (0, 1, 3, 7, 23, 65, 257, 1000):
-        assert gnq_oracle_check(n, 4, f16)
-        assert gnq_oracle_check(n, 4, f64)
-    f8 = make_field(1, 3)
+        verdicts += [(True, gnq_oracle_check(n, 4, f16)), (True, gnq_oracle_check(n, 4, f64))]
     for n in (0, 1, 2, 5, 100):
-        assert gnq_oracle_check(n, 2, f8)
-    # a wrong polynomial must fail the identity
-    wrong = gnq_recurrence(7, 4, f16) + DensePolyF2.one(f16)
-    assert not gnq_oracle_check(7, 4, f16, g=wrong)
-    # GF(4^7) lies above the power-table cap, so g is evaluated through packed_pow
-    f47 = make_field(2, 7)
-    assert f47.order > POWER_TABLE_MAX_ORDER
-    for n in (7, 23, 257, 1000):
-        assert gnq_oracle_check(n, 4, f47)
-        wrong = gnq_recurrence(n, 4, f47) + DensePolyF2.one(f47)
-        assert not gnq_oracle_check(n, 4, f47, g=wrong)
+        verdicts.append((True, gnq_oracle_check(n, 2, f8)))
+    # GF(4^7) has 4096 cosets; n = 7 and 23 take a smaller Hamming ball
+    for ctx, ns in ((f16, (7,)), (f47, (7, 23, 257, 1000))):
+        for n in ns:
+            wrong = gnq_recurrence(n, 4, ctx) + DensePolyF2.one(ctx)
+            verdicts.append((False, gnq_oracle_check(n, 4, ctx, g=wrong)))
+            verdicts.append((True, gnq_oracle_check(n, 4, ctx)))
+    return verdicts, (f16, f64, f8, f47)
+
+
+def test_oracle_accepts_recurrence_and_rejects_corruption():
+    verdicts, _ = _corruption_verdicts()
+    assert len(verdicts) == 31
+    assert all(want is got for want, got in verdicts)
 
 
 def test_oracle_in_strictly_larger_field(f4096):
     # reductions valid only mod x^(4^3) - x would be exposed over GF(4^6)
     for n in (7, 23, 65, 257, 65921):
         assert gnq_oracle_check(n, 4, f4096)
-
-
-class _Values:
-    """A g stand-in: only ctx and its values, which is all the oracle reads."""
-
-    def __init__(self, ctx, values):
-        self.ctx, self.values = ctx, values
-
-    def eval_on_field(self):
-        return self.values
-
-    def eval_packed(self, xs, ctx):
-        return self.values[xs]
 
 
 # GF(2^4), GF(4^2), GF(4^3), GF(8^2)
@@ -208,6 +200,11 @@ def _oracle_reference(n, g, ctx):
     return bool(np.array_equal(g.eval_on_field()[tq], rhs))
 
 
+def _points_and_images(ctx, radius):
+    """The oracle's points of that radius and their images x^q + x."""
+    return scan._oracle_translates(ctx, radius)[0], scan._oracle_images(ctx, radius)[0]
+
+
 def _coset_sums(ctx, reps, n):
     """The sum over a in GF(q) of (y + a)^n at each y of reps, from n itself."""
     a_bits = scan.subfield_elements(ctx, 1)[:, None]
@@ -217,14 +214,23 @@ def _coset_sums(ctx, reps, n):
 @pytest.mark.parametrize("chunk", [None, 4])
 @pytest.mark.parametrize("s,e", _COSET_FIELDS)
 def test_oracle_checks_every_coset(s, e, chunk, monkeypatch):
+    # with chunk = 4 every row is built 4 points at a time
+    if chunk is not None:
+        monkeypatch.setattr(scan, "DEFAULT_CHUNK", chunk)
     ctx = make_field(s, e)
     q = ctx.q
     n = 2 * q + 3
-    reps, tq = scan._oracle_points(ctx, ctx.m)
-    assert tq is scan._coset_images(ctx)
-    packed = scan._kept_power_sums(ctx, reduce_exponent(n, ctx.order))
-    assert type(packed) is int and packed.bit_length() <= 16 * tq.size
-    sums = scan._unpack(packed, tq.size)
+    r = reduce_exponent(n, ctx.order)
+    # wt2(r) = 3 gives a ball no smaller than the cosets
+    radius, images, translates = scan._oracle_rows(ctx)[r.bit_count()]
+    assert radius == ctx.m
+    reps, tq = _points_and_images(ctx, radius)
+    g = gnq_recurrence(n, q, ctx)
+    assert gnq_oracle_check(n, q, ctx, g=g)
+    assert set(images.kept) == set(g.support()) and set(translates.kept) == {r}
+    packed = translates.kept[r]
+    assert type(packed) is int and packed.bit_length() <= 8 * translates.dtype.itemsize * tq.size
+    sums = scan._unpack(packed, tq.size, translates.dtype)
     assert reps.shape == tq.shape == sums.shape == (ctx.order // q,)
     # x^q + x = y^q + y iff x + y lies in GF(q), so order/q distinct images
     # mean one representative in every coset
@@ -232,54 +238,82 @@ def test_oracle_checks_every_coset(s, e, chunk, monkeypatch):
     ref_tq, ref_rhs = _reference_sides(n, ctx)
     want = dict(zip(ref_tq.tolist(), ref_rhs.tolist()))
     assert sums.tolist() == [want[t] for t in tq.tolist()]
-    g = gnq_recurrence(n, q, ctx)
-    if chunk is None:
-        # up to the cap the two sides are packed ints, entry i at tq[i]
-        # (g is 0 over GF(8^2)): one corrupted entry of the kept right
-        # side, at any image, is rejected
-        assert gnq_oracle_check(n, q, ctx, g=g)
-        assert set(scan._power_rows(ctx, scan._coset_images)) == set(g.support())
-        key = (scan._kept_power_sums.__wrapped__, reduce_exponent(n, ctx.order))
-        assert ctx._cache[key] == packed
-        for i, y in enumerate(tq.tolist()):
-            wrong = sums.copy()
-            wrong[i] ^= 1
-            ctx._cache[key] = scan._pack(wrong)
-            assert not gnq_oracle_check(n, q, ctx, g=g), y
-        ctx._cache[key] = packed
-        assert gnq_oracle_check(n, q, ctx, g=g)
-        return
-    # with the cap below the order, the oracle takes its chunked loop,
-    # and wt2(n) = 3 gives a ball no smaller than the cosets
-    gv = g.eval_on_field()
-    monkeypatch.setattr(scan, "POWER_TABLE_MAX_ORDER", 0)
-    monkeypatch.setattr(scan, "DEFAULT_CHUNK", chunk)
-    assert gnq_oracle_check(n, q, ctx, g=_Values(ctx, gv))
-    for y in tq:
-        wrong = gv.copy()
-        wrong[y] ^= 1
-        assert not gnq_oracle_check(n, q, ctx, g=_Values(ctx, wrong)), y
+    # the two sides are packed ints, entry i at tq[i] (g is 0 over
+    # GF(8^2)): one corrupted entry of the kept right side, at any image,
+    # is rejected
+    for i, y in enumerate(tq.tolist()):
+        wrong = sums.copy()
+        wrong[i] ^= 1
+        translates.kept[r] = scan._pack(wrong, translates.dtype)
+        assert not gnq_oracle_check(n, q, ctx, g=g), y
+    translates.kept[r] = packed
+    assert gnq_oracle_check(n, q, ctx, g=g)
+    # g with any one coefficient flipped is decided as the whole-field
+    # reference decides it, each flip reading one more row of the cosets
+    for d in range(ctx.order):
+        h = DensePolyF2(ctx, g.bits ^ 1 << d)
+        assert gnq_oracle_check(n, q, ctx, g=h) == _oracle_reference(n, h, ctx), d
+    assert set(images.kept) == set(range(ctx.order))
 
 
 def test_oracle_chunked_path_rejects_each_flip(monkeypatch):
-    # GF(4^7) lies above the power-table cap, so the right side is computed
-    # chunk by chunk on every call, never kept.  wt2(63) = 6, and the ball
-    # of radius 6 in 14 bits is larger than the 4096 cosets, so the oracle
-    # takes the cosets without asking the stand-in for its degree
-    ctx = make_field(2, 7)
-    assert ctx.order > POWER_TABLE_MAX_ORDER
-    n = 63
-    gv = gnq_recurrence(n, ctx.q, ctx).eval_on_field()
-    reps, tq = scan._oracle_points(ctx, 6)
-    assert reps.size == ctx.order // ctx.q
+    # GF(4^7): wt2(63) = 6, and the ball of radius 6 in 14 bits is larger
+    # than the 4096 cosets, so the oracle takes the cosets.  Their rows are
+    # built 1000 points at a time; a flipped bit at either end of each
+    # chunk, and at every 331st point, of the kept right side or of a kept
+    # row of g is rejected
     monkeypatch.setattr(scan, "DEFAULT_CHUNK", 1000)
-    assert gnq_oracle_check(n, ctx.q, ctx, g=_Values(ctx, gv))
+    ctx = make_field(2, 7)
+    n = 63
+    r = reduce_exponent(n, ctx.order)
+    g = gnq_recurrence(n, ctx.q, ctx)
+    assert gnq_oracle_check(n, ctx.q, ctx, g=g)
+    radius, images, translates = scan._oracle_rows(ctx)[r.bit_count()]
+    reps, tq = _points_and_images(ctx, radius)
+    assert radius == ctx.m and reps.size == ctx.order // ctx.q
+    d = g.support()[-1]
+    dtype = translates.dtype
+    assert np.array_equal(scan._unpack(translates.kept[r], tq.size, dtype), _coset_sums(ctx, reps, n))
+    assert np.array_equal(scan._unpack(images.kept[d], tq.size, dtype), scan.packed_pow(ctx, tq, d))
     ends = {i for start, stop in scan.iter_chunks(tq.size) for i in (start, stop - 1)}
     assert len(ends) == 10
-    for i in sorted(ends | set(range(0, tq.size, 331))):
-        wrong = gv.copy()
-        wrong[tq[i]] ^= 1 << (i % ctx.m)
-        assert not gnq_oracle_check(n, ctx.q, ctx, g=_Values(ctx, wrong)), i
+    for kept, key in ((translates.kept, r), (images.kept, d)):
+        packed = kept[key]
+        for i in sorted(ends | set(range(0, tq.size, 331))):
+            wrong = scan._unpack(packed, tq.size, dtype).copy()
+            wrong[i] ^= 1 << (i % ctx.m)
+            kept[key] = scan._pack(wrong, dtype)
+            assert not gnq_oracle_check(n, ctx.q, ctx, g=g), i
+        kept[key] = packed
+    assert gnq_oracle_check(n, ctx.q, ctx, g=g)
+
+
+def test_rows_hold_values_above_16_bits(kept_rows):
+    # GF(2^17): values take 17 bits, so rows pack 4 bytes per point.  The
+    # monomials x^3 and x^5 permute it, since 2^17 - 1 is prime, and reach
+    # the orbit rows past the spot sample
+    ctx = make_field(1, 17)
+    for d in (3, 5):
+        assert scan.permutes(DensePolyF2.from_exponents(ctx, [d]), ctx)
+    rows = scan._power_rows(ctx, scan._orbit_points)
+    points = scan._orbit_classes(ctx)[1]
+    assert rows.dtype.itemsize == 4 and set(rows.kept) == {3, 5}
+    values = scan._unpack(rows.kept[5], points.size, rows.dtype)
+    assert np.array_equal(values, scan.packed_pow(ctx, points, 5)) and values.max() >= 1 << 16
+    for n in (7, 100, 1000):
+        g = gnq_recurrence(n, 2, ctx)
+        assert gnq_oracle_check(n, 2, ctx, g=g), n
+        assert not gnq_oracle_check(n, 2, ctx, g=g + DensePolyF2.one(ctx)), n
+    # every kept right side equals the sums from n's reduced exponent
+    sums = 0
+    for (points, *args), kept in kept_rows(ctx).items():
+        if points is scan._oracle_translates:
+            xs = points(ctx, *args)[0]
+            for r, row in kept.items():
+                want = scan.packed_pow(ctx, xs, r) ^ scan.packed_pow(ctx, xs ^ np.uint64(1), r)
+                assert np.array_equal(scan._unpack(row, xs.size, rows.dtype), want), (args, r)
+                sums += 1
+    assert sums == 3
 
 
 @pytest.mark.long
@@ -291,7 +325,6 @@ def test_ball_oracle_agrees_with_cosets(e):
     # decided here on the ball of its degree whether or not the oracle
     # would choose that ball
     ctx = make_field(2, e)
-    assert ctx.order > POWER_TABLE_MAX_ORDER
     xs = np.arange(ctx.order, dtype=np.uint64)
     frob = scan.frobenius_matrix(ctx, 1)
     _, first = np.unique(scan.apply_matrix(frob, xs) ^ xs, return_index=True)
@@ -320,13 +353,13 @@ def test_ball_oracle_agrees_with_cosets(e):
 
 
 def test_ball_path_evaluates_nothing_on_the_whole_field(monkeypatch):
-    # above the cap neither point set needs g on the whole field: n = 29
+    # neither point set needs g on the whole field: over GF(4^7), n = 29
     # takes the ball, n = 63 the cosets
     ctx = make_field(2, 7)
     gs = {n: gnq_recurrence(n, 4, ctx) for n in (29, 63)}
 
     def refuse(*args):
-        raise AssertionError("whole-field evaluation above the power-table cap")
+        raise AssertionError("whole-field evaluation")
 
     monkeypatch.setattr(scan, "field_values", refuse)
     for n, g in gs.items():
@@ -334,26 +367,21 @@ def test_ball_path_evaluates_nothing_on_the_whole_field(monkeypatch):
         assert not gnq_oracle_check(n, 4, ctx, g=g + DensePolyF2.one(ctx))
 
 
-def test_coset_path_is_kept_when_the_ball_is_larger(monkeypatch):
+def test_coset_path_is_kept_when_the_ball_is_larger(kept_rows):
     # wt2(63) = 6: 6476 points of weight <= 6 in 14 bits, 4096 cosets
     ctx = make_field(2, 7)
     assert reduce_exponent(63, ctx.order).bit_count() == 6
     assert scan._ball_size(ctx.m, 6) == 6476 > ctx.order // ctx.q
-    taken = []
-    oracle_points = scan._oracle_points
-
-    def spy(ctx, radius):
-        xs, tq = oracle_points(ctx, radius)
-        taken.append(xs)
-        return xs, tq
-
-    monkeypatch.setattr(scan, "_oracle_points", spy)
     g = gnq_recurrence(63, 4, ctx)
     assert gnq_oracle_check(63, 4, ctx, g=g)
     assert not gnq_oracle_check(63, 4, ctx, g=g + DensePolyF2.one(ctx))
-    assert len(taken) == 2 and taken[0] is taken[1]
-    assert np.array_equal(taken[0], scan._oracle_points(ctx, ctx.m)[0])
-    assert taken[0].size == ctx.order // ctx.q
+    # both calls read rows of the cosets alone, which radius m names
+    _, images, translates = scan._oracle_rows(ctx)[6]
+    assert {key: rows for key, rows in kept_rows(ctx).items() if rows} == {
+        (scan._oracle_images, ctx.m): images.kept,
+        (scan._oracle_translates, ctx.m): translates.kept}
+    assert set(images.kept) == set(g.support()) | {0} and set(translates.kept) == {63}
+    assert scan._oracle_translates(ctx, ctx.m)[0].size == ctx.order // ctx.q
 
 
 def test_coset_points_are_kept_once_per_context():
@@ -362,12 +390,16 @@ def test_coset_points_are_kept_once_per_context():
     radii = [reduce_exponent(n, ctx.order).bit_count() for n in (63, 1023)]
     assert radii == [6, 10]
     assert all(scan._ball_size(ctx.m, r) >= ctx.order // ctx.q for r in radii)
-    points = scan._kept_oracle_points.__wrapped__
+    points = scan._oracle_translates.__wrapped__
     for n in (63, 1023):
         assert gnq_oracle_check(n, 4, ctx)
     kept = [key for key in ctx._cache if key[0] is points]
     assert kept == [(points, ctx.m)]
-    assert scan._oracle_points(ctx, 6) is scan._oracle_points(ctx, 10)
+    # and so are the rows read there
+    _, images, translates = scan._oracle_rows(ctx)[ctx.m]
+    for radius in radii:
+        got = scan._oracle_rows(ctx)[radius]
+        assert got[0] == ctx.m and got[1] is images and got[2] is translates
 
 
 # q <= 32: the base cases of a new q cost about q^2 scalar powers in all
@@ -385,28 +417,35 @@ def test_oracle_matches_whole_field_reference(se, n, rng):
 
 # GF(2), GF(4) over GF(2) and over GF(4), GF(8), GF(2^4), GF(4^2), GF(4^3)
 @pytest.mark.parametrize("s,e", [(1, 1), (1, 2), (2, 1), (1, 3), (1, 4), (2, 2), (2, 3)])
-def test_oracle_memo_matches_unmemoized_right_side(s, e, monkeypatch):
+def test_oracle_memo_matches_unmemoized_right_side(s, e, monkeypatch, kept_rows):
     ctx = make_field(s, e)
+    # the same field with a budget of 0 bytes: it keeps no row, so every
+    # call builds both sides again
+    bare = make_field(s, e)
     q, order = ctx.q, ctx.order
     rng = random.Random(order + q)
-    reps, tq = scan._oracle_points(ctx, ctx.m)
+    _, images, translates = scan._oracle_rows(ctx)[ctx.m]
+    reps, tq = _points_and_images(ctx, ctx.m)
     for n in range(3 * order + 1):
-        memo = scan._unpack(scan._kept_power_sums(ctx, reduce_exponent(n, order)), tq.size)
+        r = reduce_exponent(n, order)
+        memo = scan._unpack(scan._power_row_sum(ctx, translates, (r,)), tq.size, translates.dtype)
         rhs = _coset_sums(ctx, reps, n)
         assert np.array_equal(memo, rhs), n
+        assert translates.kept[r] == scan._pack(rhs, translates.dtype), n
         g = gnq_recurrence(n, q, ctx)
         flipped = DensePolyF2(ctx, g.bits ^ rng.getrandbits(order))
         for h in (g, flipped):
             want = _oracle_reference(n, h, ctx)
-            lhs = scan._power_row_sum(ctx, h.support(), scan._coset_images)
-            assert np.array_equal(scan._unpack(lhs, tq.size), h.eval_on_field()[tq]), n
+            lhs = scan._power_row_sum(ctx, images, h.support())
+            assert np.array_equal(scan._unpack(lhs, tq.size, images.dtype), h.eval_on_field()[tq]), n
             assert np.array_equal(h.eval_on_field()[tq], rhs) == want, n
             assert gnq_oracle_check(n, q, ctx, g=h) == want, n
-            # with the cap below the order, the chunked loop computes the
-            # right side from n itself
             with monkeypatch.context() as mp:
-                mp.setattr(scan, "POWER_TABLE_MAX_ORDER", 0)
-                assert gnq_oracle_check(n, q, ctx, g=h) == want, n
+                mp.setattr(scan, "POWER_ROW_BUDGET", 0)
+                assert gnq_oracle_check(n, q, bare, g=DensePolyF2(bare, h.bits)) == want, n
+    assert set(translates.kept) == {reduce_exponent(n, order) for n in range(3 * order + 1)}
+    assert kept_rows(bare) and not any(kept_rows(bare).values())
+    assert scan._kept_row_bytes(bare)[0] == [0]
 
 
 def test_oracle_memo_hit_rejects_a_corrupted_g(monkeypatch):
@@ -417,8 +456,11 @@ def test_oracle_memo_hit_rejects_a_corrupted_g(monkeypatch):
     n2 = n + ctx.order - 1
     assert reduce_exponent(n2, ctx.order) == reduce_exponent(n, ctx.order)
     g = gnq_recurrence(n2, 4, ctx)
-    # g's rows at the coset images are the left side; build them first
-    scan._power_row_sum(ctx, g.support(), scan._coset_images)
+    # wt2(23) = 4 takes the cosets; g's rows at their images are the left
+    # side; build them first
+    radius, images, _ = scan._oracle_rows(ctx)[4]
+    assert radius == ctx.m
+    scan._power_row_sum(ctx, images, g.support())
 
     def refuse(*args):
         raise AssertionError("packed_pow called on a memo hit")
@@ -428,12 +470,11 @@ def test_oracle_memo_hit_rejects_a_corrupted_g(monkeypatch):
     # a dropped term reads only kept rows, and so does a corrupted row
     for d in g.support():
         assert not gnq_oracle_check(n2, 4, ctx, g=DensePolyF2(ctx, g.bits ^ 1 << d)), d
-    tq = scan._coset_images(ctx)
-    rows = scan._power_rows(ctx, scan._coset_images)
+    tq = scan._oracle_images(ctx, radius)[0]
     d = g.support()[0]
-    values = scan._unpack(rows[d], tq.size).copy()
+    values = scan._unpack(images.kept[d], tq.size, images.dtype).copy()
     values[5] ^= 1
-    rows[d] = scan._pack(values)
+    images.kept[d] = scan._pack(values, images.dtype)
     assert not gnq_oracle_check(n2, 4, ctx, g=g)
 
 
@@ -446,7 +487,7 @@ def test_oracle_builds_no_whole_field_row_below_the_cap(q, e, monkeypatch, row_p
     rng = random.Random(q * 100 + e)
 
     def refuse(*args):
-        raise AssertionError("whole-field evaluation below the power-table cap")
+        raise AssertionError("whole-field evaluation")
 
     monkeypatch.setattr(scan, "field_values", refuse)
     rejected = 0
@@ -461,10 +502,10 @@ def test_oracle_builds_no_whole_field_row_below_the_cap(q, e, monkeypatch, row_p
         rejected += not verdicts[1]
     # over GF(2) only a flip of the constant term changes g at 0, the one image
     assert rejected > 0
-    assert row_point_sets(ctx) == {scan._coset_images}
+    assert row_point_sets(ctx) == {scan._oracle_images, scan._oracle_translates}
 
 
-def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch):
+def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch, kept_rows):
     ctx = make_field(2, 3)
     built = []
     from_exponents = DensePolyF2.from_exponents.__func__
@@ -476,11 +517,16 @@ def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch):
 
     monkeypatch.setattr(DensePolyF2, "from_exponents", classmethod(spy))
     assert gnq_oracle_check(23, 4, ctx)
+    # apply_matrix runs only where the images of the oracle's points are
+    # set up: the cosets, taken by n = 23, and once per ball read after them
+    images = []
+    apply_matrix = scan.apply_matrix
 
-    def refuse(cols, x):
-        raise AssertionError("apply_matrix called after the oracle's set-up")
+    def matrix_spy(cols, x):
+        images.append(np.size(x))
+        return apply_matrix(cols, x)
 
-    monkeypatch.setattr(scan, "apply_matrix", refuse)
+    monkeypatch.setattr(scan, "apply_matrix", matrix_spy)
     rhs_shapes = []
     packed_pow = scan.packed_pow
 
@@ -493,19 +539,24 @@ def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch):
         assert gnq_oracle_check(n, 4, ctx), n
     # n < 2000 < 4^6 needs S_1 .. S_5, each built once
     assert sorted(map(len, built)) == [1, 2, 3, 4, 5]
+    # wt2(r) <= 1 gives a ball smaller than the 16 cosets; g_(0,4) = 0
+    # reads no row at the radius-0 ball, so only the 7 points of radius 1
+    # are mapped
+    assert images == [scan._ball_size(ctx.m, 1)] == [7]
     # one right side per reduced exponent, over the q translates of every
     # representative at once: at most order of them
     assert 0 < rhs_shapes.count((ctx.q, ctx.order // ctx.q)) <= ctx.order
-    # below the cap, n and n + (order - 1) share one cached row
-    sums = scan._kept_power_sums.__wrapped__
-    kept = {key[1] for key in ctx._cache if key[0] is sums}
+    # n and n + (order - 1) share one kept right side
+    kept = set()
+    for (points, radius), rows in kept_rows(ctx).items():
+        if points is scan._oracle_translates:
+            kept |= set(rows)
     assert kept == {reduce_exponent(n, ctx.order) for n in range(2000)}
 
-    # above the cap nothing is kept per exponent: the coset points are
-    # kept once, and the ball points once per radius
+    # over GF(4^7) the coset points are kept once, and the ball points
+    # once per radius
     monkeypatch.undo()
     f47 = make_field(2, 7)
-    assert f47.order > POWER_TABLE_MAX_ORDER
     ns = (23, 24, 29, 23 + f47.order - 1, 63, 64, 1000, 1023)
     radii = {f47.m}
     for n in ns:
@@ -515,8 +566,8 @@ def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch):
         if scan._ball_size(f47.m, degree) < f47.order // f47.q:
             radii.add(degree)
     assert len(radii) >= 3
-    points = scan._kept_oracle_points.__wrapped__
-    oracle_keys = {key for key in f47._cache if key[0] in (points, sums)}
+    points = scan._oracle_translates.__wrapped__
+    oracle_keys = {key for key in f47._cache if key[0] is points}
     assert oracle_keys == {(points, r) for r in radii}
 
 
@@ -706,7 +757,7 @@ def test_t2_context_validation(f4096, f64):
         check_t2_conditions(L, 4, 1, f4096)  # L from the wrong context
 
 
-def test_search_never_scans_the_whole_field_above_the_cap(monkeypatch):
+def test_search_never_scans_the_whole_field_at_e7(monkeypatch):
     # at e = 7 every verdict is one bijection over the 1182 orbit ids, and
     # neither permutes nor the oracle of a hit evaluates g on the whole field
     sizes = []
@@ -771,9 +822,9 @@ def test_search_threads_capped_by_n_and_cpus(f64, monkeypatch):
     assert pools == [2, 2]
 
 
-def test_search_fills_only_the_power_rows_it_reads(row_point_sets):
+def test_search_fills_only_the_power_rows_it_reads(kept_rows):
     # permutes reads orbit rows for every n; only the oracle of a hit reads
-    # rows at the coset images, and no other point set keeps rows
+    # rows at the oracle's points, and no other point set keeps rows
     ctx = make_field(2, 6)
     hits = [t.n for t in search_desirable(4, 6, 1, 50, ctx=ctx)]
     support, hit_support = set(), set()
@@ -781,10 +832,44 @@ def test_search_fills_only_the_power_rows_it_reads(row_point_sets):
         support.update(gnq_recurrence(n, 4, ctx).support())
     for n in hits:
         hit_support.update(gnq_recurrence(n, 4, ctx).support())
-    assert set(scan._power_rows(ctx, scan._orbit_points)) == support
-    assert set(scan._power_rows(ctx, scan._coset_images)) == hit_support
-    assert row_point_sets(ctx) == {scan._orbit_points, scan._coset_images}
+    read = {scan._orbit_points: set(), scan._oracle_images: set(),
+            scan._oracle_translates: set()}
+    for (points, *_), rows in kept_rows(ctx).items():
+        read[points] |= set(rows)
+    assert read == {scan._orbit_points: support, scan._oracle_images: hit_support,
+                    scan._oracle_translates: {reduce_exponent(n, ctx.order) for n in hits}}
     assert hits and len(hit_support) < len(support) < ctx.order // 10
+
+
+def test_a_zero_row_budget_changes_no_verdict(monkeypatch, kept_rows):
+    # the budget decides only what is kept: with 0 bytes every row is
+    # built for its call and dropped
+    searches = [search_desirable(4, e, 1, 300) for e in (6, 7)]
+    verdicts, _ = _corruption_verdicts()
+    monkeypatch.setattr(scan, "POWER_ROW_BUDGET", 0)
+    ctxs = [make_field(2, e) for e in (6, 7)]
+    assert [search_desirable(4, ctx.e, 1, 300, ctx=ctx) for ctx in ctxs] == searches
+    assert all(searches)
+    bare, fields = _corruption_verdicts()
+    assert bare == verdicts
+    for ctx in ctxs + list(fields):
+        assert kept_rows(ctx) and not any(kept_rows(ctx).values()), ctx
+        assert scan._kept_row_bytes(ctx)[0] == [0]
+
+
+def test_kept_rows_never_exceed_a_small_budget(monkeypatch, kept_rows):
+    # three orbit rows of GF(4^6), 352 points of 2 bytes each, and a
+    # little more; rows are never dropped once kept, so the bytes kept at
+    # the end bound those kept at any time
+    budget = 3 * 2 * 352 + 100
+    searches = search_desirable(4, 6, 1, 300)
+    monkeypatch.setattr(scan, "POWER_ROW_BUDGET", budget)
+    ctx = make_field(2, 6)
+    assert search_desirable(4, 6, 1, 300, workers=2, ctx=ctx) == searches
+    assert scan._power_rows(ctx, scan._orbit_points).dtype.itemsize == 2
+    kept = sum(2 * points(ctx, *args)[0].size * len(rows)
+               for (points, *args), rows in kept_rows(ctx).items())
+    assert 0 < kept == scan._kept_row_bytes(ctx)[0][0] <= budget
 
 
 def test_search_and_t2_pay_for_no_collision_witness(f4096, monkeypatch):

@@ -196,6 +196,16 @@ def test_kernel_case2_holds_and_is_exact(f4096, f64, monkeypatch):
     assert not kernel_check_case2(2, f4096)
 
 
+def test_kernel_case2_scans_no_field_points(monkeypatch):
+    # the kernel is listed from a basis, so GF(4^12) is never scanned
+    def refuse(*args):
+        raise AssertionError("whole-field scan")
+
+    monkeypatch.setattr(scan, "apply_matrix", refuse)
+    monkeypatch.setattr(scan, "iter_chunks", refuse)
+    assert kernel_check_case2(4, make_field(2, 12))
+
+
 def test_kernel_case2_context_validation(f4096, f64):
     with pytest.raises(ValueError):
         kernel_check_case2(2, f64)  # needs e = 6

@@ -93,8 +93,8 @@ def test_dense_mul_allocates_nothing_field_sized():
 
 def test_dense_eval_routes_agree(f4096):
     rng = random.Random(24)
-    # eval_on_field is scan.field_values: power rows in GF(4^6); above the cap,
-    # in GF(4^7), eval_packed, which XORs packed_pow over the support
+    # eval_on_field is scan.field_values, which evaluates a dense polynomial
+    # by eval_packed, the XOR of packed_pow over the support
     for ctx in (f4096, make_field(2, 7)):
         order = ctx.order
         g = (s_dense(ctx, 3) * s_dense(ctx, 4) + DensePolyF2.one(ctx)

@@ -21,8 +21,7 @@ def _random_bits(ctx, rng, n):
     return np.array([rng.randrange(ctx.order) for _ in range(n)], dtype=np.uint64)
 
 
-# GF(2), GF(2^8) under its non-primitive default modulus, and GF(4^6) and
-# GF(4^7) on either side of the power-table cap
+# GF(2), GF(2^8) under its non-primitive default modulus, GF(4^6) and GF(4^7)
 KERNEL_FIELDS = {"gf2": (1, 1), "gf2_8": (1, 8), "gf4_6": (2, 6), "gf4_7": (2, 7)}
 
 
@@ -189,9 +188,8 @@ def test_field_values_keeps_no_power_rows_of_a_dense_polynomial(s, e, sample, ro
     assert row_point_sets(ctx) == set()
 
 
-def test_field_values_keeps_no_power_rows_above_the_cap(row_point_sets):
+def test_field_values_keeps_no_power_rows_at_gf4_7(row_point_sets):
     ctx = make_field(2, 7)
-    assert ctx.order > scan.POWER_TABLE_MAX_ORDER
     g = DensePolyF2.from_exponents(ctx, [0, 1, 5, 21, ctx.order - 1])
     xs = np.arange(ctx.order, dtype=np.uint64)
     assert np.array_equal(scan.field_values(g, ctx), g.eval_packed(xs, ctx))
@@ -282,8 +280,8 @@ def test_log_tables_refuse_orders_above_2_32_before_factoring(monkeypatch):
         scan.log_tables(ctx)
 
 
-# (s, e, n_to): on both sides of the power-table cap, GF(2^13) included,
-# and GF(4^8), where the spot sample runs first
+# (s, e, n_to): GF(4^6), GF(4^7), GF(2^13), and GF(4^8), where the spot
+# sample runs first
 PERMUTES_RANGES = ((2, 7, 200), (2, 8, 100), (1, 13, 200), (2, 6, 40))
 
 
@@ -364,7 +362,7 @@ def test_orbit_classes_built_in_slices_equal_one_chunk(m, monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(whole, sliced))
 
 
-# fields with m <= 14, on both sides of the power-table cap
+# fields with m <= 14
 ORBIT_FIELDS = ((1, 1), (1, 2), (2, 2), (1, 5), (2, 3), (3, 2), (1, 8), (2, 5),
                 (2, 6), (1, 13), (2, 7))
 
@@ -422,27 +420,64 @@ def test_permutes_takes_only_a_dense_polynomial():
         scan.permutes(DensePolyF2.from_exponents(make_field(2, 3), [1]), ctx)
 
 
-def test_permutes_keeps_orbit_rows_only_up_to_the_cap():
-    small, large = make_field(2, 6), make_field(2, 7)
-    for ctx in (small, large):
-        g = DensePolyF2.from_exponents(ctx, [0, 1, 5, 21])
-        scan.permutes(g, ctx)
-    rows = scan._power_rows(small, scan._orbit_points)
-    points = scan._orbit_classes(small)[1]
-    assert set(rows) == {0, 1, 5, 21} and scan._power_rows(large, scan._orbit_points) == {}
-    for d, row in rows.items():
-        assert type(row) is int and row.bit_length() <= 16 * points.size
-        values = scan._unpack(row, points.size)
-        assert values.dtype == np.uint16
-        assert np.array_equal(values, scan.packed_pow(small, points, d))
+def test_permutes_keeps_orbit_rows_at_every_order(row_point_sets):
+    # GF(4^6) and GF(4^7), and GF(4^8) and GF(4^9), where the spot sample
+    # runs first and x^7 + 1, x^5 + 1 pass it: gcd(7, 2^16 - 1) =
+    # gcd(5, 2^18 - 1) = 1
+    for e, support in ((6, {0, 1, 5, 21}), (7, {0, 1, 5, 21}), (8, {0, 7}), (9, {0, 5})):
+        ctx = make_field(2, e)
+        scan.permutes(DensePolyF2.from_exponents(ctx, support), ctx)
+        rows = scan._power_rows(ctx, scan._orbit_points)
+        points = scan._orbit_classes(ctx)[1]
+        assert set(rows.kept) == support and row_point_sets(ctx) == {scan._orbit_points}
+        # 16-bit values up to m = 16, 32-bit ones above
+        assert rows.dtype.itemsize == (2 if e <= 8 else 4)
+        for d, row in rows.kept.items():
+            assert type(row) is int and row.bit_length() <= 8 * rows.dtype.itemsize * points.size
+            values = scan._unpack(row, points.size, rows.dtype)
+            assert values.dtype == rows.dtype
+            assert np.array_equal(values, scan.packed_pow(ctx, points, d))
 
 
 # GF(2^m), m <= 12, as (s, e): q = 2, 4, 8, 16, 64 give the coset images
 # order/q points each
 ROW_FIELDS = ((1, 1), (2, 1), (1, 5), (2, 3), (3, 2), (1, 8), (4, 2), (2, 5), (2, 6),
               (6, 2), (1, 12))
-# the two point sets whose power rows a context reads again and again
-ROW_POINTS = (scan._orbit_points, scan._coset_images)
+# the point sets whose rows a context reads again and again, the oracle's
+# at the cosets
+ROW_POINTS = (scan._orbit_points, scan._oracle_images, scan._oracle_translates)
+
+
+def _row_args(ctx, points):
+    """The arguments after ctx of a point set of ROW_POINTS: radius m,
+    which names the cosets, for the oracle's."""
+    return () if points is scan._orbit_points else (ctx.m,)
+
+
+def _shifts(shifts):
+    """The shifts of a point set as ints: 0 alone when there are none."""
+    return [0] if shifts is None else shifts.ravel().tolist()
+
+
+def _packed_row(ctx, points, d):
+    """Row d of a point set of ROW_POINTS: the XOR over the shifts a of
+    packed_pow at x + a."""
+    xs, shifts = points(ctx, *_row_args(ctx, points))
+    a = np.array(_shifts(shifts), dtype=np.uint64)[:, None]
+    return np.bitwise_xor.reduce(scan.packed_pow(ctx, a ^ xs, d), axis=0)
+
+
+def _scalar_row(ctx, points, d):
+    """Row d of a point set of ROW_POINTS by scalar powers: at each x, the
+    XOR over the shifts a of (x + a)^d."""
+    xs, shifts = points(ctx, *_row_args(ctx, points))
+    row = []
+    for x in xs.tolist():
+        acc = 0
+        for a in _shifts(shifts):
+            acc ^= (ctx.element(x ^ a) ** d).bits
+        row.append(acc)
+    return row
 
 
 @settings(max_examples=80)
@@ -450,21 +485,26 @@ ROW_POINTS = (scan._orbit_points, scan._coset_images)
        st.lists(st.integers(0, (1 << 12) - 1), unique=True, max_size=12))
 @example((1, 1), scan._orbit_points, [])
 @example((2, 3), scan._orbit_points, [])
-@example((2, 3), scan._coset_images, [])
-@example((1, 1), scan._coset_images, [0])
+@example((2, 3), scan._oracle_images, [])
+@example((1, 1), scan._oracle_images, [0])
 @example((2, 3), scan._orbit_points, [0, 5])
-@example((2, 6), scan._coset_images, [7, 0])
+@example((2, 6), scan._oracle_images, [7, 0])
+@example((2, 3), scan._oracle_translates, [0, 3])
 def test_power_row_sum_unpacks_to_the_xor_of_the_powers(se, points, support):
     ctx = make_field(*se)
-    pts = points(ctx)
+    args = _row_args(ctx, points)
+    pts, shifts = points(ctx, *args)
     expect = np.zeros(pts.size, dtype=np.uint64)
     for d in support:
-        expect ^= scan.packed_pow(ctx, pts, d)
-    got = scan._unpack(scan._power_row_sum(ctx, support, points), pts.size)
-    assert got.dtype == np.uint16 and np.array_equal(got, expect)
-    # 0 is a point of every set; 0^d is 1 only for d = 0
-    assert (pts == 0).sum() == 1 and got[pts == 0][0] == (0 in support)
-    assert set(support) <= set(scan._power_rows(ctx, points))
+        expect ^= _packed_row(ctx, points, d)
+    rows = scan._power_rows(ctx, points, *args)
+    got = scan._unpack(scan._power_row_sum(ctx, rows, support), pts.size, rows.dtype)
+    assert got.dtype == rows.dtype and np.array_equal(got, expect)
+    if points is not scan._oracle_translates:
+        # 0 is a point of every unshifted set; 0^d is 1 only for d = 0
+        assert shifts is None
+        assert (pts == 0).sum() == 1 and got[pts == 0][0] == (0 in support)
+    assert set(support) <= set(rows.kept)
 
 
 def test_power_rows_are_built_once_and_packed(monkeypatch):
@@ -479,23 +519,23 @@ def test_power_rows_are_built_once_and_packed(monkeypatch):
     for points in ROW_POINTS:
         for exponents in ([5], [0, 63], [63, 0, 5, 17], list(range(64))[::-1], []):
             ctx = make_field(2, 3)  # fresh context: rows fill as the calls read them
-            pts = [ctx.element(int(x)) for x in points(ctx)]
+            rows = scan._power_rows(ctx, points, *_row_args(ctx, points))
+            size = points(ctx, *rows.args)[0].size
             built.clear()
             for reads in (exponents, exponents[::2], exponents):
-                got = scan._unpack(scan._power_row_sum(ctx, reads, points), len(pts))
-                for i, x in enumerate(pts):  # x = 0 included
-                    expect = 0
-                    for d in reads:
-                        expect ^= (x ** d).bits
-                    assert int(got[i]) == expect, (points.__name__, reads, i)
+                got = scan._unpack(scan._power_row_sum(ctx, rows, reads), size, rows.dtype)
+                expect = np.zeros(size, dtype=np.uint64)
+                for d in reads:
+                    expect ^= np.array(_scalar_row(ctx, points, d), dtype=np.uint64)
+                assert np.array_equal(got, expect), (points.__name__, reads)
             assert sorted(built) == sorted(exponents), points.__name__
-            rows = scan._power_rows(ctx, points)
-            assert set(rows) == set(exponents)
-            for d, row in rows.items():
-                assert type(row) is int and row.bit_length() <= 16 * len(pts)
-                values = scan._unpack(row, len(pts))
-                assert values.dtype == np.uint16
-                assert [int(v) for v in values] == [(x ** d).bits for x in pts]
+            assert set(rows.kept) == set(exponents)
+            for d, row in rows.kept.items():
+                assert type(row) is int and row.bit_length() <= 8 * rows.dtype.itemsize * size
+                values = scan._unpack(row, size, rows.dtype)
+                assert values.dtype == rows.dtype
+                assert values.tolist() == _scalar_row(ctx, points, d)
+            assert scan._kept_row_bytes(ctx)[0] == [rows.dtype.itemsize * size * len(exponents)]
 
 
 def test_power_row_threads_never_read_a_partial_row():
@@ -504,14 +544,16 @@ def test_power_row_threads_never_read_a_partial_row():
              for _ in range(400)]
     for points in ROW_POINTS:
         ctx = make_field(2, 6)
-        pts = points(ctx)
-        rows = {d: scan.packed_pow(ctx, pts, d) for d in set().union(*reads)}
+        args = _row_args(ctx, points)
+        pts = points(ctx, *args)[0]
+        rows = {d: _packed_row(ctx, points, d) for d in set().union(*reads)}
 
         def read(exponents):
             expect = np.zeros(pts.size, dtype=np.uint64)
             for d in exponents:
                 expect ^= rows[d]
-            got = scan._unpack(scan._power_row_sum(ctx, exponents, points), pts.size)
+            kept = scan._power_rows(ctx, points, *args)
+            got = scan._unpack(scan._power_row_sum(ctx, kept, exponents), pts.size, kept.dtype)
             return np.array_equal(got, expect)
 
         old = sys.getswitchinterval()
@@ -522,7 +564,10 @@ def test_power_row_threads_never_read_a_partial_row():
                 assert all(f.result(timeout=60) for f in futures), points.__name__
         finally:
             sys.setswitchinterval(old)
-        assert set(scan._power_rows(ctx, points)) == set().union(*reads)
+        rows = scan._power_rows(ctx, points, *args)
+        assert set(rows.kept) == set().union(*reads)
+        # every row counted once, however many threads built it
+        assert scan._kept_row_bytes(ctx)[0] == [rows.dtype.itemsize * pts.size * len(rows.kept)]
 
 
 @pytest.mark.long
@@ -535,6 +580,16 @@ def test_permutes_matches_brute_force_at_e8():
             g.eval_on_field(), ctx.order), n
 
 
+def kernel_elements(ctx, cols):
+    """Bit patterns x with apply_matrix(cols, x) = 0, ascending, as uint64,
+    by a scan of the whole field."""
+    parts = []
+    for start, stop in scan.iter_chunks(ctx.order):
+        xs = np.arange(start, stop, dtype=np.uint64)
+        parts.append(xs[scan.apply_matrix(cols, xs) == 0])
+    return np.concatenate(parts)
+
+
 @pytest.mark.parametrize("s, e", [(1, 4), (2, 3), (2, 6), (3, 4), (1, 12), (2, 5),
                                   (2, 8), (4, 3)])
 def test_subfield_elements_equal_the_kernel_scan(s, e):
@@ -542,15 +597,17 @@ def test_subfield_elements_equal_the_kernel_scan(s, e):
     unit = np.uint64(1) << np.arange(ctx.m, dtype=np.uint64)
     for k in range(1, e + 1):
         if e % k == 0:
-            kernel = scan.kernel_elements(ctx, scan.frobenius_matrix(ctx, k) ^ unit)
+            cols = scan.frobenius_matrix(ctx, k) ^ unit
+            kernel = kernel_elements(ctx, cols)
             assert np.array_equal(scan.subfield_elements(ctx, k), kernel), k
+            assert np.array_equal(scan.linear_kernel(cols), kernel), k
 
 
 def test_subfield_elements_scan_nothing_at_gf4_12(monkeypatch):
     def refuse(*args):
         raise AssertionError("whole-field scan")
 
-    monkeypatch.setattr(scan, "kernel_elements", refuse)
+    monkeypatch.setattr(scan, "apply_matrix", refuse)
     monkeypatch.setattr(scan, "iter_chunks", refuse)
     ctx = make_field(2, 12)
     for k in (1, 2, 3, 4, 6):
@@ -612,7 +669,7 @@ def test_coset_representatives_are_the_patterns_off_the_pivots(s, e):
     for a in scan.subfield_elements(ctx, 1)[1:].tolist():
         pivots |= 1 << (a.bit_length() - 1)
     xs = np.arange(ctx.order, dtype=np.uint64)
-    reps, tq = scan._oracle_points(ctx, ctx.m)
+    reps, tq = scan._oracle_translates(ctx, ctx.m)[0], scan._oracle_images(ctx, ctx.m)[0]
     assert not reps.flags.writeable and not tq.flags.writeable
     assert np.array_equal(reps, xs[(xs & np.uint64(pivots)) == 0])
     # x^q + x = y^q + y iff x + y lies in GF(q): one representative per coset
@@ -672,9 +729,7 @@ def test_block_path_matches_direct_evaluation(case):
     assert degree_bound(f, ctx.m) <= 2
     xs = np.arange(ctx.order, dtype=np.uint64)
     direct = np.broadcast_to(np.asarray(f.eval_packed(xs, ctx)), xs.shape)
-    # dense maps take the block path once the power-row cap lies below the order
     with mock.patch.object(scan, "SPOT_CHECK_POINTS", 1), \
-            mock.patch.object(scan, "POWER_TABLE_MAX_ORDER", ctx.order - 1), \
             mock.patch.object(scan, "_block_values", wraps=scan._block_values) as blocks:
         values = scan.field_values(f, ctx)
     assert blocks.call_count == 1
@@ -715,7 +770,7 @@ def test_spot_points_are_fixed_and_spread():
     assert scan._spot_points(24) is pts and not pts.flags.writeable
 
 
-def test_spot_points_are_distinct_above_the_power_table_cap():
+def test_spot_points_are_distinct_from_m13():
     # permutes needs distinct inputs; at m = 12 only 3657 of 4095 are
     assert np.unique(scan._spot_points(12)).size == 3657
     for m in range(13, 31):
