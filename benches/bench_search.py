@@ -14,8 +14,9 @@ Recorded, single-threaded, over REPEATS passes:
 - ms per n of search_desirable(4, e, 1, SEARCH_N_TO) for e = 6..10, each
   on a fresh field context, so the per-context tables are built inside
   the timed call: the median over the passes, and every pass;
-- wall time and peak RSS (the child's ru_maxrss, its VmHWM) of four
-  `python3 -m permpoly search` runs, with the median and every wall time,
+- wall time and peak RSS (the child's ru_maxrss, its VmHWM) of five
+  `python3 -m permpoly search` runs, the last of them the e = 10 target
+  of ROADMAP item 3, with the median and every wall time,
   the largest peak RSS and the sha256 of the csv they print, which is
   the same in every pass.  A checkout without permpoly/__main__.py runs
   cli.main through -c instead.
@@ -45,6 +46,7 @@ CLI_RUNS = (
     ("search", "--q", "4", "--e", "8", "--from", "1", "--to", "1000", "--format", "csv"),
     ("search", "--q", "4", "--e", "9", "--from", "1", "--to", "3000", "--format", "csv"),
     ("search", "--q", "4", "--e", "10", "--from", "1", "--to", "1000", "--format", "csv"),
+    ("search", "--q", "4", "--e", "10", "--from", "1", "--to", "10000", "--format", "csv"),
 )
 # [hits, ms per n] of one search on a fresh context, for each e in argv
 SEARCH_SCRIPT = """\

@@ -16,7 +16,9 @@ power_sum_identity alone decides the oracle's identity, on coset
 representatives or on the Hamming ball of its degree, whichever is
 smaller; its docstring gives the argument for both point sets.  Both read
 their values from one store of rows packed into ints (_power_row_sum),
-kept per context within POWER_ROW_BUDGET bytes.
+kept per context within POWER_ROW_BUDGET bytes; the rows that one call
+misses are built together, from one log gather of their points
+(_build_rows).
 """
 
 from __future__ import annotations
@@ -112,29 +114,38 @@ def packed_pow(ctx: FieldContext, a, n: int):
 
 
 def packed_power_sum(ctx: FieldContext, a, exponents):
-    """Elementwise XOR over the exponents d of a^d = antilog[log[a] * d mod
-    (order-1)], each d an int >= 0, applied literally: 0^d is 0 for d >= 1,
-    and x^0 = 1 everywhere.
-
-    log[a] is gathered once for all exponents.  log[0] = 0 reads 1 at
-    a = 0 for every d, so the zero entries are fixed once at the end: 0^d
-    is 1 only for d = 0, so the sum there is the parity of the zeros among
-    the exponents.  No exponents give zeros without a log-table build.
-    """
+    """Elementwise XOR over the exponents d of a^d, each d an int >= 0,
+    applied literally: 0^d is 0 for d >= 1, and x^0 = 1 everywhere.  The
+    powers come from _powers, one log gather of a for all of them; no
+    exponents give zeros without a log-table build."""
     exponents = [int(d) for d in exponents]
     if any(d < 0 for d in exponents):
         raise ValueError("exponent must be nonnegative")
-    if not exponents:
-        return np.zeros(np.shape(a), dtype=np.uint64)
+    a = np.asarray(a, dtype=np.uint64)
+    acc = np.zeros(a.shape, dtype=np.uint64)
+    if exponents:
+        for term in _powers(ctx, a, exponents):
+            acc ^= term
+    return acc
+
+
+def _powers(ctx: FieldContext, a: np.ndarray, exponents):
+    """a^d for each d of exponents in turn, as uint32 in the shape of a, a
+    uint64 array, from one log gather of a: x^d = antilog[log[x] * d mod
+    (order-1)] for x != 0.  log[0] = 0 reads 1 at x = 0, which is 0^d
+    only for d = 0, so the powers of each d >= 1 are masked by x != 0."""
     log, antilog = log_tables(ctx)
     cyc = ctx.order - 1
-    lg = log[a].astype(np.uint64)
-    # each gather is a fresh array, so the first takes the others in place
-    terms = (antilog[lg * np.uint64(d % cyc) % np.uint64(cyc)] for d in exponents)
-    acc = next(terms)
-    for term in terms:
-        acc ^= term
-    return np.where(a == 0, np.uint64(exponents.count(0) & 1), acc.astype(np.uint64))
+    # int64 views index without a cast: points and logs are below 2^32
+    lg = log.take(a.view(np.int64)).astype(np.uint64)
+    nonzero = a != 0
+    for d in exponents:
+        idx = lg * (d % cyc)
+        idx %= cyc
+        term = antilog.take(idx.view(np.int64))
+        if d:
+            term *= nonzero
+        yield term
 
 
 def linear_matrix(ctx: FieldContext, fn) -> np.ndarray:
@@ -185,7 +196,8 @@ def _spot_points(m: int) -> np.ndarray:
     fractions {i/phi}, i <= 4095, lie at least ||2584/phi|| > 2^-13 apart
     (2584 the largest Fibonacci number <= 4095).  At m = 12 only 3657 are;
     permutes samples only where the orbit representatives outnumber them,
-    which is m >= 16."""
+    which is m >= 16, and reads f's values there from the row store
+    (_sample_points)."""
     i = np.arange(1, SPOT_CHECK_POINTS + 1, dtype=np.uint64)
     pts = (i * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - m)
     pts.flags.writeable = False
@@ -282,9 +294,9 @@ def _power_rows(ctx: FieldContext, points, *args) -> _Rows:
     packed by _pack in fields of dtype.  A point set returns (xs,
     shifts): row d holds x^d at each x of xs or, if shifts is a column,
     the sum of (x + a)^d over its a.  The point sets are _orbit_points
-    (permutes) and, per radius, _oracle_images and _oracle_translates
-    (power_sum_identity).  Rows are inserted whole under the lock of
-    _kept_row_bytes, so no thread reads a partial one."""
+    and _sample_points (permutes) and, per radius, _oracle_images and
+    _oracle_translates (power_sum_identity).  Rows are inserted whole
+    under the lock of _kept_row_bytes, so no thread reads a partial one."""
     return _Rows({}, points, args, _kept_row_bytes(ctx), np.dtype("<u2" if ctx.m <= 16 else "<u4"))
 
 
@@ -296,32 +308,66 @@ def _kept_row_bytes(ctx: FieldContext) -> tuple[list[int], threading.Lock]:
 
 def _power_row_sum(ctx: FieldContext, rows: _Rows, exponents) -> int:
     """XOR over the exponents d of row d of rows, a _power_rows of ctx: one
-    int XOR per row, each value in its own field of rows.dtype.  A
-    missing row is built one iter_chunks slice at a time, and kept if the
-    context's rows, over all point sets, still fit POWER_ROW_BUDGET bytes
-    with it; else it serves this call and is dropped, so no verdict
-    depends on the budget."""
+    int XOR per row, each value in its own field of rows.dtype.  The rows
+    that the call misses are built together (_build_rows).  The first of
+    them are kept while the context's rows, over all point sets, still fit
+    POWER_ROW_BUDGET bytes; the others serve this call and are dropped, so
+    no verdict depends on the budget."""
     acc = 0
     kept = rows.kept
+    odd = {}  # missing d -> whether the call reads row d an odd number of times
     for d in exponents:
         row = kept.get(d)
         if row is None:
-            xs, shifts = rows.points(ctx, *rows.args)
-            values = np.empty(xs.size, dtype=rows.dtype)
-            for start, stop in iter_chunks(xs.size):
-                if shifts is None:
-                    values[start:stop] = packed_pow(ctx, xs[start:stop], d)
-                else:  # one row of powers per shift, summed
-                    powers = packed_pow(ctx, shifts ^ xs[start:stop], d)
-                    values[start:stop] = np.bitwise_xor.reduce(powers, axis=0)
-            row = _pack(values, rows.dtype)
-            total, lock = rows.budget
-            with lock:
-                if d not in kept and total[0] + values.nbytes <= POWER_ROW_BUDGET:
-                    total[0] += values.nbytes
-                    kept[d] = row
-        acc ^= row
-    return acc
+            odd[d] = not odd.get(d)
+        else:
+            acc ^= row
+    if not odd:
+        return acc
+    missing = list(odd)
+    nbytes = rows.dtype.itemsize * rows.points(ctx, *rows.args)[0].size
+    total, lock = rows.budget
+    # a plan, read without the lock; each insert below checks it again
+    keep = missing[:max(0, (POWER_ROW_BUDGET - total[0]) // nbytes)]
+    built, dropped = _build_rows(ctx, rows, keep, [d for d in missing[len(keep):] if odd[d]])
+    with lock:
+        for d, row in zip(keep, built):
+            if d not in kept and total[0] + nbytes <= POWER_ROW_BUDGET:
+                total[0] += nbytes
+                kept[d] = row
+    for d, row in zip(keep, built):
+        if odd[d]:
+            acc ^= row
+    return acc ^ dropped
+
+
+def _build_rows(ctx: FieldContext, rows: _Rows, keep, drop) -> tuple[list[int], int]:
+    """([row d of rows for each d of keep], XOR of row d over the d of drop),
+    packed as _power_row_sum reads them, in one pass per iter_chunks slice
+    of the points.
+
+    One log gather of the slice's points, shifted points included, serves
+    every exponent (_powers).  The rows of keep are written into their
+    own arrays and the rows of drop XORed into one more, so memory stays
+    at the kept rows, one more row and a few slice-sized temporaries,
+    never one row per exponent of drop."""
+    xs, shifts = rows.points(ctx, *rows.args)
+    exponents = (*keep, *drop)
+    out = [np.empty(xs.size, dtype=rows.dtype) for _ in keep]
+    acc = np.zeros(xs.size, dtype=rows.dtype) if drop else None
+    for start, stop in iter_chunks(xs.size):
+        pts = xs[start:stop] if shifts is None else shifts ^ xs[start:stop]
+        for i, term in enumerate(_powers(ctx, pts, exponents)):
+            if shifts is not None:
+                term = np.bitwise_xor.reduce(term, axis=0)
+            if i < len(out):
+                out[i][start:stop] = term
+            else:
+                acc[start:stop] ^= term
+    packed = []
+    while out:  # each array is released once packed
+        packed.append(_pack(out.pop(0), rows.dtype))
+    return packed, 0 if acc is None else _pack(acc, rows.dtype)
 
 
 def _pack(values: np.ndarray, dtype: np.dtype) -> int:
@@ -389,15 +435,15 @@ def _hamming_ball(m: int, radius: int) -> np.ndarray:
 def bijection_from_values(values: np.ndarray, order: int) -> bool:
     """Whether an array of order values hits every pattern in [0, order).
 
-    One scatter marks the image.  If every pattern is marked, the order
-    values cover order patterns, so by pigeonhole each is hit exactly
-    once.
+    One scatter marks the image, and one count of the marks reads it.
+    If every pattern is marked, the order values cover order patterns,
+    so by pigeonhole each is hit exactly once.
     """
     if len(values) != order:
         raise ValueError(f"need exactly {order} values, got {len(values)}")
     seen = np.zeros(order, dtype=bool)
     seen[values] = True
-    return bool(seen.all())
+    return int(np.count_nonzero(seen)) == order
 
 
 def permutes(f, ctx: FieldContext) -> bool:
@@ -406,66 +452,75 @@ def permutes(f, ctx: FieldContext) -> bool:
 
     f has GF(2) coefficients, so f(x^2) = f(x)^2: f maps the orbit O(x)
     of x onto O(f(x)), and |O(f(x))| <= |O(x)|.  Each value v gets an
-    orbit id: the class of log(v) under doubling (_orbit_classes), and one
-    more id for v = 0.  If the values at the R + 1 representatives (R
-    nonzero classes and the point 0) have distinct ids, f induces a
-    bijection on the orbits.  The orbit sizes then sum to the field order
-    on both sides, and no image orbit is larger than its source, so every
-    size matches: f maps each orbit onto its image bijectively, and f is
-    injective.  If two ids are equal, two distinct orbits share an image
-    orbit, so two distinct points share a value.  So the verdict is
-    bijection_from_values on the R + 1 ids, and every True and every
-    False is exhaustive.
+    orbit id from a table indexed by v itself (_orbit_classes): the class
+    of log(v) under doubling, and one more id for v = 0.  If the values
+    at the R + 1 representatives (R nonzero classes and the point 0) have
+    distinct ids, f induces a bijection on the orbits.  The orbit sizes
+    then sum to the field order on both sides, and no image orbit is
+    larger than its source, so every size matches: f maps each orbit onto
+    its image bijectively, and f is injective.  If two ids are equal, two
+    distinct orbits share an image orbit, so two distinct points share a
+    value.  So the verdict is bijection_from_values on the R + 1 ids, and
+    every True and every False is exhaustive.
 
     The values are the XOR of the power rows of f's support at the
-    representatives (_power_row_sum).  Where the representatives outnumber
-    the _spot_points (m >= 16), f is first evaluated at those, distinct
-    there, and a repeated value returns False as a certificate.
+    representatives (_power_row_sum), so a verdict reads no log table.
+    Where the representatives outnumber the _spot_points (m >= 16), f's
+    rows at those, distinct points, are read first, from the same store,
+    and a repeated value returns False as a certificate.
     """
     if not isinstance(f, poly.DensePolyF2):
         raise TypeError(f"permutes needs a DensePolyF2, got {type(f).__name__}")
     if f.ctx is not ctx:
         raise ValueError("context mismatch")
-    _, points, classes = _orbit_classes(ctx)
+    points, ids = _orbit_classes(ctx)
+    support = f.support()
     if points.size > SPOT_CHECK_POINTS:
-        vals = np.sort(f.eval_packed(_spot_points(ctx.m), ctx))
+        rows = _power_rows(ctx, _sample_points)
+        size = rows.points(ctx)[0].size
+        vals = np.sort(_unpack(_power_row_sum(ctx, rows, support), size, rows.dtype))
         if (vals[1:] == vals[:-1]).any():
             return False
     rows = _power_rows(ctx, _orbit_points)
-    vals = _unpack(_power_row_sum(ctx, rows, f.support()), points.size, rows.dtype)
-    log = log_tables(ctx)[0]
-    ids = np.where(vals == 0, np.uint32(points.size - 1), classes[log[vals]])
-    return bijection_from_values(ids, points.size)
+    vals = _unpack(_power_row_sum(ctx, rows, support), points.size, rows.dtype)
+    return bijection_from_values(ids.take(vals), points.size)
+
+
+def _sample_points(ctx: FieldContext) -> tuple[np.ndarray, None]:
+    """The _spot_points of ctx's width (permutes); see _power_rows."""
+    return _spot_points(ctx.m), None
 
 
 def _orbit_points(ctx: FieldContext) -> tuple[np.ndarray, None]:
     """One point per orbit of x -> x^2 (_orbit_classes); see _power_rows."""
-    return _orbit_classes(ctx)[1], None
+    return _orbit_classes(ctx)[0], None
 
 
 @per_context
-def _orbit_classes(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(leaders, points, classes) of the orbits of x -> x^2, read-only.
+def _orbit_classes(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
+    """(points, ids) of the orbits of x -> x^2, read-only.
 
     With g the generator of log_tables, g^i squares to g^(2i mod 2^m - 1),
     so the orbits of the nonzero elements are the classes of exponents
     under doubling mod 2^m - 1, the cyclotomic cosets of 2 (Lidl &
     Niederreiter, ch. 2-3).  Doubling rotates the m-bit exponent, so the
     leader of a class, its least member, is the least of the m rotations
-    of any member.  leaders is ascending, uint32; classes[i], uint32 like
-    the log table, is the index in leaders of the class of exponent i;
-    points is 0 followed by g^l for each leader l, as uint64.
+    of any member.  Number the R classes by ascending leader: points is 0
+    followed by g^l for each leader l, as uint64, and ids, uint32 and
+    indexed by value, holds ids[g^i] = the number of the class of i and
+    ids[0] = R.
 
-    classes is built one iter_chunks slice at a time, with no whole-table
-    temporary: the leaders of a slice get their indices at their own
-    positions first, and every member's leader is at most the member, so
-    one gather then reads each member's index from its leader's position.
+    ids is built one iter_chunks slice of exponents at a time, with no
+    exponent-indexed table: the leaders of a slice get their numbers at
+    their own values first, and every member's leader is at most the
+    member, so one gather then reads each member's number at its
+    leader's value.
     """
     antilog = log_tables(ctx)[1]
     m, cyc = ctx.m, ctx.order - 1
     mask = np.uint32(cyc)  # the m low bits
-    classes = np.empty(cyc, dtype=np.uint32)
-    leaders = []
+    ids = np.empty(ctx.order, dtype=np.uint32)
+    reps = [np.zeros(1, dtype=np.uint32)]  # the point 0, then each g^leader
     count = 0
     for start, stop in iter_chunks(cyc):
         idx = np.arange(start, stop, dtype=np.uint32)
@@ -473,16 +528,17 @@ def _orbit_classes(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray, np.ndarra
         for _ in range(m - 1):
             rot = ((rot << np.uint32(1)) | (rot >> np.uint32(m - 1))) & mask
             np.minimum(lead, rot, out=lead)
-        own = idx[lead == idx]
-        classes[own] = np.arange(count, count + own.size, dtype=np.uint32)
+        vals = antilog[start:stop]
+        own = vals[lead == idx]
+        ids[own] = np.arange(count, count + own.size, dtype=np.uint32)
         count += own.size
-        leaders.append(own)
-        classes[start:stop] = classes[lead]
-    leaders = np.concatenate(leaders)
-    points = np.concatenate((np.zeros(1, dtype=np.uint64), antilog[leaders].astype(np.uint64)))
-    for a in (leaders, points, classes):
+        reps.append(own)
+        ids[vals] = ids[antilog[lead]]
+    ids[0] = count
+    points = np.concatenate(reps).astype(np.uint64)
+    for a in (points, ids):
         a.flags.writeable = False
-    return leaders, points, classes
+    return points, ids
 
 
 def collision_witness(values: np.ndarray, order: int) -> int:

@@ -296,7 +296,7 @@ def test_rows_hold_values_above_16_bits(kept_rows):
     for d in (3, 5):
         assert scan.permutes(DensePolyF2.from_exponents(ctx, [d]), ctx)
     rows = scan._power_rows(ctx, scan._orbit_points)
-    points = scan._orbit_classes(ctx)[1]
+    points = scan._orbit_classes(ctx)[0]
     assert rows.dtype.itemsize == 4 and set(rows.kept) == {3, 5}
     values = scan._unpack(rows.kept[5], points.size, rows.dtype)
     assert np.array_equal(values, scan.packed_pow(ctx, points, 5)) and values.max() >= 1 << 16
@@ -463,9 +463,9 @@ def test_oracle_memo_hit_rejects_a_corrupted_g(monkeypatch):
     scan._power_row_sum(ctx, images, g.support())
 
     def refuse(*args):
-        raise AssertionError("packed_pow called on a memo hit")
+        raise AssertionError("a row built on a memo hit")
 
-    monkeypatch.setattr(scan, "packed_pow", refuse)
+    monkeypatch.setattr(scan, "_build_rows", refuse)
     assert gnq_oracle_check(n2, 4, ctx, g=g)
     # a dropped term reads only kept rows, and so does a corrupted row
     for d in g.support():
@@ -479,7 +479,7 @@ def test_oracle_memo_hit_rejects_a_corrupted_g(monkeypatch):
 
 
 @pytest.mark.parametrize("q,e", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3)])
-def test_oracle_builds_no_whole_field_row_below_the_cap(q, e, monkeypatch, row_point_sets):
+def test_oracle_builds_no_whole_field_row_on_the_desk_fields(q, e, monkeypatch, row_point_sets):
     # the fields of the desk-suite oracle sweep, n = 0..2000; g's values
     # for the reference come from eval_packed, which keeps no rows
     ctx = make_field(q.bit_length() - 1, e)
@@ -527,14 +527,15 @@ def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch, kept_rows):
         return apply_matrix(cols, x)
 
     monkeypatch.setattr(scan, "apply_matrix", matrix_spy)
-    rhs_shapes = []
-    packed_pow = scan.packed_pow
+    rhs_builds = []
+    build_rows = scan._build_rows
 
-    def pow_spy(ctx, a, n):
-        rhs_shapes.append(np.shape(a))
-        return packed_pow(ctx, a, n)
+    def build_spy(ctx, rows, keep, drop):
+        if rows.points is scan._oracle_translates and rows.args == (ctx.m,):
+            rhs_builds.extend(keep + drop)
+        return build_rows(ctx, rows, keep, drop)
 
-    monkeypatch.setattr(scan, "packed_pow", pow_spy)
+    monkeypatch.setattr(scan, "_build_rows", build_spy)
     for n in range(2000):
         assert gnq_oracle_check(n, 4, ctx), n
     # n < 2000 < 4^6 needs S_1 .. S_5, each built once
@@ -544,8 +545,8 @@ def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch, kept_rows):
     # are mapped
     assert images == [scan._ball_size(ctx.m, 1)] == [7]
     # one right side per reduced exponent, over the q translates of every
-    # representative at once: at most order of them
-    assert 0 < rhs_shapes.count((ctx.q, ctx.order // ctx.q)) <= ctx.order
+    # coset representative: at most order of them
+    assert 0 < len(rhs_builds) == len(set(rhs_builds)) <= ctx.order
     # n and n + (order - 1) share one kept right side
     kept = set()
     for (points, radius), rows in kept_rows(ctx).items():

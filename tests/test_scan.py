@@ -288,7 +288,7 @@ PERMUTES_RANGES = ((2, 7, 200), (2, 8, 100), (1, 13, 200), (2, 6, 40))
 @pytest.mark.parametrize("s, e, n_to", PERMUTES_RANGES)
 def test_permutes_agrees_with_the_whole_field_scan(s, e, n_to, monkeypatch):
     ctx = make_field(s, e)
-    orbits = scan._orbit_classes(ctx)[1].size
+    orbits = scan._orbit_classes(ctx)[0].size
     sizes = []
     bijection = scan.bijection_from_values
 
@@ -335,22 +335,30 @@ def _necklaces(m):
 @pytest.mark.parametrize("m", range(1, 17))
 def test_orbit_classes_are_the_cyclotomic_cosets_of_2(m):
     ctx = make_field(1, m)
-    leaders, points, classes = scan._orbit_classes(ctx)
+    points, ids = scan._orbit_classes(ctx)
+    log, antilog = scan.log_tables(ctx)
     cyc = ctx.order - 1
-    # one point per necklace: the R classes of nonzero exponents, and 0
-    assert points.size == leaders.size + 1 == _necklaces(m)
-    assert classes.dtype == leaders.dtype == np.uint32 and classes.size == cyc
-    sizes = []
-    for i, lead in enumerate(leaders.tolist()):
-        members = {lead * (1 << j) % cyc if cyc > 1 else 0 for j in range(m)}
+    r = points.size - 1
+    # one point per necklace: the R classes of nonzero values, and 0
+    assert points.size == _necklaces(m)
+    assert ids.dtype == np.uint32 and ids.size == ctx.order
+    # ids are indexed by value: x and x^2 share one, and 0 alone has R
+    xs = np.arange(ctx.order, dtype=np.uint64)
+    assert np.array_equal(ids, ids[scan.packed_mul(ctx, xs, xs)])
+    assert ids[0] == r and np.flatnonzero(ids == r).tolist() == [0]
+    # point j + 1 is g^l for the j-th leader l, ascending, and has id j;
+    # its class holds the values g^i for i in the coset of l, and no other
+    assert points[0] == 0 and ids[points[1:]].tolist() == list(range(r))
+    sizes = np.bincount(ids, minlength=r + 1)
+    leaders = log[points[1:]].tolist()
+    assert leaders == sorted(leaders)
+    for j, lead in enumerate(leaders):
+        members = {lead * (1 << i) % cyc if cyc > 1 else 0 for i in range(m)}
         assert min(members) == lead, lead
-        assert all(int(classes[x]) == i for x in members), lead
-        sizes.append(len(members))
-    assert sum(sizes) == cyc
-    assert np.array_equal(np.bincount(classes, minlength=leaders.size), sizes)
-    antilog = scan.log_tables(ctx)[1]
-    assert points[0] == 0 and np.array_equal(points[1:], antilog[leaders])
-    assert not any(a.flags.writeable for a in (leaders, points, classes))
+        assert all(int(ids[antilog[i]]) == j for i in members), lead
+        assert sizes[j] == len(members), lead
+    assert sizes[r] == 1 and sizes.sum() == ctx.order
+    assert not any(a.flags.writeable for a in (points, ids))
 
 
 @pytest.mark.parametrize("m", [7, 12, 14])
@@ -399,7 +407,7 @@ def test_permutes_planted_maps(s, e, exps, want):
 def test_permutes_runs_the_sample_only_where_it_is_smaller():
     for e, sampled in ((7, False), (8, True)):
         ctx = make_field(2, e)
-        assert (scan._orbit_classes(ctx)[1].size > scan.SPOT_CHECK_POINTS) is sampled
+        assert (scan._orbit_classes(ctx)[0].size > scan.SPOT_CHECK_POINTS) is sampled
         for d, pp in ((7, True), (3, False)):  # gcd(d, 2^m - 1) for m = 14, 16
             g = DensePolyF2.from_exponents(ctx, [d])
             with mock.patch.object(scan, "_spot_points", wraps=scan._spot_points) as spots, \
@@ -428,8 +436,9 @@ def test_permutes_keeps_orbit_rows_at_every_order(row_point_sets):
         ctx = make_field(2, e)
         scan.permutes(DensePolyF2.from_exponents(ctx, support), ctx)
         rows = scan._power_rows(ctx, scan._orbit_points)
-        points = scan._orbit_classes(ctx)[1]
-        assert set(rows.kept) == support and row_point_sets(ctx) == {scan._orbit_points}
+        points = scan._orbit_classes(ctx)[0]
+        sampled = {scan._sample_points} if e >= 8 else set()
+        assert set(rows.kept) == support and row_point_sets(ctx) == {scan._orbit_points} | sampled
         # 16-bit values up to m = 16, 32-bit ones above
         assert rows.dtype.itemsize == (2 if e <= 8 else 4)
         for d, row in rows.kept.items():
@@ -509,13 +518,13 @@ def test_power_row_sum_unpacks_to_the_xor_of_the_powers(se, points, support):
 
 def test_power_rows_are_built_once_and_packed(monkeypatch):
     built = []
-    packed_pow = scan.packed_pow
+    build_rows = scan._build_rows
 
-    def spy(ctx, a, n):
-        built.append(n)
-        return packed_pow(ctx, a, n)
+    def spy(ctx, rows, keep, drop):
+        built.extend(keep + drop)
+        return build_rows(ctx, rows, keep, drop)
 
-    monkeypatch.setattr(scan, "packed_pow", spy)
+    monkeypatch.setattr(scan, "_build_rows", spy)
     for points in ROW_POINTS:
         for exponents in ([5], [0, 63], [63, 0, 5, 17], list(range(64))[::-1], []):
             ctx = make_field(2, 3)  # fresh context: rows fill as the calls read them
@@ -568,6 +577,112 @@ def test_power_row_threads_never_read_a_partial_row():
         assert set(rows.kept) == set().union(*reads)
         # every row counted once, however many threads built it
         assert scan._kept_row_bytes(ctx)[0] == [rows.dtype.itemsize * pts.size * len(rows.kept)]
+
+
+# GF(4^3): exponent 0, order - 1 and its repeat 2 order - 1, each x^d
+# with 0^d = 0 for d >= 1, and 5 read twice, so its terms cancel
+SEVERAL = (0, 63, 5, 127, 9, 5, 9, 9)
+
+
+@pytest.mark.parametrize("budget_rows", [None, 0, 2])
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("points", ROW_POINTS)
+def test_one_call_builds_every_missing_row(points, chunk, budget_rows, monkeypatch):
+    # with 5-point slices every row spans chunks; a budget of 0 keeps no
+    # row and one of 2 rows keeps the first two that the call misses
+    if chunk is not None:
+        monkeypatch.setattr(scan, "DEFAULT_CHUNK", chunk)
+    ctx = make_field(2, 3)
+    args = _row_args(ctx, points)
+    xs = points(ctx, *args)[0]
+    rows = scan._power_rows(ctx, points, *args)
+    if budget_rows is not None:
+        monkeypatch.setattr(scan, "POWER_ROW_BUDGET", budget_rows * rows.dtype.itemsize * xs.size)
+    assert 0 in xs.tolist() and xs.size > 5
+    calls = []
+    build_rows = scan._build_rows
+
+    def spy(ctx, rows, keep, drop):
+        calls.append((list(keep), list(drop)))
+        return build_rows(ctx, rows, keep, drop)
+
+    monkeypatch.setattr(scan, "_build_rows", spy)
+    expect = np.zeros(xs.size, dtype=np.uint64)
+    for d in SEVERAL:
+        expect ^= _packed_row(ctx, points, d)
+    for _ in range(2):
+        got = scan._unpack(scan._power_row_sum(ctx, rows, SEVERAL), xs.size, rows.dtype)
+        assert np.array_equal(got, expect)
+    # one build per call that misses a row: a dropped row is built only
+    # where it counts, and 5, read twice, counts nowhere
+    kept = [0, 63, 5, 127, 9][:budget_rows]
+    dropped = [d for d in (0, 63, 127, 9) if d not in kept]
+    assert calls == [(kept, dropped)] + ([([], dropped)] if dropped else [])
+    assert set(rows.kept) == set(kept)
+    for d in kept:
+        want = _packed_row(ctx, points, d)
+        assert np.array_equal(scan._unpack(rows.kept[d], xs.size, rows.dtype), want), d
+    assert scan._kept_row_bytes(ctx)[0] == [rows.dtype.itemsize * xs.size * len(kept)]
+
+
+@pytest.mark.parametrize("points", ROW_POINTS)
+def test_row_builds_of_two_threads_keep_within_a_few_rows(points, monkeypatch):
+    # every read misses several rows at once and builds them in one call;
+    # the budget of three rows holds over both threads
+    monkeypatch.setattr(scan, "DEFAULT_CHUNK", 100)
+    rng = random.Random(22)
+    reads = [[rng.randrange(4096) for _ in range(rng.randrange(2, 9))] for _ in range(200)]
+    ctx = make_field(2, 6)
+    args = _row_args(ctx, points)
+    xs = points(ctx, *args)[0]
+    nbytes = 2 * xs.size
+    monkeypatch.setattr(scan, "POWER_ROW_BUDGET", 3 * nbytes)
+
+    def read(exponents):
+        rows = scan._power_rows(ctx, points, *args)
+        got = scan._unpack(scan._power_row_sum(ctx, rows, exponents), xs.size, rows.dtype)
+        expect = np.zeros(xs.size, dtype=np.uint64)
+        for d in exponents:
+            expect ^= _packed_row(ctx, points, d)
+        return np.array_equal(got, expect)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(read, r) for r in reads]
+            assert all(f.result(timeout=60) for f in futures), points.__name__
+    finally:
+        sys.setswitchinterval(old)
+    rows = scan._power_rows(ctx, points, *args)
+    assert len(rows.kept) == 3
+    assert scan._kept_row_bytes(ctx)[0] == [3 * nbytes]
+    for d, row in rows.kept.items():
+        assert np.array_equal(scan._unpack(row, xs.size, rows.dtype), _packed_row(ctx, points, d))
+
+
+@pytest.mark.parametrize("s, e, q", [(1, 16, 2), (2, 8, 4)])
+def test_spot_rows_refute_as_direct_evaluation_does(s, e, q, monkeypatch):
+    # m = 16: the orbit representatives outnumber the spot points, so
+    # permutes reads g's rows at them first and stops on a collision
+    ctx = make_field(s, e)
+    spots = scan._spot_points(ctx.m)
+    rows = scan._power_rows(ctx, scan._sample_points)
+    bijection = mock.Mock(wraps=scan.bijection_from_values)
+    monkeypatch.setattr(scan, "bijection_from_values", bijection)
+    refuted = 0
+    for n in range(1, 201):
+        g = gnq.gnq_recurrence(n, q, ctx)
+        direct = g.eval_packed(spots, ctx)
+        got = scan._unpack(scan._power_row_sum(ctx, rows, g.support()), spots.size, rows.dtype)
+        assert np.array_equal(got, direct), n
+        collides = np.unique(direct).size < spots.size
+        bijection.reset_mock()
+        verdict = scan.permutes(g, ctx)
+        assert bijection.called is not collides, n
+        assert not (collides and verdict), n
+        refuted += collides
+    assert 0 < refuted < 200
 
 
 @pytest.mark.long
