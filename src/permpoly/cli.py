@@ -446,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"), default=None,
                         help="output format (default: text)")
     common.add_argument("--workers", type=int, default=None,
-                        help="search threads, at most one per n and per CPU; "
+                        help="search threads, at most one per block of n and per CPU; "
                              "output is identical for any value")
     common.add_argument("--out", default=None, help="write output to a file")
     common.add_argument("--seed", type=int, default=None,

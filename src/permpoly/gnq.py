@@ -21,7 +21,6 @@ import functools
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -391,15 +390,16 @@ def search_desirable(q: int, e: int, n_from: int, n_to: int,
                      timing: bool = False) -> list[DesirableTriple]:
     """Scan n in [n_from, n_to] for g_(n,q) permuting GF(q^e).
 
-    scan.permutes decides each n exactly on one point per orbit of
-    x -> x^2 (352 of 4096 at e = 6, 1182 of 16384 at e = 7); from e = 8
+    scan.permutes_each decides the n a scan.block_size block at a time
+    (46 n at e = 6, 13 at e = 7, q = 4), each exactly on one point per orbit
+    of x -> x^2 (352 of 4096 at e = 6, 1182 of 16384 at e = 7); from e = 8
     on, q = 4, a collision on its spot sample refutes most g_(n,q) first.
     Each hit is re-validated against the defining identity before it is
     emitted; an oracle failure would mean the recurrence built the wrong
-    polynomial and aborts the search.  workers threads test the n, at most
-    one per n and per CPU; output is ordered by n regardless of worker count.
-    Under timing, a hit's elapsed_ms counts from the start of the scan to
-    its oracle confirmation; otherwise it is 0.
+    polynomial and aborts the search.  workers threads test the blocks,
+    at most one per block and per CPU; output is ordered by n regardless
+    of worker count.  Under timing, a hit's elapsed_ms counts from the
+    start of the scan to its oracle confirmation; otherwise it is 0.
     """
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= n_from <= n_to")
@@ -408,25 +408,32 @@ def search_desirable(q: int, e: int, n_from: int, n_to: int,
     if ctx.q != q or ctx.e != e:
         raise ValueError(f"context {ctx!r} does not match q={q}, e={e}")
 
-    def test_one(n: int) -> DesirableTriple | None:
-        g = gnq_recurrence(n, q, ctx)
-        if not scan.permutes(g, ctx):
-            return None
-        if not gnq_oracle_check(n, q, ctx, g=g):
-            raise RuntimeError(
-                f"internal inconsistency: g_({n},{q}) passed the PP test "
-                f"but fails the defining identity"
-            )
-        elapsed = int((time.perf_counter() - t0) * 1000) if timing else 0
-        return DesirableTriple(n, e, q, "exhaustive", elapsed)
+    def test_block(start: int) -> list[DesirableTriple]:
+        ns = range(start, min(start + size, n_to + 1))
+        gs = [gnq_recurrence(n, q, ctx) for n in ns]
+        hits = []
+        for n, g, ok in zip(ns, gs, scan.permutes_each(gs, ctx)):
+            if not ok:
+                continue
+            if not gnq_oracle_check(n, q, ctx, g=g):
+                raise RuntimeError(
+                    f"internal inconsistency: g_({n},{q}) passed the PP test "
+                    f"but fails the defining identity"
+                )
+            elapsed = int((time.perf_counter() - t0) * 1000) if timing else 0
+            hits.append(DesirableTriple(n, e, q, "exhaustive", elapsed))
+        return hits
 
     t0 = time.perf_counter()
-    ns = range(n_from, n_to + 1)
+    size = scan.block_size(ctx)
+    starts = range(n_from, n_to + 1, size)
     # the executor starts a thread per submit while none is idle
-    workers = min(workers, len(ns), os.cpu_count() or 1)
+    workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: a process that never searches in threads skips it
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(test_one, ns))
+            found = list(pool.map(test_block, starts))
     else:
-        found = [test_one(n) for n in ns]
-    return [t for t in found if t is not None]
+        found = [test_block(start) for start in starts]
+    return [t for hits in found for t in hits]

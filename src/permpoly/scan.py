@@ -9,15 +9,16 @@ Scans are chunked so peak memory stays bounded by a few chunk-sized
 arrays.  field_values alone decides how a map is evaluated on the whole
 field: a map of algebraic degree at most 2 from three tables over pairs
 of bit blocks checked against direct evaluation at SPOT_CHECK_POINTS
-fixed points, anything else directly.  permutes decides a dense
-polynomial with GF(2) coefficients on one point per orbit of x -> x^2,
-and never scans the whole field; its docstring gives the argument.
+fixed points, anything else directly.  permutes_each decides dense
+polynomials with GF(2) coefficients on one point per orbit of x -> x^2,
+a block of maps at a time with at most BLOCK_IDS orbit ids in all, and
+never scans the whole field; its docstring gives the argument.
 power_sum_identity alone decides the oracle's identity, on coset
 representatives or on the Hamming ball of its degree, whichever is
 smaller; its docstring gives the argument for both point sets.  Both read
 their values from one store of rows packed into ints (_power_row_sum),
-kept per context within POWER_ROW_BUDGET bytes; the rows that one call
-misses are built together, from one log gather of their points
+kept per context within POWER_ROW_BUDGET bytes; the rows that the maps
+of one call miss are built together, from one log gather of their points
 (_build_rows).
 """
 
@@ -42,6 +43,9 @@ SPOT_CHECK_POINTS = (1 << 12) - 1
 
 # bytes of packed rows that one context keeps, over all its point sets
 POWER_ROW_BUDGET = 64 << 20
+
+# orbit ids that permutes_each decides together, over a block of maps
+BLOCK_IDS = 1 << 14
 
 
 @per_context
@@ -306,55 +310,67 @@ def _kept_row_bytes(ctx: FieldContext) -> tuple[list[int], threading.Lock]:
     return [0], threading.Lock()
 
 
-def _power_row_sum(ctx: FieldContext, rows: _Rows, exponents) -> int:
-    """XOR over the exponents d of row d of rows, a _power_rows of ctx: one
-    int XOR per row, each value in its own field of rows.dtype.  The rows
-    that the call misses are built together (_build_rows).  The first of
-    them are kept while the context's rows, over all point sets, still fit
-    POWER_ROW_BUDGET bytes; the others serve this call and are dropped, so
-    no verdict depends on the budget."""
-    acc = 0
+def _power_row_sum(ctx: FieldContext, rows: _Rows, supports) -> list[int]:
+    """[XOR over the exponents d of row d of rows, for each exponent
+    iterable of supports]; rows is a _power_rows of ctx, and each sum is
+    one int XOR per row, each value in its own field of rows.dtype.  The
+    rows that the maps miss are built together, in one _build_rows pass.
+    The first of them are kept while the context's rows, over all point
+    sets, still fit POWER_ROW_BUDGET bytes; the others serve this call and
+    are dropped, so no verdict depends on the budget."""
     kept = rows.kept
-    odd = {}  # missing d -> whether the call reads row d an odd number of times
-    for d in exponents:
-        row = kept.get(d)
-        if row is None:
-            odd[d] = not odd.get(d)
-        else:
-            acc ^= row
+    sums = []
+    odd = {}  # missing d -> {map: whether it reads row d an odd number of times}
+    for exponents in supports:
+        acc = 0
+        for d in exponents:
+            row = kept.get(d)
+            if row is None:
+                reads, j = odd.setdefault(d, {}), len(sums)
+                reads[j] = not reads.get(j)
+            else:
+                acc ^= row
+        sums.append(acc)
     if not odd:
-        return acc
+        return sums
     missing = list(odd)
     nbytes = rows.dtype.itemsize * rows.points(ctx, *rows.args)[0].size
     total, lock = rows.budget
     # a plan, read without the lock; each insert below checks it again
     keep = missing[:max(0, (POWER_ROW_BUDGET - total[0]) // nbytes)]
-    built, dropped = _build_rows(ctx, rows, keep, [d for d in missing[len(keep):] if odd[d]])
+    drop = {d: js for d in missing[len(keep):] if (js := [j for j, o in odd[d].items() if o])}
+    built, dropped = _build_rows(ctx, rows, keep, drop)
     with lock:
         for d, row in zip(keep, built):
             if d not in kept and total[0] + nbytes <= POWER_ROW_BUDGET:
                 total[0] += nbytes
                 kept[d] = row
     for d, row in zip(keep, built):
-        if odd[d]:
-            acc ^= row
-    return acc ^ dropped
+        for j, o in odd[d].items():
+            if o:
+                sums[j] ^= row
+    for j, row in enumerate(dropped):
+        sums[j] ^= row
+    return sums
 
 
-def _build_rows(ctx: FieldContext, rows: _Rows, keep, drop) -> tuple[list[int], int]:
-    """([row d of rows for each d of keep], XOR of row d over the d of drop),
-    packed as _power_row_sum reads them, in one pass per iter_chunks slice
-    of the points.
+def _build_rows(ctx: FieldContext, rows: _Rows, keep, drop) -> tuple[list[int], list[int]]:
+    """([row d of rows for each d of keep], [XOR of the rows of drop that
+    map j reads, for j = 0 up to the last map that drop names]), packed as
+    _power_row_sum reads them, in one pass per iter_chunks slice of the
+    points; drop maps each of its exponents d to the maps that read row d.
 
     One log gather of the slice's points, shifted points included, serves
     every exponent (_powers).  The rows of keep are written into their
-    own arrays and the rows of drop XORed into one more, so memory stays
-    at the kept rows, one more row and a few slice-sized temporaries,
-    never one row per exponent of drop."""
+    own arrays and the rows of drop XORed into one more per map, so memory
+    stays at the kept rows, one row per map and a few slice-sized
+    temporaries, never one row per exponent of drop."""
     xs, shifts = rows.points(ctx, *rows.args)
     exponents = (*keep, *drop)
+    readers = [np.array(js, dtype=np.intp) for js in drop.values()]
+    maps = 1 + max(max(js) for js in drop.values()) if drop else 0
     out = [np.empty(xs.size, dtype=rows.dtype) for _ in keep]
-    acc = np.zeros(xs.size, dtype=rows.dtype) if drop else None
+    acc = np.zeros((maps, xs.size), dtype=rows.dtype)
     for start, stop in iter_chunks(xs.size):
         pts = xs[start:stop] if shifts is None else shifts ^ xs[start:stop]
         for i, term in enumerate(_powers(ctx, pts, exponents)):
@@ -363,11 +379,11 @@ def _build_rows(ctx: FieldContext, rows: _Rows, keep, drop) -> tuple[list[int], 
             if i < len(out):
                 out[i][start:stop] = term
             else:
-                acc[start:stop] ^= term
+                acc[readers[i - len(out)], start:stop] ^= term
     packed = []
     while out:  # each array is released once packed
         packed.append(_pack(out.pop(0), rows.dtype))
-    return packed, 0 if acc is None else _pack(acc, rows.dtype)
+    return packed, [_pack(row, rows.dtype) for row in acc]
 
 
 def _pack(values: np.ndarray, dtype: np.dtype) -> int:
@@ -376,9 +392,12 @@ def _pack(values: np.ndarray, dtype: np.dtype) -> int:
     return int.from_bytes(values.astype(dtype, copy=False).tobytes(), "little")
 
 
-def _unpack(packed: int, size: int, dtype: np.dtype) -> np.ndarray:
-    """The size values that _pack packed, as a read-only array of dtype."""
-    return np.frombuffer(packed.to_bytes(dtype.itemsize * size, "little"), dtype=dtype)
+def _unpack(packed: list[int], size: int, dtype: np.dtype) -> np.ndarray:
+    """The size values that _pack packed into each int of packed, one row
+    per int, as a read-only (len(packed), size) array of dtype."""
+    nbytes = dtype.itemsize * size
+    data = b"".join([p.to_bytes(nbytes, "little") for p in packed])
+    return np.frombuffer(data, dtype=dtype).reshape(len(packed), size)
 
 
 def values_equal(f, g, ctx: FieldContext, degree: int) -> bool:
@@ -432,23 +451,42 @@ def _hamming_ball(m: int, radius: int) -> np.ndarray:
     return ball
 
 
-def bijection_from_values(values: np.ndarray, order: int) -> bool:
-    """Whether an array of order values hits every pattern in [0, order).
+def bijection_from_values(values: np.ndarray, order: int):
+    """Whether an array of order values hits every pattern in [0, order);
+    for a (B, order) array, the list of B such verdicts, one per row.
 
-    One scatter marks the image, and one count of the marks reads it.
-    If every pattern is marked, the order values cover order patterns,
-    so by pigeonhole each is hit exactly once.
+    One scatter marks the image of every row, and one count of the marks
+    per row reads it.  If every pattern is marked, the order values of a
+    row cover order patterns, so by pigeonhole each is hit exactly once.
     """
-    if len(values) != order:
-        raise ValueError(f"need exactly {order} values, got {len(values)}")
-    seen = np.zeros(order, dtype=bool)
-    seen[values] = True
-    return int(np.count_nonzero(seen)) == order
+    if values.shape[-1] != order:
+        raise ValueError(f"need exactly {order} values, got {values.shape[-1]}")
+    if values.ndim == 1:
+        seen = np.zeros(order, dtype=bool)
+        seen[values] = True
+        return int(np.count_nonzero(seen)) == order
+    # row i marks its values at i * order + v of one flat array
+    flat = values + np.arange(0, values.size, order, dtype=np.intp)[:, None]
+    seen = np.zeros(values.shape, dtype=bool)
+    seen.reshape(-1)[flat] = True
+    return (np.count_nonzero(seen, axis=1) == order).tolist()
+
+
+def block_size(ctx: FieldContext) -> int:
+    """The number of maps that permutes_each decides together over ctx:
+    as many as give at most BLOCK_IDS orbit ids in all, and at least one."""
+    return max(1, BLOCK_IDS // _orbit_classes(ctx)[0].size)
 
 
 def permutes(f, ctx: FieldContext) -> bool:
-    """Whether the DensePolyF2 f permutes the field, decided exactly on one
-    point per orbit of x -> x^2; any other f raises TypeError.
+    """Whether the DensePolyF2 f permutes the field: permutes_each([f], ctx)[0]."""
+    return permutes_each([f], ctx)[0]
+
+
+def permutes_each(fs, ctx: FieldContext) -> list[bool]:
+    """[whether f permutes the field, for each DensePolyF2 f of fs],
+    decided exactly on one point per orbit of x -> x^2; any other f raises
+    TypeError, one of another context ValueError.
 
     f has GF(2) coefficients, so f(x^2) = f(x)^2: f maps the orbit O(x)
     of x onto O(f(x)), and |O(f(x))| <= |O(x)|.  Each value v gets an
@@ -463,27 +501,44 @@ def permutes(f, ctx: FieldContext) -> bool:
     value.  So the verdict is bijection_from_values on the R + 1 ids, and
     every True and every False is exhaustive.
 
-    The values are the XOR of the power rows of f's support at the
-    representatives (_power_row_sum), so a verdict reads no log table.
-    Where the representatives outnumber the _spot_points (m >= 16), f's
-    rows at those, distinct points, are read first, from the same store,
-    and a repeated value returns False as a certificate.
+    The maps are decided a block_size block at a time, so a block holds
+    at most BLOCK_IDS ids or one map.  The values are the XOR of the
+    power rows of each f's support at the representatives, one
+    _power_row_sum call per block, so a verdict reads no log table; the
+    block's values are unpacked once, their ids gathered once and marked
+    by one bijection_from_values call.  Where the representatives
+    outnumber the _spot_points (m >= 16), each f's rows at those, distinct
+    points, are read first, from the same store, and a repeated value
+    refutes that f as a certificate; only the others reach the orbits.
     """
-    if not isinstance(f, poly.DensePolyF2):
-        raise TypeError(f"permutes needs a DensePolyF2, got {type(f).__name__}")
-    if f.ctx is not ctx:
-        raise ValueError("context mismatch")
+    fs = list(fs)
+    for f in fs:
+        if not isinstance(f, poly.DensePolyF2):
+            raise TypeError(f"permutes needs a DensePolyF2, got {type(f).__name__}")
+        if f.ctx is not ctx:
+            raise ValueError("context mismatch")
     points, ids = _orbit_classes(ctx)
-    support = f.support()
-    if points.size > SPOT_CHECK_POINTS:
-        rows = _power_rows(ctx, _sample_points)
-        size = rows.points(ctx)[0].size
-        vals = np.sort(_unpack(_power_row_sum(ctx, rows, support), size, rows.dtype))
-        if (vals[1:] == vals[:-1]).any():
-            return False
-    rows = _power_rows(ctx, _orbit_points)
-    vals = _unpack(_power_row_sum(ctx, rows, support), points.size, rows.dtype)
-    return bijection_from_values(ids.take(vals), points.size)
+    size = block_size(ctx)
+    verdicts = []
+    for start in range(0, len(fs), size):
+        supports = [f.support() for f in fs[start:start + size]]
+        alive = list(range(len(supports)))
+        if points.size > SPOT_CHECK_POINTS:
+            rows = _power_rows(ctx, _sample_points)
+            vals = np.sort(_unpack(_power_row_sum(ctx, rows, supports),
+                                   rows.points(ctx)[0].size, rows.dtype), axis=1)
+            repeats = vals[:, 1:] == vals[:, :-1]
+            alive = [i for i, row in enumerate(repeats) if not row.any()]
+        block = [False] * len(supports)
+        if alive:
+            rows = _power_rows(ctx, _orbit_points)
+            sums = _power_row_sum(ctx, rows, [supports[i] for i in alive])
+            marks = bijection_from_values(ids.take(_unpack(sums, points.size, rows.dtype)),
+                                          points.size)
+            for i, ok in zip(alive, marks):
+                block[i] = ok
+        verdicts += block
+    return verdicts
 
 
 def _sample_points(ctx: FieldContext) -> tuple[np.ndarray, None]:
@@ -594,8 +649,9 @@ def power_sum_identity(g, ctx: FieldContext, n: int) -> bool:
                 break
     rhs = translates.kept.get(r)  # a kept row, read without a call
     if rhs is None:
-        rhs = _power_row_sum(ctx, translates, (r,))
-    return _power_row_sum(ctx, images, support) == rhs
+        [rhs] = _power_row_sum(ctx, translates, ((r,),))
+    [lhs] = _power_row_sum(ctx, images, (support,))
+    return lhs == rhs
 
 
 @per_context

@@ -1,5 +1,6 @@
 """The g_(n,q) family and the verification pipelines sitting on top of it."""
 
+import concurrent.futures
 import json
 import os
 import pathlib
@@ -230,7 +231,7 @@ def test_oracle_checks_every_coset(s, e, chunk, monkeypatch):
     assert set(images.kept) == set(g.support()) and set(translates.kept) == {r}
     packed = translates.kept[r]
     assert type(packed) is int and packed.bit_length() <= 8 * translates.dtype.itemsize * tq.size
-    sums = scan._unpack(packed, tq.size, translates.dtype)
+    sums = scan._unpack([packed], tq.size, translates.dtype)[0]
     assert reps.shape == tq.shape == sums.shape == (ctx.order // q,)
     # x^q + x = y^q + y iff x + y lies in GF(q), so order/q distinct images
     # mean one representative in every coset
@@ -273,14 +274,14 @@ def test_oracle_chunked_path_rejects_each_flip(monkeypatch):
     assert radius == ctx.m and reps.size == ctx.order // ctx.q
     d = g.support()[-1]
     dtype = translates.dtype
-    assert np.array_equal(scan._unpack(translates.kept[r], tq.size, dtype), _coset_sums(ctx, reps, n))
-    assert np.array_equal(scan._unpack(images.kept[d], tq.size, dtype), scan.packed_pow(ctx, tq, d))
+    assert np.array_equal(scan._unpack([translates.kept[r]], tq.size, dtype)[0], _coset_sums(ctx, reps, n))
+    assert np.array_equal(scan._unpack([images.kept[d]], tq.size, dtype)[0], scan.packed_pow(ctx, tq, d))
     ends = {i for start, stop in scan.iter_chunks(tq.size) for i in (start, stop - 1)}
     assert len(ends) == 10
     for kept, key in ((translates.kept, r), (images.kept, d)):
         packed = kept[key]
         for i in sorted(ends | set(range(0, tq.size, 331))):
-            wrong = scan._unpack(packed, tq.size, dtype).copy()
+            wrong = scan._unpack([packed], tq.size, dtype)[0].copy()
             wrong[i] ^= 1 << (i % ctx.m)
             kept[key] = scan._pack(wrong, dtype)
             assert not gnq_oracle_check(n, ctx.q, ctx, g=g), i
@@ -298,7 +299,7 @@ def test_rows_hold_values_above_16_bits(kept_rows):
     rows = scan._power_rows(ctx, scan._orbit_points)
     points = scan._orbit_classes(ctx)[0]
     assert rows.dtype.itemsize == 4 and set(rows.kept) == {3, 5}
-    values = scan._unpack(rows.kept[5], points.size, rows.dtype)
+    values = scan._unpack([rows.kept[5]], points.size, rows.dtype)[0]
     assert np.array_equal(values, scan.packed_pow(ctx, points, 5)) and values.max() >= 1 << 16
     for n in (7, 100, 1000):
         g = gnq_recurrence(n, 2, ctx)
@@ -311,7 +312,7 @@ def test_rows_hold_values_above_16_bits(kept_rows):
             xs = points(ctx, *args)[0]
             for r, row in kept.items():
                 want = scan.packed_pow(ctx, xs, r) ^ scan.packed_pow(ctx, xs ^ np.uint64(1), r)
-                assert np.array_equal(scan._unpack(row, xs.size, rows.dtype), want), (args, r)
+                assert np.array_equal(scan._unpack([row], xs.size, rows.dtype)[0], want), (args, r)
                 sums += 1
     assert sums == 3
 
@@ -428,7 +429,7 @@ def test_oracle_memo_matches_unmemoized_right_side(s, e, monkeypatch, kept_rows)
     reps, tq = _points_and_images(ctx, ctx.m)
     for n in range(3 * order + 1):
         r = reduce_exponent(n, order)
-        memo = scan._unpack(scan._power_row_sum(ctx, translates, (r,)), tq.size, translates.dtype)
+        memo = scan._unpack(scan._power_row_sum(ctx, translates, [(r,)]), tq.size, translates.dtype)[0]
         rhs = _coset_sums(ctx, reps, n)
         assert np.array_equal(memo, rhs), n
         assert translates.kept[r] == scan._pack(rhs, translates.dtype), n
@@ -436,8 +437,8 @@ def test_oracle_memo_matches_unmemoized_right_side(s, e, monkeypatch, kept_rows)
         flipped = DensePolyF2(ctx, g.bits ^ rng.getrandbits(order))
         for h in (g, flipped):
             want = _oracle_reference(n, h, ctx)
-            lhs = scan._power_row_sum(ctx, images, h.support())
-            assert np.array_equal(scan._unpack(lhs, tq.size, images.dtype), h.eval_on_field()[tq]), n
+            lhs = scan._power_row_sum(ctx, images, [h.support()])[0]
+            assert np.array_equal(scan._unpack([lhs], tq.size, images.dtype)[0], h.eval_on_field()[tq]), n
             assert np.array_equal(h.eval_on_field()[tq], rhs) == want, n
             assert gnq_oracle_check(n, q, ctx, g=h) == want, n
             with monkeypatch.context() as mp:
@@ -460,7 +461,7 @@ def test_oracle_memo_hit_rejects_a_corrupted_g(monkeypatch):
     # side; build them first
     radius, images, _ = scan._oracle_rows(ctx)[4]
     assert radius == ctx.m
-    scan._power_row_sum(ctx, images, g.support())
+    scan._power_row_sum(ctx, images, [g.support()])
 
     def refuse(*args):
         raise AssertionError("a row built on a memo hit")
@@ -472,7 +473,7 @@ def test_oracle_memo_hit_rejects_a_corrupted_g(monkeypatch):
         assert not gnq_oracle_check(n2, 4, ctx, g=DensePolyF2(ctx, g.bits ^ 1 << d)), d
     tq = scan._oracle_images(ctx, radius)[0]
     d = g.support()[0]
-    values = scan._unpack(images.kept[d], tq.size, images.dtype).copy()
+    values = scan._unpack([images.kept[d]], tq.size, images.dtype)[0].copy()
     values[5] ^= 1
     images.kept[d] = scan._pack(values, images.dtype)
     assert not gnq_oracle_check(n2, 4, ctx, g=g)
@@ -532,7 +533,7 @@ def test_oracle_and_recurrence_set_up_once_per_context(monkeypatch, kept_rows):
 
     def build_spy(ctx, rows, keep, drop):
         if rows.points is scan._oracle_translates and rows.args == (ctx.m,):
-            rhs_builds.extend(keep + drop)
+            rhs_builds.extend([*keep, *drop])
         return build_rows(ctx, rows, keep, drop)
 
     monkeypatch.setattr(scan, "_build_rows", build_spy)
@@ -759,13 +760,14 @@ def test_t2_context_validation(f4096, f64):
 
 
 def test_search_never_scans_the_whole_field_at_e7(monkeypatch):
-    # at e = 7 every verdict is one bijection over the 1182 orbit ids, and
-    # neither permutes nor the oracle of a hit evaluates g on the whole field
-    sizes = []
+    # at e = 7 the 64 verdicts are bijections over the 1182 orbit ids each,
+    # marked a block of 13 n at a time, and neither permutes_each nor the
+    # oracle of a hit evaluates g on the whole field
+    shapes = []
     bijection = scan.bijection_from_values
 
     def spy(values, order):
-        sizes.append((len(values), order))
+        shapes.append((values.shape, order))
         return bijection(values, order)
 
     monkeypatch.setattr(scan, "bijection_from_values", spy)
@@ -773,7 +775,8 @@ def test_search_never_scans_the_whole_field_at_e7(monkeypatch):
         hits = search_desirable(4, 7, 1, 64)
     assert len(hits) == 14
     assert values.call_count == 0
-    assert sizes == [(1182, 1182)] * 64
+    assert scan.block_size(make_field(2, 7)) == scan.BLOCK_IDS // 1182 == 13
+    assert shapes == [((13, 1182), 1182)] * 4 + [((12, 1182), 1182)]
 
 
 def test_search_finds_the_corollary_exponent(f4096):
@@ -793,9 +796,10 @@ def test_search_worker_determinism(f64):
     assert ns == sorted(set(ns))
 
 
-def test_search_threads_capped_by_n_and_cpus(f64, monkeypatch):
+def test_search_threads_capped_by_n_and_cpus(f4096, monkeypatch):
     # a stub executor records the thread count and maps serially, so no
-    # thread is started at any requested count
+    # thread is started at any requested count; threads take blocks of 46 n
+    # at e = 6, so n = 1..300 is 7 blocks and n = 7..7 one
     pools = []
 
     class SerialExecutor:
@@ -811,16 +815,40 @@ def test_search_threads_capped_by_n_and_cpus(f64, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(gnq, "ThreadPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    serial = search_desirable(4, 3, 1, 300, ctx=f64)
-    assert search_desirable(4, 3, 1, 300, workers=5000, ctx=f64) == serial
-    assert search_desirable(4, 3, 1, 300, workers=2, ctx=f64) == serial
+    assert scan.block_size(f4096) == 46
+    serial = search_desirable(4, 6, 1, 300, ctx=f4096)
+    assert search_desirable(4, 6, 1, 300, workers=5000, ctx=f4096) == serial
+    assert search_desirable(4, 6, 1, 300, workers=2, ctx=f4096) == serial
     assert pools == [2, 2]
-    search_desirable(4, 3, 7, 7, workers=5000, ctx=f64)  # one n: no pool
+    search_desirable(4, 6, 7, 7, workers=5000, ctx=f4096)  # one block: no pool
+    search_desirable(4, 6, 1, 46, workers=5000, ctx=f4096)
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one thread
-    assert search_desirable(4, 3, 1, 300, workers=5000, ctx=f64) == serial
+    assert search_desirable(4, 6, 1, 300, workers=5000, ctx=f4096) == serial
     assert pools == [2, 2]
+
+
+def test_importing_the_package_leaves_out_the_thread_pool():
+    # only a search with workers > 1 imports concurrent.futures
+    code = ("import sys, permpoly; "
+            "print('concurrent.futures' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gnq.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search_is_the_same_for_any_block_size(workers, monkeypatch):
+    # one map per block, and all 300 n in one block
+    want = search_desirable(4, 6, 1, 300)
+    assert want
+    for ids, size in ((1, 1), (1 << 20, (1 << 20) // 352)):
+        monkeypatch.setattr(scan, "BLOCK_IDS", ids)
+        ctx = make_field(2, 6)
+        assert scan.block_size(ctx) == size
+        assert search_desirable(4, 6, 1, 300, workers=workers, ctx=ctx) == want
 
 
 def test_search_fills_only_the_power_rows_it_reads(kept_rows):

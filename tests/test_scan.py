@@ -293,7 +293,7 @@ def test_permutes_agrees_with_the_whole_field_scan(s, e, n_to, monkeypatch):
     bijection = scan.bijection_from_values
 
     def spy(values, order):
-        sizes.append(len(values))
+        sizes.append(values.shape)
         return bijection(values, order)
 
     full = []
@@ -305,9 +305,10 @@ def test_permutes_agrees_with_the_whole_field_scan(s, e, n_to, monkeypatch):
         monkeypatch.undo()
         full.append(scan.bijection_from_values(g.eval_on_field(), ctx.order))
         assert verdict is full[-1], n
-    # each verdict is one bijection over the orbit ids; where the sample
-    # runs first, every non-PP here collides on it, so only the PPs get one
-    assert set(sizes) == {orbits}
+    # each verdict is one bijection over the orbit ids, a block of one map;
+    # where the sample runs first, every non-PP here collides on it, so
+    # only the PPs get one
+    assert set(sizes) == {(1, orbits)}
     assert len(sizes) == (sum(full) if orbits > scan.SPOT_CHECK_POINTS else n_to)
 
 
@@ -392,6 +393,31 @@ def test_permutes_matches_the_whole_field_bijection(se, data):
     assert scan.permutes(g, ctx) is scan.bijection_from_values(g.eval_on_field(), ctx.order)
 
 
+@st.composite
+def _planted_maps(draw, ctx):
+    """A DensePolyF2 over ctx: a sum of x^(2^i), additive, so it permutes
+    iff its kernel is trivial, or a random support of up to 6 exponents."""
+    if draw(st.booleans()):
+        exps = [1 << i for i in draw(st.sets(st.integers(0, ctx.m - 1), min_size=1))]
+    else:
+        exps = draw(st.lists(st.integers(0, ctx.order - 1), max_size=6))
+    return DensePolyF2.from_exponents(ctx, exps)
+
+
+# GF(2^m) for m = 6, 8, 12 and 16, where the spot sample runs first
+VERDICT_BLOCK_FIELDS = {m: make_field(1, m) for m in (6, 8, 12, 16)}
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(VERDICT_BLOCK_FIELDS)), st.data())
+def test_permutes_each_decides_a_mixed_block_map_by_map(m, data):
+    ctx = VERDICT_BLOCK_FIELDS[m]
+    fs = data.draw(st.lists(_planted_maps(ctx), min_size=1, max_size=8))
+    # at m = 16 a block holds 3 maps, so 8 maps span several blocks
+    verdicts = scan.permutes_each(fs, ctx)
+    assert verdicts == [scan.bijection_from_values(f.eval_on_field(), ctx.order) for f in fs]
+
+
 @pytest.mark.parametrize("s, e, exps, want", [
     (1, 14, [1 << i for i in range(14)], False),  # the absolute trace, into GF(2)
     (2, 6, [1 << i for i in range(12)], False),
@@ -443,7 +469,7 @@ def test_permutes_keeps_orbit_rows_at_every_order(row_point_sets):
         assert rows.dtype.itemsize == (2 if e <= 8 else 4)
         for d, row in rows.kept.items():
             assert type(row) is int and row.bit_length() <= 8 * rows.dtype.itemsize * points.size
-            values = scan._unpack(row, points.size, rows.dtype)
+            values = scan._unpack([row], points.size, rows.dtype)[0]
             assert values.dtype == rows.dtype
             assert np.array_equal(values, scan.packed_pow(ctx, points, d))
 
@@ -507,7 +533,7 @@ def test_power_row_sum_unpacks_to_the_xor_of_the_powers(se, points, support):
     for d in support:
         expect ^= _packed_row(ctx, points, d)
     rows = scan._power_rows(ctx, points, *args)
-    got = scan._unpack(scan._power_row_sum(ctx, rows, support), pts.size, rows.dtype)
+    got = scan._unpack(scan._power_row_sum(ctx, rows, [support]), pts.size, rows.dtype)[0]
     assert got.dtype == rows.dtype and np.array_equal(got, expect)
     if points is not scan._oracle_translates:
         # 0 is a point of every unshifted set; 0^d is 1 only for d = 0
@@ -521,7 +547,7 @@ def test_power_rows_are_built_once_and_packed(monkeypatch):
     build_rows = scan._build_rows
 
     def spy(ctx, rows, keep, drop):
-        built.extend(keep + drop)
+        built.extend([*keep, *drop])
         return build_rows(ctx, rows, keep, drop)
 
     monkeypatch.setattr(scan, "_build_rows", spy)
@@ -532,7 +558,7 @@ def test_power_rows_are_built_once_and_packed(monkeypatch):
             size = points(ctx, *rows.args)[0].size
             built.clear()
             for reads in (exponents, exponents[::2], exponents):
-                got = scan._unpack(scan._power_row_sum(ctx, rows, reads), size, rows.dtype)
+                got = scan._unpack(scan._power_row_sum(ctx, rows, [reads]), size, rows.dtype)[0]
                 expect = np.zeros(size, dtype=np.uint64)
                 for d in reads:
                     expect ^= np.array(_scalar_row(ctx, points, d), dtype=np.uint64)
@@ -541,7 +567,7 @@ def test_power_rows_are_built_once_and_packed(monkeypatch):
             assert set(rows.kept) == set(exponents)
             for d, row in rows.kept.items():
                 assert type(row) is int and row.bit_length() <= 8 * rows.dtype.itemsize * size
-                values = scan._unpack(row, size, rows.dtype)
+                values = scan._unpack([row], size, rows.dtype)[0]
                 assert values.dtype == rows.dtype
                 assert values.tolist() == _scalar_row(ctx, points, d)
             assert scan._kept_row_bytes(ctx)[0] == [rows.dtype.itemsize * size * len(exponents)]
@@ -562,7 +588,7 @@ def test_power_row_threads_never_read_a_partial_row():
             for d in exponents:
                 expect ^= rows[d]
             kept = scan._power_rows(ctx, points, *args)
-            got = scan._unpack(scan._power_row_sum(ctx, kept, exponents), pts.size, kept.dtype)
+            got = scan._unpack(scan._power_row_sum(ctx, kept, [exponents]), pts.size, kept.dtype)[0]
             return np.array_equal(got, expect)
 
         old = sys.getswitchinterval()
@@ -611,7 +637,7 @@ def test_one_call_builds_every_missing_row(points, chunk, budget_rows, monkeypat
     for d in SEVERAL:
         expect ^= _packed_row(ctx, points, d)
     for _ in range(2):
-        got = scan._unpack(scan._power_row_sum(ctx, rows, SEVERAL), xs.size, rows.dtype)
+        got = scan._unpack(scan._power_row_sum(ctx, rows, [SEVERAL]), xs.size, rows.dtype)[0]
         assert np.array_equal(got, expect)
     # one build per call that misses a row: a dropped row is built only
     # where it counts, and 5, read twice, counts nowhere
@@ -621,7 +647,7 @@ def test_one_call_builds_every_missing_row(points, chunk, budget_rows, monkeypat
     assert set(rows.kept) == set(kept)
     for d in kept:
         want = _packed_row(ctx, points, d)
-        assert np.array_equal(scan._unpack(rows.kept[d], xs.size, rows.dtype), want), d
+        assert np.array_equal(scan._unpack([rows.kept[d]], xs.size, rows.dtype)[0], want), d
     assert scan._kept_row_bytes(ctx)[0] == [rows.dtype.itemsize * xs.size * len(kept)]
 
 
@@ -640,7 +666,7 @@ def test_row_builds_of_two_threads_keep_within_a_few_rows(points, monkeypatch):
 
     def read(exponents):
         rows = scan._power_rows(ctx, points, *args)
-        got = scan._unpack(scan._power_row_sum(ctx, rows, exponents), xs.size, rows.dtype)
+        got = scan._unpack(scan._power_row_sum(ctx, rows, [exponents]), xs.size, rows.dtype)[0]
         expect = np.zeros(xs.size, dtype=np.uint64)
         for d in exponents:
             expect ^= _packed_row(ctx, points, d)
@@ -658,7 +684,7 @@ def test_row_builds_of_two_threads_keep_within_a_few_rows(points, monkeypatch):
     assert len(rows.kept) == 3
     assert scan._kept_row_bytes(ctx)[0] == [3 * nbytes]
     for d, row in rows.kept.items():
-        assert np.array_equal(scan._unpack(row, xs.size, rows.dtype), _packed_row(ctx, points, d))
+        assert np.array_equal(scan._unpack([row], xs.size, rows.dtype)[0], _packed_row(ctx, points, d))
 
 
 @pytest.mark.parametrize("s, e, q", [(1, 16, 2), (2, 8, 4)])
@@ -674,7 +700,7 @@ def test_spot_rows_refute_as_direct_evaluation_does(s, e, q, monkeypatch):
     for n in range(1, 201):
         g = gnq.gnq_recurrence(n, q, ctx)
         direct = g.eval_packed(spots, ctx)
-        got = scan._unpack(scan._power_row_sum(ctx, rows, g.support()), spots.size, rows.dtype)
+        got = scan._unpack(scan._power_row_sum(ctx, rows, [g.support()]), spots.size, rows.dtype)[0]
         assert np.array_equal(got, direct), n
         collides = np.unique(direct).size < spots.size
         bijection.reset_mock()
