@@ -92,10 +92,16 @@ class FieldElement:
         )
 
     def square(self) -> "FieldElement":
-        return FieldElement(
-            gf2poly._mod(gf2poly._mul(self.bits, self.bits), self.ctx._mod_bits),
-            self.ctx,
-        )
+        """x^2 as the XOR of one _square_tables lookup per byte of x.
+
+        Squaring is GF(2)-linear in characteristic 2, (u + v)^2 = u^2 +
+        v^2, so x^2 is the XOR of the squares of x's bytes in place.
+        """
+        bits, acc = self.bits, 0
+        for table in _square_tables(self.ctx):
+            acc ^= table[bits & 0xFF]
+            bits >>= 8
+        return FieldElement(acc, self.ctx)
 
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
@@ -145,6 +151,23 @@ def per_context(build):
             return ctx._cache.setdefault(key, build(ctx, *args))
 
     return cached
+
+
+@per_context
+def _square_tables(ctx: FieldContext) -> tuple[tuple[int, ...], ...]:
+    """Table j maps a byte v to (v * t^(8j))^2 mod p, for each of the
+    ceil(m/8) bytes of an element; the last table covers only its m - 8j
+    bits.  Built from the m column images t^(2i) mod p, each table by
+    doubling: its entries below 2^b with bit b added are those XOR
+    column b."""
+    tables = []
+    for low in range(0, ctx.m, 8):
+        table = [0]
+        for i in range(low, min(low + 8, ctx.m)):
+            col = gf2poly._mod(1 << 2 * i, ctx._mod_bits)
+            table += [v ^ col for v in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def make_field(s: int, e: int, modulus: BitPoly | None = None,

@@ -96,9 +96,11 @@ def gnq_recurrence(n: int, q: int, ctx: FieldContext,
     memoized on n per context and filled from an explicit stack, so a
     large n costs memo entries, not call depth: a k stays on the stack
     until g at m and m + 1, both below k, is in the memo, and is then
-    computed.  GF(2) coefficient closure holds by construction (base cases
-    and S_a are GF(2) polynomials); the defining identity is checked
-    separately by gnq_oracle_check.
+    computed.  A new n costs one product S_a * g_(m,q) and one DensePolyF2
+    built from the XOR of the two coefficient ints; the sum makes no
+    DensePolyF2 of its own.  GF(2) coefficient closure holds by
+    construction (base cases and S_a are GF(2) polynomials); the defining
+    identity is checked separately by gnq_oracle_check.
     """
     if n < 0:
         raise UsageError("n must be nonnegative")
@@ -126,7 +128,10 @@ def gnq_recurrence(n: int, q: int, ctx: FieldContext,
                 f"g_(n,{q}) memo reached {len(memo)} entries (bound {memo_bound}) "
                 f"while expanding n={k}; raise memo_bound if that is intended"
             )
-        memo[k] = hi + s_dense(ctx, a) * lo if a else gnq_base(k, q, ctx)
+        if a:
+            memo[k] = DensePolyF2(ctx, hi.bits ^ (s_dense(ctx, a) * lo).bits)
+        else:
+            memo[k] = gnq_base(k, q, ctx)
         stack.pop()
     return memo[n]
 

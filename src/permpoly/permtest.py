@@ -120,6 +120,16 @@ def charsum_pp_test(f, ctx: FieldContext, workers: int = 1,
                     timing: bool = False) -> PPReport:
     """PP test via vanishing of all nontrivial additive character sums.
 
+    f permutes the field iff the sum over x of (-1)^Tr(a*f(x)) is zero
+    for every a != 0 (Lidl & Niederreiter, Thm 7.7); the witness of a
+    failure is the least a with a nonzero sum.  Tr(a*v) = parity(v &
+    M(a)), and M is GF(2)-linear in a (_trace_functional_mask), so the
+    masks of every a come from one apply_matrix over the columns
+    _trace_rows.  A block of characters is then decided per numpy pass,
+    at most DEFAULT_CHUNK // order masks against all order values, so a
+    pass holds a few MB even at CHARSUM_MAX_ORDER; charsum_single is the
+    same sum for one a.
+
     Quadratic in the field order, so refused above CHARSUM_MAX_ORDER.
     workers is accepted for a uniform pipeline signature and unused:
     only gnq.search_desirable runs threads.
@@ -131,15 +141,19 @@ def charsum_pp_test(f, ctx: FieldContext, workers: int = 1,
         )
     t0 = time.perf_counter()
     values = scan.field_values(f, ctx)
-    report = None
-    for abits in range(1, ctx.order):
-        a = ctx.element(abits)
-        if charsum_single(f, a, ctx, values=values) != 0:
-            report = PPReport(False, "charsum", repr(ctx), witness=a,
-                              counterexample=(a,))
+    # m <= 12 here, so every mask fits the uint32 values
+    masks = scan.apply_matrix(np.array(_trace_rows(ctx), dtype=np.uint64),
+                              np.arange(1, ctx.order, dtype=np.uint64)).astype(np.uint32)
+    block = max(1, scan.DEFAULT_CHUNK // ctx.order)
+    report = PPReport(True, "charsum", repr(ctx))
+    for start in range(0, masks.size, block):
+        parity = np.bitwise_count(values & masks[start:start + block, None]) & np.uint8(1)
+        # a balanced character has order/2 ones; the sum is order - 2 * ones
+        unbalanced = np.flatnonzero(np.count_nonzero(parity, axis=1) != ctx.order // 2)
+        if unbalanced.size:
+            a = ctx.element(start + 1 + int(unbalanced[0]))
+            report = PPReport(False, "charsum", repr(ctx), witness=a, counterexample=(a,))
             break
-    if report is None:
-        report = PPReport(True, "charsum", repr(ctx))
     if timing:
         report = replace(report, elapsed_ms=int((time.perf_counter() - t0) * 1000))
     return report

@@ -47,13 +47,6 @@ def reduce_exponent(m: int, order: int) -> int:
 # dense reduced polynomials with GF(2) coefficients
 
 
-def _fold_once(bits: int, order: int) -> int:
-    # exponent order+t folds to t+1; one pass suffices below 2*order-1.
-    # Clearing the high part by XOR needs no order-bit mask.
-    high = bits >> order
-    return bits ^ (high << order) ^ (high << 1)
-
-
 class DensePolyF2:
     """Reduced polynomial mod x^(q^e) - x with GF(2) coefficients.
 
@@ -65,8 +58,8 @@ class DensePolyF2:
     def __init__(self, ctx: FieldContext, bits: int):
         if bits < 0 or bits >> ctx.order:
             raise ValueError("coefficient bits exceed the reduced length q^e")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "ctx", ctx)
+        _set_bits(self, bits)
+        _set_ctx(self, ctx)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensePolyF2 is immutable")
@@ -101,10 +94,15 @@ class DensePolyF2:
         return DensePolyF2(self.ctx, self.bits ^ other.bits)
 
     def __mul__(self, other: "DensePolyF2") -> "DensePolyF2":
-        if self.ctx is not other.ctx:
+        ctx = self.ctx
+        if ctx is not other.ctx:
             raise ValueError("operands from different field contexts")
-        return DensePolyF2(self.ctx, _fold_once(gf2poly._mul(self.bits, other.bits),
-                                                self.ctx.order))
+        # exponent order+t folds to t+1; one pass suffices below 2*order-1.
+        # Clearing the high part by XOR needs no order-bit mask.
+        order = ctx.order
+        bits = gf2poly._mul(self.bits, other.bits)
+        high = bits >> order
+        return DensePolyF2(ctx, bits ^ (high << order) ^ (high << 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DensePolyF2):
@@ -146,6 +144,12 @@ class DensePolyF2:
     def __repr__(self):
         n = self.bits.bit_count()
         return f"DensePolyF2({n} terms over {self.ctx!r})"
+
+
+# the slots' own setters: __init__ writes through them, past the
+# __setattr__ that keeps a built DensePolyF2 immutable
+_set_bits = DensePolyF2.bits.__set__
+_set_ctx = DensePolyF2.ctx.__set__
 
 
 @per_context

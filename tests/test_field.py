@@ -2,6 +2,7 @@
 trace laws, subfield membership, the per-context memo."""
 
 import ast
+import functools
 import random
 import sys
 import threading
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import permpoly
-from permpoly import scan
+from permpoly import gf2poly, scan
 from permpoly.field import (enumerate_elements, eval_S, frobenius_q,
                             in_subfield, make_field, trace_absolute,
                             trace_to_subfield)
@@ -76,6 +79,41 @@ def test_frobenius_is_q_power_map(f64):
         y = f64.random_element(rng)
         assert frobenius_q(x + y, 1) == frobenius_q(x, 1) + frobenius_q(y, 1)
         assert frobenius_q(x * y, 1) == frobenius_q(x, 1) * frobenius_q(y, 1)
+
+
+@functools.cache
+def _wide_field(s: int, e: int):
+    return make_field(s, e, max_degree=64)
+
+
+@given(data=st.data())
+@settings(max_examples=30)
+def test_table_square_matches_the_scalar_product_at_every_degree(data):
+    for m in range(1, 65):
+        s = data.draw(st.sampled_from([s for s in (1, 2, 3, 4, 8) if m % s == 0]))
+        ctx = _wide_field(s, m // s)
+        x = ctx.element(data.draw(st.integers(0, ctx.order - 1)))
+        assert x.square().bits == gf2poly._mod(gf2poly._mul(x.bits, x.bits), ctx._mod_bits)
+        i = data.draw(st.integers(0, 2 * ctx.e))
+        assert frobenius_q(x, i) == x ** ctx.q ** i, (ctx, x, i)
+
+
+def test_fresh_contexts_build_their_own_square_tables(monkeypatch):
+    # the tables are per context: a second context of the same field builds
+    # its own m column images, and a warm context builds none
+    first, second = make_field(2, 6), make_field(2, 6)
+    columns = []
+    mod = gf2poly._mod
+    monkeypatch.setattr(gf2poly, "_mod", lambda a, p: columns.append(a) or mod(a, p))
+    x = first.element(0x9A5)
+    assert x.square() == x * x
+    assert columns[:12] == [1 << 2 * i for i in range(12)]
+    assert len(columns) == 12 + 1  # the product's own reduction
+    columns.clear()
+    first.element(3).square()
+    assert columns == []
+    assert second.element(0x9A5).square().bits == first.element(0x9A5).square().bits
+    assert columns == [1 << 2 * i for i in range(12)]
 
 
 def test_eval_s_is_partial_frobenius_sum(f4096):

@@ -124,6 +124,24 @@ def test_recurrence_memo_holds_exactly_the_reachable_n():
         assert set(gnq._memo(ctx)) == set().union(*(_reachable(n, 4) for n in ns))
 
 
+@pytest.mark.parametrize("s, e", [(1, 6), (2, 6), (3, 4)], ids=["q2", "q4", "q8"])
+def test_recurrence_matches_the_sum_and_product_reference(s, e):
+    # the reference builds hi + S_a * lo from the operators, n ascending;
+    # the recurrence fills its memo from n = 3000 down on a fresh context
+    ctx = make_field(s, e)
+    q = ctx.q
+    gnq_recurrence(3000, q, ctx)
+    ref = {}
+    for n in range(3001):
+        if n < q:
+            ref[n] = gnq_base(n, q, ctx)
+        else:
+            a = (n.bit_length() - 1) // s
+            m = n - q ** a
+            ref[n] = ref[m + 1] + s_dense(ctx, a) * ref[m]
+        assert gnq_recurrence(n, q, ctx) == ref[n], n
+
+
 def test_closed_form_validation(f4096):
     with pytest.raises(ValueError):
         gnq_closed_form([(1, 2)], 4, f4096)  # needs q/2 = 2 pairs

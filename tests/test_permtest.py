@@ -3,8 +3,11 @@ other and against the gcd law, shift witnesses, the case-2 kernel."""
 
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permpoly import permtest, scan
 from permpoly.field import (eval_S, frobenius_q, make_field, trace_absolute,
@@ -137,6 +140,42 @@ def test_methods_agree_on_random_sparse_polys(f16):
             (ca,) = b.counterexample
             assert charsum_single(p, ca, f16) != 0
     assert not disagreements
+
+
+def _charsum_by_character(f, ctx):
+    """(is_pp, witness bits) of the character criterion, one charsum_single
+    per a in ascending order: the reference that charsum_pp_test's blocks
+    must reproduce."""
+    values = scan.field_values(f, ctx)
+    for abits in range(1, ctx.order):
+        if charsum_single(f, ctx.element(abits), ctx, values=values):
+            return False, abits
+    return True, None
+
+
+@st.composite
+def _charsum_maps(draw):
+    """A field of degree m <= 8 and a random DensePolyF2 or power map on it."""
+    s, e = draw(st.sampled_from([(s, e) for s in (1, 2, 4) for e in range(1, 9) if s * e <= 8]))
+    ctx = make_field(s, e)
+    if draw(st.booleans()):
+        return ctx, DensePolyF2(ctx, draw(st.integers(0, (1 << ctx.order) - 1)))
+    return ctx, Pow(Var(), draw(st.integers(1, 2 * ctx.order)))
+
+
+@pytest.mark.parametrize("chunk", [None, 100], ids=["default-chunk", "chunk-100"])
+@given(case=_charsum_maps())
+@settings(max_examples=60)
+def test_charsum_blocks_match_the_per_character_loop(chunk, case):
+    # with 100-value chunks a block holds 100 // order characters, at least
+    # one, so the characters of every field of 16 or more elements split
+    ctx, f = case
+    with mock.patch.object(scan, "DEFAULT_CHUNK", chunk or scan.DEFAULT_CHUNK):
+        report = charsum_pp_test(f, ctx)
+    is_pp, witness = _charsum_by_character(f, ctx)
+    assert report.is_pp is is_pp
+    assert (report.witness is None if is_pp else report.witness.bits == witness)
+    assert report.counterexample == (None if is_pp else (report.witness,))
 
 
 def test_shift_witness_on_theorem_map(f4096):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permpoly import poly, scan
+from permpoly import gf2poly, poly, scan
 from permpoly.field import enumerate_elements, eval_S, frobenius_q, make_field
 from permpoly.poly import (Add, Const, DensePolyF2, FrobQ, LinPoly, Mul, Pow,
                            S, Var, build_t1_g, degree_bound, expr_eval,
@@ -61,16 +61,19 @@ def test_dense_mul_matches_sparse(f64):
             assert dp.eval_at(x) == da.eval_at(x) * db.eval_at(x)
 
 
-def test_fold_once_matches_the_masked_fold():
+def test_dense_mul_folds_like_the_masked_fold():
+    # __mul__ folds the carry-less product once, without an order-bit mask;
+    # the reference masks the low order bits and moves the high part to t + 1
     rng = random.Random(22)
-    for order in (2, 4, 64, 4096):
-        top = 2 * order - 1  # a product of reduced polynomials has fewer bits
-        cases = [0, 1, (1 << order) - 1, 1 << order, (1 << top) - 1, 1 << (top - 1),
-                 ((1 << top) - 1) ^ ((1 << order) - 1)]
-        cases += [rng.getrandbits(rng.randrange(1, top + 1)) for _ in range(200)]
-        for bits in cases:
-            masked = (bits & ((1 << order) - 1)) ^ ((bits >> order) << 1)
-            assert poly._fold_once(bits, order) == masked, (order, bits)
+    for s, e in ((1, 1), (2, 1), (2, 3), (2, 6)):
+        ctx = make_field(s, e)
+        full, top = (1 << ctx.order) - 1, 1 << (ctx.order - 1)
+        cases = [(0, full), (1, full), (full, full), (top, top), (top, full), (full, 2)]
+        cases += [(rng.getrandbits(ctx.order), rng.getrandbits(ctx.order)) for _ in range(200)]
+        for a, b in cases:
+            bits = gf2poly._mul(a, b)
+            masked = (bits & full) ^ ((bits >> ctx.order) << 1)
+            assert (DensePolyF2(ctx, a) * DensePolyF2(ctx, b)).bits == masked, (ctx, a, b)
 
 
 def test_dense_mul_allocates_nothing_field_sized():

@@ -133,9 +133,23 @@ def test_bijection_from_values_detects_duplicates(monkeypatch):
     bad[7] = bad[200]
     assert scan.bijection_from_values(bad, 256) is False
     assert scan.collision_witness(bad, 256) == int(bad[200])
-    monkeypatch.setattr(scan, "DEFAULT_CHUNK", 64)  # the two hits in different chunks
+    # the two hits in different chunks and witness slices
+    monkeypatch.setattr(scan, "DEFAULT_CHUNK", 64)
+    monkeypatch.setattr(scan, "WITNESS_SLICE", 64)
     assert scan.bijection_from_values(bad, 256) is False
     assert scan.collision_witness(bad, 256) == int(bad[200])
+
+
+def test_collision_witness_counts_past_the_uint8_range():
+    # 999 is hit 256 times inside one slice, which a wrapping uint8 count
+    # would read as 0
+    values = np.arange(1024, dtype=np.uint32)
+    values[744:1000] = 999
+    assert scan.collision_witness(values, 1024) == 999
+    # 2^16 + 2 values span two default slices, and 3 is hit once in each
+    values = np.arange((1 << 16) + 2, dtype=np.uint32)
+    values[-1] = 3
+    assert scan.collision_witness(values, (1 << 16) + 1) == 3
 
 
 def test_bijection_from_values_needs_order_values():
@@ -163,7 +177,8 @@ def _planted_values(draw):
 @settings(max_examples=150)
 def test_bijection_from_values_matches_naive(chunk, values):
     counts = np.bincount(values, minlength=len(values))
-    with mock.patch.object(scan, "DEFAULT_CHUNK", chunk):
+    with (mock.patch.object(scan, "DEFAULT_CHUNK", chunk),
+          mock.patch.object(scan, "WITNESS_SLICE", min(chunk, scan.WITNESS_SLICE))):
         ok = scan.bijection_from_values(values, len(values))
         assert ok is bool((counts == 1).all())
         if ok:
