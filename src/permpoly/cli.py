@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import traceback
+from typing import Callable, NamedTuple
 
 from . import gnq, poly
 from .field import DEGREE_CEILING, UsageError, make_field
@@ -153,24 +153,45 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"expected a boolean, got {text!r}")
 
 
-_CONFIG_KEYS = {
-    "format": str,
-    "workers": int,
-    "out": str,
-    "seed": int,
-    "modulus": str,
-    "timing": _parse_bool,
-    "override_ceilings": _parse_bool,
-    "k": int,
-    "n": int,
-    "q": int,
-    "e": int,
-    "n_from": int,
-    "n_to": int,
-    "resume": int,
-    "L": str,
-    "memo_bound": int,
+class Option(NamedTuple):
+    """A flag, the parser of its text (argparse's type and the config file's;
+    _parse_bool makes a store_true flag), its default, help and choices.
+    Its key in OPTIONS is its dest and its config key."""
+    flag: str
+    parse: Callable[[str], object]
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+OPTIONS = {
+    "format": Option("--format", str, "text", "output format (default: text)",
+                     ("text", "json", "csv")),
+    "workers": Option("--workers", int, 1, "search threads, at most one per block of n and "
+                      "per CPU; output is identical for any value.  Measured on 2 cores, 2 "
+                      "threads took 30-45%% longer than 1 at e = 7 and 10 and about 10%% "
+                      "less at e = 12 (README, Determinism)"),
+    "out": Option("--out", str, None, "write output to a file"),
+    "modulus": Option("--modulus", str, None, "field modulus, symbolic (x^12+x^3+1) or hex "
+                      "(0x1009); verify-corollary rejects it"),
+    "timing": Option("--timing", _parse_bool, False, "report real elapsed times instead of 0"),
+    "override_ceilings": Option("--override-ceilings", _parse_bool, False,
+                                f"raise the field-degree ceiling from {DEGREE_CEILING} "
+                                f"to the representation cap of {HARD_DEGREE_CAP}; only gnq "
+                                "gains: the log tables of oracle and search stop at 28"),
+    "k": Option("--k", int),
+    "n": Option("--n", int),
+    "q": Option("--q", int, 4),  # t2's q; the other commands require it
+    "e": Option("--e", int),
+    "n_from": Option("--from", int),
+    "n_to": Option("--to", int),
+    "resume": Option("--resume", int, 0, "last completed n; scanning restarts after it"),
+    "L": Option("--L", str, None, "2-linearized expression, e.g. 'S(3)^2' or "
+                "'x + frob(S(2), 1)'"),
 }
+
+# the options of every command
+COMMON = ("format", "workers", "out", "modulus", "timing", "override_ceilings")
 
 
 def _load_config(path: str) -> dict:
@@ -188,20 +209,22 @@ def _load_config(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            options[key] = _CONFIG_KEYS[key](value)
+            options[key] = OPTIONS[key].parse(value)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from exc
     return options
 
 
-def _parse_modulus(text: str) -> BitPoly:
+def _modulus_of(args) -> BitPoly | None:
+    if not args.modulus:
+        return None
     try:
-        if text.lower().startswith("0x"):
-            return BitPoly(int(text, 16))
-        return BitPoly.from_string(text)
+        if args.modulus.lower().startswith("0x"):
+            return BitPoly(int(args.modulus, 16))
+        return BitPoly.from_string(args.modulus)
     except ValueError as exc:
         raise UsageError(f"--modulus: {exc}") from exc
 
@@ -242,23 +265,11 @@ def _render_dense(g) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            flag = "--from" if name == "n_from" else "--to" if name == "n_to" else f"--{name}"
-            raise UsageError(f"{flag} is required (flag or config file)")
-
-
-def _modulus_of(args) -> BitPoly | None:
-    return _parse_modulus(args.modulus) if args.modulus else None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_verify_t1(args) -> int:
-    _require(args, "k")
     report = gnq.verify_t1(args.k, workers=args.workers, timing=args.timing,
                            modulus=_modulus_of(args))
     if args.format == "json":
@@ -305,7 +316,6 @@ def cmd_verify_corollary(args) -> int:
 
 
 def cmd_probe_t1_odd(args) -> int:
-    _require(args, "k")
     report = gnq.probe_t1_odd(args.k, workers=args.workers, timing=args.timing,
                               modulus=_modulus_of(args))
     if args.format == "json":
@@ -325,7 +335,6 @@ def cmd_probe_t1_odd(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    _require(args, "k")
     if args.k < 2 or args.k % 2:
         raise UsageError("the identity chain follows the theorem hypothesis: even k >= 2")
     ctx = make_field(2, 3 * args.k, modulus=_modulus_of(args))
@@ -340,7 +349,6 @@ def cmd_identities(args) -> int:
 
 
 def cmd_gcd(args) -> int:
-    _require(args, "k")
     if args.k < 1:
         raise UsageError("--k must be >= 1")
     case2 = str(proof_gcd_case2(args.k))
@@ -356,12 +364,9 @@ def cmd_gcd(args) -> int:
 
 
 def cmd_t2(args) -> int:
-    _require(args, "k", "L")
-    q = args.q if args.q is not None else 4
-    ctx = make_field(gnq._q_exponent(q), 3 * args.k, modulus=_modulus_of(args))
-    expr = parse_lspec(args.L)
-    lin = poly.lin_from_expr(expr, ctx, random.Random(args.seed))
-    conds = gnq.check_t2_conditions(lin, q, args.k, ctx,
+    ctx = make_field(gnq._q_exponent(args.q), 3 * args.k, modulus=_modulus_of(args))
+    lin = poly.lin_from_expr(parse_lspec(args.L), ctx)
+    conds = gnq.check_t2_conditions(lin, args.q, args.k, ctx,
                                     workers=args.workers, timing=args.timing)
     if args.format == "json":
         _emit(args, _dump_json(conds.to_json_obj()))
@@ -379,11 +384,9 @@ def cmd_t2(args) -> int:
 
 
 def cmd_gnq(args) -> int:
-    _require(args, "n", "q", "e")
     ctx = make_field(gnq._q_exponent(args.q), args.e, modulus=_modulus_of(args),
                      max_degree=args.max_degree)
-    bound = args.memo_bound if args.memo_bound is not None else gnq.DEFAULT_MEMO_BOUND
-    g = gnq.gnq_recurrence(args.n, args.q, ctx, memo_bound=bound)
+    g = gnq.gnq_recurrence(args.n, args.q, ctx)
     if args.format == "json":
         _emit(args, _dump_json(g.to_json_obj()))
     elif args.format == "csv":
@@ -395,7 +398,6 @@ def cmd_gnq(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _require(args, "n", "q", "e")
     ctx = make_field(gnq._q_exponent(args.q), args.e, modulus=_modulus_of(args),
                      max_degree=args.max_degree)
     ok = gnq.gnq_oracle_check(args.n, args.q, ctx)
@@ -409,13 +411,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_search(args) -> int:
-    _require(args, "q", "e", "n_from", "n_to")
     s = gnq._q_exponent(args.q)
     if args.n_from < 1 or args.n_to < args.n_from:
         raise UsageError("need 1 <= --from <= --to")
-    n_from = args.n_from
-    if args.resume is not None:
-        n_from = max(n_from, args.resume + 1)
+    n_from = max(args.n_from, args.resume + 1)
     ctx = make_field(s, args.e, modulus=_modulus_of(args), max_degree=args.max_degree)
     if n_from > args.n_to:
         # --resume consumed the whole range; that is a completed scan, not an error
@@ -438,130 +437,89 @@ def cmd_search(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# commands and parser assembly
+
+
+class Command(NamedTuple):
+    func: Callable
+    help: str
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+
+
+COMMANDS = {
+    "verify-t1": Command(cmd_verify_t1, "theorem pipeline: pp + identity + gcds at even k",
+                         ("k",)),
+    "verify-corollary": Command(cmd_verify_corollary, "the n = 65921 pipeline over GF(4^6)"),
+    "probe-t1-odd": Command(cmd_probe_t1_odd, "record pp status at odd k (no claim asserted)",
+                            ("k",)),
+    "identities": Command(cmd_identities, "degree-bounded check of the squared-trace-sum identity",
+                          ("k",)),
+    "gcd": Command(cmd_gcd, "the two proof-case gcd values at k", ("k",)),
+    "t2": Command(cmd_t2, "check the generalized-theorem conditions for L", ("k", "L"), ("q",)),
+    "gnq": Command(cmd_gnq, "compute and print one g_(n,q)", ("n", "q", "e")),
+    "oracle": Command(cmd_oracle, "check g_(n,q) against its defining identity", ("n", "q", "e")),
+    "search": Command(cmd_search, "scan an n-range for desirable triples",
+                      ("q", "e", "n_from", "n_to"), ("resume",)),
+}
+
+
+def _options(command: Command) -> tuple[str, ...]:
+    return COMMON + command.required + command.optional
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default=None,
-                        help="output format (default: text)")
-    common.add_argument("--workers", type=int, default=None,
-                        help="search threads, at most one per block of n and per CPU; "
-                             "output is identical for any value")
-    common.add_argument("--out", default=None, help="write output to a file")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for random-point cross-checks (default: 0)")
-    common.add_argument("--modulus", default=None,
-                        help="field modulus, symbolic (x^12+x^3+1) or hex (0x1009); "
-                             "verify-corollary rejects it")
-    common.add_argument("--config", default=None,
-                        help="key=value config file; explicit flags win")
-    common.add_argument("--timing", action="store_true", default=None,
-                        help="report real elapsed times instead of 0")
-    common.add_argument("--override-ceilings", action="store_true", default=None,
-                        dest="override_ceilings",
-                        help=f"raise the field-degree ceiling from {DEGREE_CEILING} "
-                             f"to the representation cap of {HARD_DEGREE_CAP}")
-
     parser = argparse.ArgumentParser(
         prog="permpoly",
         description="Verify permutation behavior of trace-sum polynomial maps "
                     "over GF(q^e) and search for desirable (n, e; q) triples.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-t1", parents=[common],
-                       help="theorem pipeline: pp + identity + gcds at even k")
-    p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_verify_t1)
-
-    p = sub.add_parser("verify-corollary", parents=[common],
-                       help="the n = 65921 pipeline over GF(4^6)")
-    p.set_defaults(func=cmd_verify_corollary)
-
-    p = sub.add_parser("probe-t1-odd", parents=[common],
-                       help="record pp status at odd k (no claim asserted)")
-    p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_probe_t1_odd)
-
-    p = sub.add_parser("identities", parents=[common],
-                       help="degree-bounded check of the squared-trace-sum identity")
-    p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_identities)
-
-    p = sub.add_parser("gcd", parents=[common],
-                       help="the two proof-case gcd values at k")
-    p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_gcd)
-
-    p = sub.add_parser("t2", parents=[common],
-                       help="check the generalized-theorem conditions for L")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--L", default=None,
-                   help="2-linearized expression, e.g. 'S(3)^2' or 'x + frob(S(2), 1)'")
-    p.set_defaults(func=cmd_t2)
-
-    p = sub.add_parser("gnq", parents=[common], help="compute and print one g_(n,q)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--e", type=int, default=None)
-    p.add_argument("--memo-bound", type=int, default=None, dest="memo_bound")
-    p.set_defaults(func=cmd_gnq)
-
-    p = sub.add_parser("oracle", parents=[common],
-                       help="check g_(n,q) against its defining identity")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--e", type=int, default=None)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("search", parents=[common],
-                       help="scan an n-range for desirable triples")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--e", type=int, default=None)
-    p.add_argument("--from", type=int, default=None, dest="n_from")
-    p.add_argument("--to", type=int, default=None, dest="n_to")
-    p.add_argument("--resume", type=int, default=None,
-                   help="last completed n; scanning restarts after it")
-    p.set_defaults(func=cmd_search)
-
+    for name, command in COMMANDS.items():
+        # only the flags given land in the namespace: _resolve fills the rest
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for dest in _options(command):
+            opt = OPTIONS[dest]
+            if opt.parse is _parse_bool:
+                p.add_argument(opt.flag, dest=dest, action="store_true", help=opt.help)
+            else:
+                p.add_argument(opt.flag, dest=dest, type=opt.parse, choices=opt.choices,
+                               help=opt.help)
+        p.add_argument("--config", help="key=value config file; explicit flags win")
     return parser
 
 
-def _merge_config(args) -> None:
-    if not args.config:
-        return
-    for key, value in _load_config(args.config).items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    if args.format is not None and args.format not in ("text", "json", "csv"):
-        raise UsageError(f"config format must be text, json, or csv, not {args.format!r}")
-
-
-def _apply_defaults(args) -> None:
-    args.format = args.format or "text"
-    args.workers = args.workers if args.workers is not None else 1
-    args.seed = args.seed if args.seed is not None else 0
-    args.timing = bool(args.timing)
-    args.override_ceilings = bool(args.override_ceilings)
+def _resolve(given: argparse.Namespace) -> argparse.Namespace:
+    """The options of the command that given names: each from its flag,
+    else from the config file, else its OPTIONS default.  A config key of
+    another command's option is parsed and ignored."""
+    flags = vars(given)
+    config = _load_config(flags["config"]) if flags.get("config") else {}
+    command = COMMANDS[flags["command"]]
+    args = argparse.Namespace(func=command.func)
+    for dest in _options(command):
+        value = flags.get(dest, config.get(dest, OPTIONS[dest].default))
+        choices = OPTIONS[dest].choices
+        if choices and value not in choices:  # argparse has checked a flag's value
+            raise UsageError(f"config {dest} must be {', '.join(choices[:-1])}, "
+                             f"or {choices[-1]}, not {value!r}")
+        setattr(args, dest, value)
     args.max_degree = HARD_DEGREE_CAP if args.override_ceilings else DEGREE_CEILING
-    if not hasattr(args, "memo_bound"):
-        args.memo_bound = None
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
+    for dest in command.required:
+        if dest not in flags and dest not in config:
+            raise UsageError(f"{OPTIONS[dest].flag} is required (flag or config file)")
+    return args
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        given = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        _merge_config(args)
-        _apply_defaults(args)
+        args = _resolve(given)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

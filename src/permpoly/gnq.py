@@ -34,7 +34,8 @@ from .permtest import PPReport, is_pp_exhaustive
 from .poly import (Add, DensePolyF2, FrobQ, LinPoly, Pow, S, Var, build_t1_g,
                    funcs_equal_pointwise, identity_e1_check, s_dense, t2_map)
 
-DEFAULT_MEMO_BOUND = 1 << 20
+# entries of one context's g_(n,q) memo; read on each gnq_recurrence call
+MEMO_BOUND = 1 << 20
 
 
 def _q_exponent(q: int) -> int:
@@ -85,8 +86,7 @@ def gnq_base(n: int, q: int, ctx: FieldContext) -> DensePolyF2:
     return DensePolyF2(ctx, coeffs[0])
 
 
-def gnq_recurrence(n: int, q: int, ctx: FieldContext,
-                   memo_bound: int = DEFAULT_MEMO_BOUND) -> DensePolyF2:
+def gnq_recurrence(n: int, q: int, ctx: FieldContext) -> DensePolyF2:
     """g_(n,q) reduced mod x^(q^e) - x via the digit recurrence.
 
     For n >= q, with a the largest power q^a <= n and m = n - q^a:
@@ -100,12 +100,12 @@ def gnq_recurrence(n: int, q: int, ctx: FieldContext,
     built from the XOR of the two coefficient ints; the sum makes no
     DensePolyF2 of its own.  GF(2) coefficient closure holds by
     construction (base cases and S_a are GF(2) polynomials); the defining
-    identity is checked separately by gnq_oracle_check.
+    identity is checked separately by gnq_oracle_check.  The memo holds at
+    most MEMO_BOUND entries, read on each call; a step that would pass it
+    raises RuntimeError, a verification abort.
     """
     if n < 0:
         raise UsageError("n must be nonnegative")
-    if memo_bound < 1:
-        raise UsageError(f"memo bound must be >= 1, got {memo_bound}")
     if ctx.q != q:
         raise ValueError(f"context has q={ctx.q}, not {q}")
     memo = _memo(ctx)
@@ -123,10 +123,10 @@ def gnq_recurrence(n: int, q: int, ctx: FieldContext,
             if lo is None or hi is None:
                 stack += [j for j in (m + 1, m) if j not in memo]
                 continue
-        if len(memo) >= memo_bound:
+        if len(memo) >= MEMO_BOUND:
             raise RuntimeError(
-                f"g_(n,{q}) memo reached {len(memo)} entries (bound {memo_bound}) "
-                f"while expanding n={k}; raise memo_bound if that is intended"
+                f"g_(n,{q}) memo reached {len(memo)} entries (bound {MEMO_BOUND}) "
+                f"while expanding n={k}; raise MEMO_BOUND if that is intended"
             )
         if a:
             memo[k] = DensePolyF2(ctx, hi.bits ^ (s_dense(ctx, a) * lo).bits)

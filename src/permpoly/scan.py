@@ -33,7 +33,7 @@ import numpy as np
 
 # poly imports scan as well; scan reads poly's names only when called
 from . import gf2poly, poly
-from .field import FieldContext, FieldElement, eval_S, frobenius_q, per_context
+from .field import FieldContext, FieldElement, UsageError, eval_S, frobenius_q, per_context
 
 DEFAULT_CHUNK = 1 << 20
 
@@ -49,6 +49,9 @@ BLOCK_IDS = 1 << 14
 
 # values that collision_witness counts at a time
 WITNESS_SLICE = 1 << 16
+
+# bytes that a log_tables build may hold at its peak: 2^28 elements
+LOG_TABLE_BOUND = 4 << 30
 
 
 @per_context
@@ -84,16 +87,20 @@ def log_tables(ctx: FieldContext):
 
     antilog[i] = g^i for i < order-1, built once by doubling with
     packed_mul, one iter_chunks slice at a time, each widened to uint64
-    only for the product; log[x] = i for x != 0.  Both are uint32, so
-    orders above 2^32 are refused before order-1 is factored.  t
-    generates iff t^((order-1)/p) != 1 for every prime p | order-1: under
-    GF(2^8)'s non-primitive x^8+x^4+x^3+x+1, t = 2 has order 51 and g is
-    3.  One scatter checks it: when the order-1 powers hit every nonzero
-    element, by pigeonhole each is hit once and 0 is not.
+    only for the product; log[x] = i for x != 0.  The build peaks at 12
+    bytes per element (antilog, log and the arange scattered into it, all
+    uint32); past LOG_TABLE_BOUND, m >= 29 and so every order that uint32
+    cannot index, a UsageError refuses the field before order-1 is
+    factored or anything is allocated.  t generates iff t^((order-1)/p)
+    != 1 for every prime p | order-1: under GF(2^8)'s non-primitive
+    x^8+x^4+x^3+x+1, t = 2 has order 51 and g is 3.  One scatter checks
+    it: when the order-1 powers hit every nonzero element, by pigeonhole
+    each is hit once and 0 is not.
     """
     order = ctx.order
-    if order > 1 << 32:
-        raise ValueError(f"log tables need order <= 2^32, got {ctx!r}")
+    if 12 * order > LOG_TABLE_BOUND:
+        raise UsageError(f"log tables of {ctx!r} would hold {12 * order} bytes at their "
+                         f"peak, above the bound of {LOG_TABLE_BOUND}")
     cyc = order - 1
     cofactors = [cyc // p for p in gf2poly._prime_factors(cyc)]
     g = next((t for t in range(2, order) if all(

@@ -8,6 +8,7 @@ in a subprocess.
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -15,8 +16,9 @@ from types import SimpleNamespace
 import pytest
 
 from permpoly import cli, gnq, poly, scan
-from permpoly.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, LSpecError,
-                          parse_lspec)
+from permpoly.cli import (COMMANDS, EXIT_FAIL, EXIT_OK, EXIT_USAGE, OPTIONS,
+                          LSpecError, parse_lspec)
+from permpoly.field import UsageError
 from permpoly.poly import Add, FrobQ, Pow, S, Var
 
 
@@ -43,6 +45,83 @@ def test_lspec_error_positions(bad, pos):
         parse_lspec(bad)
     assert err.value.pos == pos
     assert f"position {pos}" in str(err.value)
+
+
+# --- the option tables ------------------------------------------------------
+
+def _resolve(argv):
+    return cli._resolve(cli._build_parser().parse_args(argv))
+
+
+def _sample(dest, other=False):
+    """A valid flag text for dest, and a second one if other."""
+    choices = OPTIONS[dest].choices
+    if choices:
+        return choices[0] if other else choices[-1]
+    return "5" if other else "3"
+
+
+def _argv(name, skip=None):
+    """name with a sample flag for each of its required options but skip."""
+    argv = [name]
+    for dest in COMMANDS[name].required:
+        if dest != skip:
+            argv += [OPTIONS[dest].flag, _sample(dest)]
+    return argv
+
+
+@pytest.mark.parametrize("dest", list(OPTIONS))
+def test_each_option_reads_the_same_from_its_flag_and_a_config_line(dest, tmp_path):
+    opt = OPTIONS[dest]
+    name = next(n for n, c in COMMANDS.items() if dest in cli._options(c))
+    cfg = tmp_path / "run.cfg"
+    base = _argv(name, dest)
+    with_config = base + ["--config", str(cfg)]
+    if dest not in COMMANDS[name].required:  # t2's q included
+        assert getattr(_resolve(base), dest) == opt.default
+    if opt.parse is cli._parse_bool:
+        for spelling in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            for text in (spelling, spelling.upper()):
+                cfg.write_text(f"{dest} = {text}\n")
+                flag = [opt.flag] if cli._parse_bool(text) else []
+                assert getattr(_resolve(with_config), dest) is getattr(_resolve(base + flag), dest)
+        flagged, config = base + [opt.flag], "off"
+    else:
+        for key in {dest, dest.replace("_", "-")}:
+            cfg.write_text(f"{key} = {_sample(dest)}\n")
+            value = getattr(_resolve(with_config), dest)
+            assert value == getattr(_resolve(base + [opt.flag, _sample(dest)]), dest)
+            assert value == opt.parse(_sample(dest))
+        flagged, config = base + [opt.flag, _sample(dest)], _sample(dest, other=True)
+    # an explicit flag beats the config value
+    cfg.write_text(f"{dest} = {config}\n")
+    assert getattr(_resolve(flagged + ["--config", str(cfg)]), dest) == \
+        getattr(_resolve(flagged), dest)
+    # a key of another command's option is parsed and ignored
+    for other, command in COMMANDS.items():
+        if dest not in cli._options(command):
+            assert not hasattr(_resolve(_argv(other) + ["--config", str(cfg)]), dest)
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_each_missing_required_option_is_a_usage_error(name, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for dest in COMMANDS[name].required:
+        message = f"{OPTIONS[dest].flag} is required (flag or config file)"
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            _resolve(_argv(name, dest))
+        cfg.write_text(f"{dest} = {_sample(dest)}\n")
+        args = _resolve(_argv(name, dest) + ["--config", str(cfg)])
+        assert getattr(args, dest) == OPTIONS[dest].parse(_sample(dest))
+    assert _resolve(_argv(name)).func is COMMANDS[name].func
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_help_lists_exactly_the_flags_of_the_tables(name, capsys):
+    assert cli.main([name, "--help"]) == EXIT_OK
+    listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+    flags = [OPTIONS[dest].flag for dest in cli._options(COMMANDS[name])]
+    assert sorted(listed) == sorted(["--help", "--config", *flags])
 
 
 # --- exit codes and formats ------------------------------------------------
@@ -151,19 +230,11 @@ def test_gnq_rejects_bad_q(capsys):
     assert "power of 2" in capsys.readouterr().err
 
 
-def test_gnq_memo_bound_aborts_as_verification_failure(capsys):
-    code = cli.main(["gnq", "--n", "65921", "--q", "4", "--e", "6",
-                     "--memo-bound", "4"])
+def test_gnq_memo_bound_aborts_as_verification_failure(capsys, monkeypatch):
+    monkeypatch.setattr(gnq, "MEMO_BOUND", 4)
+    code = cli.main(["gnq", "--n", "65921", "--q", "4", "--e", "6"])
     assert code == EXIT_FAIL
     assert "verification aborted" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("bound", ["0", "-1"])
-def test_gnq_memo_bound_below_one_is_usage_error(capsys, bound):
-    code = cli.main(["gnq", "--n", "65921", "--q", "4", "--e", "6",
-                     "--memo-bound", bound])
-    assert code == EXIT_USAGE
-    assert f"memo bound must be >= 1, got {bound}" in capsys.readouterr().err
 
 
 def test_override_ceilings_raises_the_degree_ceiling(tmp_path, capsys):
@@ -179,6 +250,27 @@ def test_override_ceilings_raises_the_degree_ceiling(tmp_path, capsys):
     cfg.write_text("override_ceilings = true\n")
     assert cli.main(argv + ["--config", str(cfg)]) == EXIT_OK
     assert capsys.readouterr().out.endswith("= 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--q", "2", "--e", "29", "--from", "1", "--to", "2"],
+    ["oracle", "--n", "3", "--q", "2", "--e", "29"],
+])
+def test_log_tables_past_the_bound_are_a_usage_error(argv, capsys, monkeypatch):
+    # GF(2^29)'s tables would peak at 6 GiB; the refusal comes before the
+    # factoring of 2^29 - 1, which a tripwire here turns into an exit 1
+    factor = scan.gf2poly._prime_factors
+
+    def tripwire(n):
+        if n == (1 << 29) - 1:
+            raise AssertionError("factored")
+        return factor(n)
+
+    monkeypatch.setattr(scan.gf2poly, "_prime_factors", tripwire)
+    assert cli.main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: log tables of GF(2^29) mod x^29+x^2+1 would hold 6442450944 bytes "
+        "at their peak, above the bound of 4294967296\n")
 
 
 def test_oracle_roundtrip(capsys):

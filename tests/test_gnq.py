@@ -85,10 +85,11 @@ def test_recurrence_memo_is_deterministic(f64):
     assert gnq_recurrence(1000, 4, fresh).bits == r1.bits
 
 
-def test_recurrence_memo_bound_trips():
+def test_recurrence_memo_bound_trips(monkeypatch):
     fresh = make_field(2, 3)
+    monkeypatch.setattr(gnq, "MEMO_BOUND", 4)
     with pytest.raises(RuntimeError, match="memo"):
-        gnq_recurrence(65921, 4, fresh, memo_bound=4)
+        gnq_recurrence(65921, 4, fresh)
     assert len(gnq._memo(fresh)) <= 4
 
 

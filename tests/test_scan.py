@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permpoly import gnq, poly, scan
-from permpoly.field import eval_S, frobenius_q, make_field
+from permpoly.field import UsageError, eval_S, frobenius_q, make_field
 from permpoly.poly import (Add, Const, DensePolyF2, FrobQ, LinPoly, Mul, Pow,
                            S, Var, build_t1_g, degree_bound, expr_eval)
 
@@ -291,7 +291,7 @@ def test_log_tables_refuse_orders_above_2_32_before_factoring(monkeypatch):
         raise AssertionError("factored")
 
     monkeypatch.setattr(scan.gf2poly, "_prime_factors", refuse)
-    with pytest.raises(ValueError, match="2\\^32"):
+    with pytest.raises(UsageError, match=r"GF\(2\^61\).* above the bound of 4294967296"):
         scan.log_tables(ctx)
 
 
