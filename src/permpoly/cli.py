@@ -4,10 +4,9 @@ Every subcommand prints machine-readable output (--format json/csv) or a
 human checklist (--format text, the default), and its exit code is 0
 exactly when every assertion in the invoked pipeline passed.  Usage,
 hypothesis, and parse errors (UsageError) exit 2; any other exception is a
-fault of the program and exits 1 with its traceback.  Output ordering is
-fixed by n or element index, never by completion time, so --workers N is
-byte-identical to --workers 1; elapsed times are reported as 0 unless
---timing is given, for the same reason.
+fault of the program and exits 1 with its traceback.  Output is ordered by
+n or element index, and elapsed times are reported as 0 unless --timing is
+given, so repeated runs print the same bytes.
 """
 
 from __future__ import annotations
@@ -167,10 +166,6 @@ class Option(NamedTuple):
 OPTIONS = {
     "format": Option("--format", str, "text", "output format (default: text)",
                      ("text", "json", "csv")),
-    "workers": Option("--workers", int, 1, "search threads, at most one per block of n and "
-                      "per CPU; output is identical for any value.  Measured on 2 cores, 2 "
-                      "threads took 30-45%% longer than 1 at e = 7 and 10 and about 10%% "
-                      "less at e = 12 (README, Determinism)"),
     "out": Option("--out", str, None, "write output to a file"),
     "modulus": Option("--modulus", str, None, "field modulus, symbolic (x^12+x^3+1) or hex "
                       "(0x1009); verify-corollary rejects it"),
@@ -191,7 +186,7 @@ OPTIONS = {
 }
 
 # the options of every command
-COMMON = ("format", "workers", "out", "modulus", "timing", "override_ceilings")
+COMMON = ("format", "out", "modulus", "timing", "override_ceilings")
 
 
 def _load_config(path: str) -> dict:
@@ -270,8 +265,7 @@ def _render_dense(g) -> str:
 
 
 def cmd_verify_t1(args) -> int:
-    report = gnq.verify_t1(args.k, workers=args.workers, timing=args.timing,
-                           modulus=_modulus_of(args))
+    report = gnq.verify_t1(args.k, timing=args.timing, modulus=_modulus_of(args))
     if args.format == "json":
         _emit(args, _dump_json(report.to_json_obj()))
     elif args.format == "csv":
@@ -298,7 +292,7 @@ def cmd_verify_corollary(args) -> int:
     if args.modulus:
         raise UsageError("--modulus does not apply: the corollary runs over GF(4^6) "
                          "with the default modulus")
-    report = gnq.verify_corollary(workers=args.workers, timing=args.timing)
+    report = gnq.verify_corollary(timing=args.timing)
     if args.format == "json":
         _emit(args, _dump_json(report.to_json_obj()))
     elif args.format == "csv":
@@ -316,8 +310,7 @@ def cmd_verify_corollary(args) -> int:
 
 
 def cmd_probe_t1_odd(args) -> int:
-    report = gnq.probe_t1_odd(args.k, workers=args.workers, timing=args.timing,
-                              modulus=_modulus_of(args))
+    report = gnq.probe_t1_odd(args.k, timing=args.timing, modulus=_modulus_of(args))
     if args.format == "json":
         _emit(args, _dump_json(report.to_json_obj()))
     elif args.format == "csv":
@@ -366,8 +359,7 @@ def cmd_gcd(args) -> int:
 def cmd_t2(args) -> int:
     ctx = make_field(gnq._q_exponent(args.q), 3 * args.k, modulus=_modulus_of(args))
     lin = poly.lin_from_expr(parse_lspec(args.L), ctx)
-    conds = gnq.check_t2_conditions(lin, args.q, args.k, ctx,
-                                    workers=args.workers, timing=args.timing)
+    conds = gnq.check_t2_conditions(lin, args.q, args.k, ctx, timing=args.timing)
     if args.format == "json":
         _emit(args, _dump_json(conds.to_json_obj()))
     elif args.format == "csv":
@@ -420,8 +412,7 @@ def cmd_search(args) -> int:
         # --resume consumed the whole range; that is a completed scan, not an error
         triples = []
     else:
-        triples = gnq.search_desirable(args.q, args.e, n_from, args.n_to,
-                                       workers=args.workers, ctx=ctx,
+        triples = gnq.search_desirable(args.q, args.e, n_from, args.n_to, ctx=ctx,
                                        timing=args.timing)
     if args.format == "json":
         _emit(args, _dump_json([t.to_json_obj() for t in triples]))
@@ -505,8 +496,6 @@ def _resolve(given: argparse.Namespace) -> argparse.Namespace:
                              f"or {choices[-1]}, not {value!r}")
         setattr(args, dest, value)
     args.max_degree = HARD_DEGREE_CAP if args.override_ceilings else DEGREE_CEILING
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
     for dest in command.required:
         if dest not in flags and dest not in config:
             raise UsageError(f"{OPTIONS[dest].flag} is required (flag or config file)")

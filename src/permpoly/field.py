@@ -68,8 +68,8 @@ class FieldElement:
     __slots__ = ("bits", "ctx")
 
     def __init__(self, bits: int, ctx: FieldContext):
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "ctx", ctx)
+        _set_bits(self, bits)
+        _set_ctx(self, ctx)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
@@ -129,6 +129,12 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"0x{self.bits:x}"
+
+
+# the slots' own setters: __init__ writes through them, past the
+# __setattr__ that keeps a built FieldElement immutable
+_set_bits = FieldElement.bits.__set__
+_set_ctx = FieldElement.ctx.__set__
 
 
 def per_context(build):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 
@@ -230,7 +229,7 @@ def verify_t1(k: int, workers: int = 1, timing: bool = False,
     """Exhaustively verify that S_(k+1)^2 + S_(2k)^(q^k+1) permutes GF(4^(3k)),
     together with the identity and gcd facts its proof leans on.
 
-    workers is unused here, as in every pipeline but search_desirable.
+    workers is unused; it stays because perfbench/worker.py passes workers=1.
     """
     if k < 2 or k % 2:
         raise UsageError(
@@ -248,8 +247,8 @@ def probe_t1_odd(k: int, workers: int = 1, timing: bool = False,
                  modulus: BitPoly | None = None) -> PPReport:
     """PP status of the same map at odd k, where the theorem is silent.
 
-    Records whatever the scan finds; asserts nothing.  workers is unused
-    here, as in every pipeline but search_desirable.
+    Records whatever the scan finds; asserts nothing.  workers is unused;
+    it stays because perfbench/worker.py passes workers=1.
     """
     if k < 1 or k % 2 == 0:
         raise UsageError("the probe is for odd k; verify_t1 covers the theorem's even case")
@@ -287,8 +286,8 @@ def verify_corollary(workers: int = 1, timing: bool = False) -> CorollaryReport:
     (1) the base-4 digit decomposition of n; (2) recurrence and closed
     form build the same function; (3) the two S-identity reduction
     steps; (4) the result is the k=2 theorem map; (5) it permutes the
-    field.  workers is unused here, as in every pipeline but
-    search_desirable.
+    field.  workers is unused; it stays because perfbench/worker.py
+    passes workers=1.
     """
     q, n = 4, 65921
     ctx = make_field(2, 6)
@@ -342,7 +341,7 @@ def check_t2_conditions(L: LinPoly, q: int, k: int, ctx: FieldContext,
     congruence L + L^(q^2k) = S_2k^2 + (S_2k^(q^(k+1)))^2 holds pointwise.
     When both hold, the theorem asserts L + S_2k^(q^k+1) is a PP; that is
     then tested exhaustively and recorded in pp_verified.  workers is
-    unused here, as in every pipeline but search_desirable.
+    unused; it stays because perfbench/worker.py passes workers=1.
     """
     if ctx.q != q or ctx.e != 3 * k:
         raise ValueError(f"context must be GF({q}^{3 * k}), got {ctx!r}")
@@ -401,10 +400,10 @@ def search_desirable(q: int, e: int, n_from: int, n_to: int,
     on, q = 4, a collision on its spot sample refutes most g_(n,q) first.
     Each hit is re-validated against the defining identity before it is
     emitted; an oracle failure would mean the recurrence built the wrong
-    polynomial and aborts the search.  workers threads test the blocks,
-    at most one per block and per CPU; output is ordered by n regardless
-    of worker count.  Under timing, a hit's elapsed_ms counts from the
-    start of the scan to its oracle confirmation; otherwise it is 0.
+    polynomial and aborts the search.  Hits come in n order.  Under
+    timing, a hit's elapsed_ms counts from the start of the scan to its
+    oracle confirmation; otherwise it is 0.  workers is unused; it stays
+    because perfbench/worker.py passes workers=1.
     """
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= n_from <= n_to")
@@ -413,10 +412,12 @@ def search_desirable(q: int, e: int, n_from: int, n_to: int,
     if ctx.q != q or ctx.e != e:
         raise ValueError(f"context {ctx!r} does not match q={q}, e={e}")
 
-    def test_block(start: int) -> list[DesirableTriple]:
+    t0 = time.perf_counter()
+    size = scan.block_size(ctx)
+    hits = []
+    for start in range(n_from, n_to + 1, size):
         ns = range(start, min(start + size, n_to + 1))
         gs = [gnq_recurrence(n, q, ctx) for n in ns]
-        hits = []
         for n, g, ok in zip(ns, gs, scan.permutes_each(gs, ctx)):
             if not ok:
                 continue
@@ -427,18 +428,4 @@ def search_desirable(q: int, e: int, n_from: int, n_to: int,
                 )
             elapsed = int((time.perf_counter() - t0) * 1000) if timing else 0
             hits.append(DesirableTriple(n, e, q, "exhaustive", elapsed))
-        return hits
-
-    t0 = time.perf_counter()
-    size = scan.block_size(ctx)
-    starts = range(n_from, n_to + 1, size)
-    # the executor starts a thread per submit while none is idle
-    workers = min(workers, len(starts), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: a process that never searches in threads skips it
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(test_block, starts))
-    else:
-        found = [test_block(start) for start in starts]
-    return [t for hits in found for t in hits]
+    return hits

@@ -131,8 +131,8 @@ def charsum_pp_test(f, ctx: FieldContext, workers: int = 1,
     same sum for one a.
 
     Quadratic in the field order, so refused above CHARSUM_MAX_ORDER.
-    workers is accepted for a uniform pipeline signature and unused:
-    only gnq.search_desirable runs threads.
+    workers is unused; it stays because perfbench/worker.py passes
+    workers=1.
     """
     if ctx.order > CHARSUM_MAX_ORDER:
         raise ValueError(

@@ -27,7 +27,6 @@ from __future__ import annotations
 import collections
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -309,15 +308,14 @@ def _power_rows(ctx: FieldContext, points, *args) -> _Rows:
     shifts): row d holds x^d at each x of xs or, if shifts is a column,
     the sum of (x + a)^d over its a.  The point sets are _orbit_points
     and _sample_points (permutes) and, per radius, _oracle_images and
-    _oracle_translates (power_sum_identity).  Rows are inserted whole
-    under the lock of _kept_row_bytes, so no thread reads a partial one."""
+    _oracle_translates (power_sum_identity)."""
     return _Rows({}, points, args, _kept_row_bytes(ctx), np.dtype("<u2" if ctx.m <= 16 else "<u4"))
 
 
 @per_context
-def _kept_row_bytes(ctx: FieldContext) -> tuple[list[int], threading.Lock]:
-    """([bytes of the rows ctx keeps], the lock of each insert into them)."""
-    return [0], threading.Lock()
+def _kept_row_bytes(ctx: FieldContext) -> list[int]:
+    """[bytes of the rows ctx keeps], over all its point sets."""
+    return [0]
 
 
 def _power_row_sum(ctx: FieldContext, rows: _Rows, supports) -> list[int]:
@@ -327,7 +325,9 @@ def _power_row_sum(ctx: FieldContext, rows: _Rows, supports) -> list[int]:
     rows that the maps miss are built together, in one _build_rows pass.
     The first of them are kept while the context's rows, over all point
     sets, still fit POWER_ROW_BUDGET bytes; the others serve this call and
-    are dropped, so no verdict depends on the budget."""
+    are dropped, so no verdict depends on the budget.  The store is not
+    synchronized: the package runs in one thread, and
+    tests/test_field.py::test_no_module_imports_threads enforces that."""
     kept = rows.kept
     sums = []
     odd = {}  # missing d -> {map: whether it reads row d an odd number of times}
@@ -345,16 +345,12 @@ def _power_row_sum(ctx: FieldContext, rows: _Rows, supports) -> list[int]:
         return sums
     missing = list(odd)
     nbytes = rows.dtype.itemsize * rows.points(ctx, *rows.args)[0].size
-    total, lock = rows.budget
-    # a plan, read without the lock; each insert below checks it again
+    total = rows.budget
     keep = missing[:max(0, (POWER_ROW_BUDGET - total[0]) // nbytes)]
     drop = {d: js for d in missing[len(keep):] if (js := [j for j, o in odd[d].items() if o])}
     built, dropped = _build_rows(ctx, rows, keep, drop)
-    with lock:
-        for d, row in zip(keep, built):
-            if d not in kept and total[0] + nbytes <= POWER_ROW_BUDGET:
-                total[0] += nbytes
-                kept[d] = row
+    total[0] += nbytes * len(keep)
+    kept.update(zip(keep, built))
     for d, row in zip(keep, built):
         for j, o in odd[d].items():
             if o:

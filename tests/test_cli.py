@@ -327,31 +327,20 @@ def test_search_csv_and_worker_determinism(capsys):
     assert cli.main(argv) == EXIT_OK
     run1 = capsys.readouterr().out
     assert run1.splitlines()[0] == "n,e,q,verified_by,elapsed_ms"
-    assert cli.main(argv + ["--workers", "4"]) == EXIT_OK
-    assert capsys.readouterr().out == run1
-    assert cli.main(argv) == EXIT_OK
-    assert capsys.readouterr().out == run1
-
-
-def test_search_threads_share_the_power_table(capsys):
-    # worker threads fill the power rows of one GF(4^6) context concurrently
-    argv = ["search", "--q", "4", "--e", "6", "--from", "1", "--to", "400",
-            "--format", "csv"]
-    assert cli.main(argv + ["--workers", "1"]) == EXIT_OK
-    run1 = capsys.readouterr().out
-    assert cli.main(argv + ["--workers", "2"]) == EXIT_OK
-    assert capsys.readouterr().out == run1
-    assert len(run1.splitlines()) > 10
+    for _ in range(2):
+        assert cli.main(argv) == EXIT_OK
+        assert capsys.readouterr().out == run1
 
 
 @pytest.mark.parametrize("e, n_to", [(6, 1000), (7, 600)])
-def test_search_orbit_verdicts_ignore_the_worker_count(e, n_to, capsys):
-    # threads share the orbit rows at e = 6 and the orbit classes at e = 7
+def test_search_orbit_verdicts_ignore_the_row_budget(e, n_to, capsys, monkeypatch):
+    # the orbit rows kept at e = 6 and e = 7, or none, give the same output
     argv = ["search", "--q", "4", "--e", str(e), "--from", "1", "--to", str(n_to),
             "--format", "csv"]
-    assert cli.main(argv + ["--workers", "1"]) == EXIT_OK
+    assert cli.main(argv) == EXIT_OK
     run1 = capsys.readouterr().out
-    assert cli.main(argv + ["--workers", "2"]) == EXIT_OK
+    monkeypatch.setattr(scan, "POWER_ROW_BUDGET", 0)
+    assert cli.main(argv) == EXIT_OK
     assert capsys.readouterr().out == run1
     assert len(run1.splitlines()) > 10
 
@@ -478,6 +467,15 @@ def test_config_value_and_out_path_errors_are_usage_errors(tmp_path, capsys):
     assert "--modulus" in capsys.readouterr().err
 
 
-def test_workers_validation(capsys):
-    assert cli.main(["gcd", "--k", "2", "--workers", "0"]) == EXIT_USAGE
+def test_workers_validation(capsys, tmp_path):
+    # search runs in one thread: no command takes --workers, by flag or config
+    assert "workers" not in OPTIONS
+    for name in COMMANDS:
+        assert cli.main([name, "--help"]) == EXIT_OK
+        assert "--workers" not in capsys.readouterr().out, name
+    assert cli.main(["gcd", "--k", "2", "--workers", "2"]) == EXIT_USAGE
     assert "--workers" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 2\nworkers = 2\n")
+    assert cli.main(["gcd", "--config", str(cfg)]) == EXIT_USAGE
+    assert f"{cfg}:2: unknown key 'workers'" in capsys.readouterr().err

@@ -258,6 +258,23 @@ def test_only_field_names_the_context_cache():
     assert not offenders
 
 
+def test_no_module_imports_threads():
+    # the package runs in one thread: the row store (scan._power_row_sum)
+    # inserts rows and counts their bytes without a lock
+    offenders = []
+    for path in sorted(Path(permpoly.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("threading", "concurrent") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
+
+
 def test_only_the_row_store_reads_the_row_budget():
     # the budget decides only which rows a context keeps, so only the
     # store's one evaluator reads it; permutes and power_sum_identity take

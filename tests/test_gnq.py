@@ -1,6 +1,5 @@
 """The g_(n,q) family and the verification pipelines sitting on top of it."""
 
-import concurrent.futures
 import json
 import os
 import pathlib
@@ -465,7 +464,7 @@ def test_oracle_memo_matches_unmemoized_right_side(s, e, monkeypatch, kept_rows)
                 assert gnq_oracle_check(n, q, bare, g=DensePolyF2(bare, h.bits)) == want, n
     assert set(translates.kept) == {reduce_exponent(n, order) for n in range(3 * order + 1)}
     assert kept_rows(bare) and not any(kept_rows(bare).values())
-    assert scan._kept_row_bytes(bare)[0] == [0]
+    assert scan._kept_row_bytes(bare) == [0]
 
 
 def test_oracle_memo_hit_rejects_a_corrupted_g(monkeypatch):
@@ -808,58 +807,14 @@ def test_search_finds_the_corollary_exponent(f4096):
 
 
 def test_search_worker_determinism(f64):
-    a = search_desirable(4, 3, 1, 300, workers=1, ctx=f64)
-    b = search_desirable(4, 3, 1, 300, workers=4, ctx=f64)
+    a = search_desirable(4, 3, 1, 300, ctx=f64)
+    b = search_desirable(4, 3, 1, 300, ctx=f64)
     assert a == b
     ns = [t.n for t in a]
     assert ns == sorted(set(ns))
 
 
-def test_search_threads_capped_by_n_and_cpus(f4096, monkeypatch):
-    # a stub executor records the thread count and maps serially, so no
-    # thread is started at any requested count; threads take blocks of 46 n
-    # at e = 6, so n = 1..300 is 7 blocks and n = 7..7 one
-    pools = []
-
-    class SerialExecutor:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert scan.block_size(f4096) == 46
-    serial = search_desirable(4, 6, 1, 300, ctx=f4096)
-    assert search_desirable(4, 6, 1, 300, workers=5000, ctx=f4096) == serial
-    assert search_desirable(4, 6, 1, 300, workers=2, ctx=f4096) == serial
-    assert pools == [2, 2]
-    search_desirable(4, 6, 7, 7, workers=5000, ctx=f4096)  # one block: no pool
-    search_desirable(4, 6, 1, 46, workers=5000, ctx=f4096)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one thread
-    assert search_desirable(4, 6, 1, 300, workers=5000, ctx=f4096) == serial
-    assert pools == [2, 2]
-
-
-def test_importing_the_package_leaves_out_the_thread_pool():
-    # only a search with workers > 1 imports concurrent.futures
-    code = ("import sys, permpoly; "
-            "print('concurrent.futures' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gnq.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "False\n"
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_search_is_the_same_for_any_block_size(workers, monkeypatch):
+def test_search_is_the_same_for_any_block_size(monkeypatch):
     # one map per block, and all 300 n in one block
     want = search_desirable(4, 6, 1, 300)
     assert want
@@ -867,7 +822,7 @@ def test_search_is_the_same_for_any_block_size(workers, monkeypatch):
         monkeypatch.setattr(scan, "BLOCK_IDS", ids)
         ctx = make_field(2, 6)
         assert scan.block_size(ctx) == size
-        assert search_desirable(4, 6, 1, 300, workers=workers, ctx=ctx) == want
+        assert search_desirable(4, 6, 1, 300, ctx=ctx) == want
 
 
 def test_search_fills_only_the_power_rows_it_reads(kept_rows):
@@ -902,7 +857,7 @@ def test_a_zero_row_budget_changes_no_verdict(monkeypatch, kept_rows):
     assert bare == verdicts
     for ctx in ctxs + list(fields):
         assert kept_rows(ctx) and not any(kept_rows(ctx).values()), ctx
-        assert scan._kept_row_bytes(ctx)[0] == [0]
+        assert scan._kept_row_bytes(ctx) == [0]
 
 
 def test_kept_rows_never_exceed_a_small_budget(monkeypatch, kept_rows):
@@ -913,11 +868,11 @@ def test_kept_rows_never_exceed_a_small_budget(monkeypatch, kept_rows):
     searches = search_desirable(4, 6, 1, 300)
     monkeypatch.setattr(scan, "POWER_ROW_BUDGET", budget)
     ctx = make_field(2, 6)
-    assert search_desirable(4, 6, 1, 300, workers=2, ctx=ctx) == searches
+    assert search_desirable(4, 6, 1, 300, ctx=ctx) == searches
     assert scan._power_rows(ctx, scan._orbit_points).dtype.itemsize == 2
     kept = sum(2 * points(ctx, *args)[0].size * len(rows)
                for (points, *args), rows in kept_rows(ctx).items())
-    assert 0 < kept == scan._kept_row_bytes(ctx)[0][0] <= budget
+    assert 0 < kept == scan._kept_row_bytes(ctx)[0] <= budget
 
 
 def test_search_and_t2_pay_for_no_collision_witness(f4096, monkeypatch):
@@ -925,8 +880,7 @@ def test_search_and_t2_pay_for_no_collision_witness(f4096, monkeypatch):
         raise AssertionError("collision witness computed")
 
     monkeypatch.setattr(scan, "collision_witness", refuse)
-    assert [t.n for t in search_desirable(4, 6, 1, 60, ctx=f4096)] == [
-        t.n for t in search_desirable(4, 6, 1, 60, workers=2, ctx=f4096)]
+    assert search_desirable(4, 6, 1, 60, ctx=f4096)
     # x^2 + x and 0 map GF(q^k) into itself, so cond_i reaches the bijection check
     for L in (lin_from_expr(Add((Pow(Var(), 2), Var())), f4096),
               LinPoly(f4096, [f4096.zero()] * f4096.m)):

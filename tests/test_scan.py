@@ -2,8 +2,6 @@
 
 import math
 import random
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -585,39 +583,7 @@ def test_power_rows_are_built_once_and_packed(monkeypatch):
                 values = scan._unpack([row], size, rows.dtype)[0]
                 assert values.dtype == rows.dtype
                 assert values.tolist() == _scalar_row(ctx, points, d)
-            assert scan._kept_row_bytes(ctx)[0] == [rows.dtype.itemsize * size * len(exponents)]
-
-
-def test_power_row_threads_never_read_a_partial_row():
-    rng = random.Random(14)
-    reads = [[rng.randrange(300) for _ in range(rng.randrange(1, 12))]
-             for _ in range(400)]
-    for points in ROW_POINTS:
-        ctx = make_field(2, 6)
-        args = _row_args(ctx, points)
-        pts = points(ctx, *args)[0]
-        rows = {d: _packed_row(ctx, points, d) for d in set().union(*reads)}
-
-        def read(exponents):
-            expect = np.zeros(pts.size, dtype=np.uint64)
-            for d in exponents:
-                expect ^= rows[d]
-            kept = scan._power_rows(ctx, points, *args)
-            got = scan._unpack(scan._power_row_sum(ctx, kept, [exponents]), pts.size, kept.dtype)[0]
-            return np.array_equal(got, expect)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(read, r) for r in reads]
-                assert all(f.result(timeout=60) for f in futures), points.__name__
-        finally:
-            sys.setswitchinterval(old)
-        rows = scan._power_rows(ctx, points, *args)
-        assert set(rows.kept) == set().union(*reads)
-        # every row counted once, however many threads built it
-        assert scan._kept_row_bytes(ctx)[0] == [rows.dtype.itemsize * pts.size * len(rows.kept)]
+            assert scan._kept_row_bytes(ctx) == [rows.dtype.itemsize * size * len(exponents)]
 
 
 # GF(4^3): exponent 0, order - 1 and its repeat 2 order - 1, each x^d
@@ -663,43 +629,39 @@ def test_one_call_builds_every_missing_row(points, chunk, budget_rows, monkeypat
     for d in kept:
         want = _packed_row(ctx, points, d)
         assert np.array_equal(scan._unpack([rows.kept[d]], xs.size, rows.dtype)[0], want), d
-    assert scan._kept_row_bytes(ctx)[0] == [rows.dtype.itemsize * xs.size * len(kept)]
+    assert scan._kept_row_bytes(ctx) == [rows.dtype.itemsize * xs.size * len(kept)]
 
 
 @pytest.mark.parametrize("points", ROW_POINTS)
-def test_row_builds_of_two_threads_keep_within_a_few_rows(points, monkeypatch):
-    # every read misses several rows at once and builds them in one call;
-    # the budget of three rows holds over both threads
+def test_row_builds_keep_within_a_few_rows(points, monkeypatch):
+    # each read builds the rows it misses in one call; the bytes counted
+    # are the bytes kept, within the budget of three rows, after every
+    # call.  Two inputs, each on a fresh context (seed, reads, exponents
+    # below, exponents per read): every read of the first misses several
+    # rows at once, the second reads a few of many rows
     monkeypatch.setattr(scan, "DEFAULT_CHUNK", 100)
-    rng = random.Random(22)
-    reads = [[rng.randrange(4096) for _ in range(rng.randrange(2, 9))] for _ in range(200)]
-    ctx = make_field(2, 6)
-    args = _row_args(ctx, points)
-    xs = points(ctx, *args)[0]
-    nbytes = 2 * xs.size
-    monkeypatch.setattr(scan, "POWER_ROW_BUDGET", 3 * nbytes)
-
-    def read(exponents):
+    for seed, count, top, (lo, hi) in ((22, 200, 4096, (2, 9)), (14, 400, 300, (1, 12))):
+        rng = random.Random(seed)
+        reads = [[rng.randrange(top) for _ in range(rng.randrange(lo, hi))]
+                 for _ in range(count)]
+        ctx = make_field(2, 6)
+        args = _row_args(ctx, points)
+        xs = points(ctx, *args)[0]
         rows = scan._power_rows(ctx, points, *args)
-        got = scan._unpack(scan._power_row_sum(ctx, rows, [exponents]), xs.size, rows.dtype)[0]
-        expect = np.zeros(xs.size, dtype=np.uint64)
-        for d in exponents:
-            expect ^= _packed_row(ctx, points, d)
-        return np.array_equal(got, expect)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(read, r) for r in reads]
-            assert all(f.result(timeout=60) for f in futures), points.__name__
-    finally:
-        sys.setswitchinterval(old)
-    rows = scan._power_rows(ctx, points, *args)
-    assert len(rows.kept) == 3
-    assert scan._kept_row_bytes(ctx)[0] == [3 * nbytes]
-    for d, row in rows.kept.items():
-        assert np.array_equal(scan._unpack([row], xs.size, rows.dtype)[0], _packed_row(ctx, points, d))
+        nbytes = rows.dtype.itemsize * xs.size
+        monkeypatch.setattr(scan, "POWER_ROW_BUDGET", 3 * nbytes)
+        want = {d: _packed_row(ctx, points, d) for d in set().union(*reads)}
+        for exponents in reads:
+            got = scan._unpack(scan._power_row_sum(ctx, rows, [exponents]), xs.size, rows.dtype)[0]
+            expect = np.zeros(xs.size, dtype=np.uint64)
+            for d in exponents:
+                expect ^= want[d]
+            assert np.array_equal(got, expect), (seed, exponents)
+            assert scan._kept_row_bytes(ctx) == [nbytes * len(rows.kept)]
+            assert len(rows.kept) <= 3
+        assert len(rows.kept) == 3
+        for d, row in rows.kept.items():
+            assert np.array_equal(scan._unpack([row], xs.size, rows.dtype)[0], want[d])
 
 
 @pytest.mark.parametrize("s, e, q", [(1, 16, 2), (2, 8, 4)])
