@@ -814,15 +814,25 @@ def test_search_worker_determinism(f64):
     assert ns == sorted(set(ns))
 
 
-def test_search_is_the_same_for_any_block_size(monkeypatch):
-    # one map per block, and all 300 n in one block
+@pytest.mark.parametrize("size", [1, 2])
+def test_search_is_the_same_for_any_block_size(size, monkeypatch):
+    # one or two maps per block, against the default of 46
     want = search_desirable(4, 6, 1, 300)
     assert want
-    for ids, size in ((1, 1), (1 << 20, (1 << 20) // 352)):
-        monkeypatch.setattr(scan, "BLOCK_IDS", ids)
-        ctx = make_field(2, 6)
-        assert scan.block_size(ctx) == size
-        assert search_desirable(4, 6, 1, 300, ctx=ctx) == want
+    monkeypatch.setattr(scan, "BLOCK_IDS", size * 352)
+    ctx = make_field(2, 6)
+    assert scan.block_size(ctx) == size
+    assert search_desirable(4, 6, 1, 300, ctx=ctx) == want
+
+
+def test_search_is_the_same_in_one_block(monkeypatch):
+    # all 300 n in one block
+    want = search_desirable(4, 6, 1, 300)
+    assert want
+    monkeypatch.setattr(scan, "BLOCK_IDS", 1 << 20)
+    ctx = make_field(2, 6)
+    assert scan.block_size(ctx) == (1 << 20) // 352 >= 300
+    assert search_desirable(4, 6, 1, 300, ctx=ctx) == want
 
 
 def test_search_fills_only_the_power_rows_it_reads(kept_rows):
