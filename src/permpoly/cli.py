@@ -18,15 +18,12 @@ import traceback
 from typing import Callable, NamedTuple
 
 from . import gnq, poly
-from .field import DEGREE_CEILING, UsageError, make_field
+from .field import UsageError, make_field
 from .gf2poly import BitPoly, proof_gcd_case1, proof_gcd_case2
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-# the packed uint64 engine cannot represent fields beyond degree 32
-HARD_DEGREE_CAP = 32
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +167,6 @@ OPTIONS = {
     "modulus": Option("--modulus", str, None, "field modulus, symbolic (x^12+x^3+1) or hex "
                       "(0x1009); verify-corollary rejects it"),
     "timing": Option("--timing", _parse_bool, False, "report real elapsed times instead of 0"),
-    "override_ceilings": Option("--override-ceilings", _parse_bool, False,
-                                f"raise the field-degree ceiling from {DEGREE_CEILING} "
-                                f"to the representation cap of {HARD_DEGREE_CAP}; only gnq "
-                                "gains: the log tables of oracle and search stop at 28"),
     "k": Option("--k", int),
     "n": Option("--n", int),
     "q": Option("--q", int, 4),  # t2's q; the other commands require it
@@ -186,7 +179,7 @@ OPTIONS = {
 }
 
 # the options of every command
-COMMON = ("format", "out", "modulus", "timing", "override_ceilings")
+COMMON = ("format", "out", "modulus", "timing")
 
 
 def _load_config(path: str) -> dict:
@@ -376,8 +369,7 @@ def cmd_t2(args) -> int:
 
 
 def cmd_gnq(args) -> int:
-    ctx = make_field(gnq._q_exponent(args.q), args.e, modulus=_modulus_of(args),
-                     max_degree=args.max_degree)
+    ctx = make_field(gnq._q_exponent(args.q), args.e, modulus=_modulus_of(args))
     g = gnq.gnq_recurrence(args.n, args.q, ctx)
     if args.format == "json":
         _emit(args, _dump_json(g.to_json_obj()))
@@ -390,8 +382,7 @@ def cmd_gnq(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    ctx = make_field(gnq._q_exponent(args.q), args.e, modulus=_modulus_of(args),
-                     max_degree=args.max_degree)
+    ctx = make_field(gnq._q_exponent(args.q), args.e, modulus=_modulus_of(args))
     ok = gnq.gnq_oracle_check(args.n, args.q, ctx)
     if args.format == "json":
         _emit(args, _dump_json({"n": args.n, "q": args.q, "e": args.e, "oracle_ok": ok}))
@@ -407,7 +398,7 @@ def cmd_search(args) -> int:
     if args.n_from < 1 or args.n_to < args.n_from:
         raise UsageError("need 1 <= --from <= --to")
     n_from = max(args.n_from, args.resume + 1)
-    ctx = make_field(s, args.e, modulus=_modulus_of(args), max_degree=args.max_degree)
+    ctx = make_field(s, args.e, modulus=_modulus_of(args))
     if n_from > args.n_to:
         # --resume consumed the whole range; that is a completed scan, not an error
         triples = []
@@ -495,7 +486,6 @@ def _resolve(given: argparse.Namespace) -> argparse.Namespace:
             raise UsageError(f"config {dest} must be {', '.join(choices[:-1])}, "
                              f"or {choices[-1]}, not {value!r}")
         setattr(args, dest, value)
-    args.max_degree = HARD_DEGREE_CAP if args.override_ceilings else DEGREE_CEILING
     for dest in command.required:
         if dest not in flags and dest not in config:
             raise UsageError(f"{OPTIONS[dest].flag} is required (flag or config file)")

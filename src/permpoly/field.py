@@ -14,9 +14,9 @@ import functools
 from . import gf2poly
 from .gf2poly import BitPoly, bp_find_irreducible, bp_is_irreducible
 
-# Default ceiling on the absolute degree: exhaustive scans and value
-# tables stay within desk-scale memory (~hundreds of MB) below 2^30.
-DEGREE_CEILING = 30
+# the largest absolute degree m: the packed uint64 engine of scan multiplies
+# two m-bit patterns into 2m - 1 <= 63 bits before it reduces them
+DEGREE_CAP = 32
 
 
 class UsageError(ValueError):
@@ -140,11 +140,11 @@ _set_ctx = FieldElement.ctx.__set__
 def per_context(build):
     """Memoize build(ctx, *args) in ctx under the key (build, *args).
 
-    The result is published with dict.setdefault, so every caller on one
-    context, threads included, gets the same object: a thread that loses
-    a race to build drops its own copy.  A build that raises stores
-    nothing.  The arguments after ctx are positional and hashable, so a
-    hit costs one key tuple and one dict lookup.
+    The built value is stored directly, so every caller on one context
+    gets the same object: the package runs in one thread
+    (tests/test_field.py::test_no_module_imports_threads).  A build that
+    raises stores nothing.  The arguments after ctx are positional and
+    hashable, so a hit costs one key tuple and one dict lookup.
     """
     head = (build,)
 
@@ -154,7 +154,8 @@ def per_context(build):
         try:
             return ctx._cache[key]
         except KeyError:
-            return ctx._cache.setdefault(key, build(ctx, *args))
+            value = ctx._cache[key] = build(ctx, *args)
+            return value
 
     return cached
 
@@ -176,23 +177,21 @@ def _square_tables(ctx: FieldContext) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
-def make_field(s: int, e: int, modulus: BitPoly | None = None,
-               max_degree: int = DEGREE_CEILING) -> FieldContext:
+def make_field(s: int, e: int, modulus: BitPoly | None = None) -> FieldContext:
     """Construct GF((2^s)^e) with the least irreducible modulus of degree s*e.
 
     An explicit modulus may be supplied; it must be irreducible of degree
-    exactly s*e.  Degrees above max_degree are refused because whole-field
-    scans and bitsets would outgrow desk-scale memory.
+    exactly s*e.  Degrees above DEGREE_CAP are refused: the packed engine
+    cannot multiply there.  Memory is bounded where it is spent, by
+    scan.check_field_bytes before each whole-field array.  A FieldContext
+    built directly has no cap, for scalar arithmetic at any degree.
     """
     if s < 1 or e < 1:
         raise UsageError("need s >= 1 and e >= 1")
     m = s * e
-    if m > max_degree:
-        raise UsageError(
-            f"degree {m} = {s}*{e} exceeds ceiling {max_degree}; scans over "
-            f"2^{m} elements would exhaust desk-scale memory (raise max_degree "
-            f"to override)"
-        )
+    if m > DEGREE_CAP:
+        raise UsageError(f"degree {m} = {s}*{e} exceeds the cap of {DEGREE_CAP}, past which "
+                         f"the packed engine cannot multiply")
     if modulus is None:
         modulus = bp_find_irreducible(m)
     else:

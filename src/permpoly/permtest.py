@@ -18,7 +18,6 @@ from . import poly, scan
 from .field import (FieldContext, FieldElement, eval_S, frobenius_q,
                     per_context, trace_absolute, trace_to_subfield)
 
-EXHAUSTIVE_MAX_ORDER = 1 << 30
 CHARSUM_MAX_ORDER = 1 << 12
 
 
@@ -65,10 +64,12 @@ def is_pp_exhaustive(f, ctx: FieldContext, timing: bool = False) -> PPReport:
     Only a map that fails pays for its witness: the least value hit
     twice, and the two least elements that map to it, are then read off
     the value array.  A DensePolyF2 of this context is evaluated by its
-    own eval_on_field, other maps by scan.field_values.
+    own eval_on_field, other maps by scan.field_values.  The scan holds 5
+    bytes per element, the uint32 values and the bool marks of
+    bijection_from_values, so scan.check_field_bytes refuses it from
+    m = 30 on, before anything is evaluated.
     """
-    if ctx.order > EXHAUSTIVE_MAX_ORDER:
-        raise ValueError(f"field order {ctx.order} exceeds the exhaustive-scan ceiling")
+    scan.check_field_bytes(ctx, 5, "exhaustive scan arrays")
     t0 = time.perf_counter()
     values = (f.eval_on_field() if isinstance(f, poly.DensePolyF2) and f.ctx is ctx
               else scan.field_values(f, ctx))

@@ -49,8 +49,18 @@ BLOCK_IDS = 1 << 14
 # values that collision_witness counts at a time
 WITNESS_SLICE = 1 << 16
 
-# bytes that a log_tables build may hold at its peak: 2^28 elements
-LOG_TABLE_BOUND = 4 << 30
+# bytes that the whole-field arrays of one computation may hold at their
+# peak: log_tables admits m <= 28, an exhaustive scan m <= 29
+FIELD_BYTES_BOUND = 4 << 30
+
+
+def check_field_bytes(ctx: FieldContext, per_element: int, arrays: str) -> None:
+    """Raise UsageError if arrays of per_element bytes per element of ctx
+    would pass FIELD_BYTES_BOUND; called before they are allocated."""
+    nbytes = per_element * ctx.order
+    if nbytes > FIELD_BYTES_BOUND:
+        raise UsageError(f"{arrays} of {ctx!r} would hold {nbytes} bytes at their peak, "
+                         f"above the bound of {FIELD_BYTES_BOUND}")
 
 
 @per_context
@@ -88,18 +98,15 @@ def log_tables(ctx: FieldContext):
     packed_mul, one iter_chunks slice at a time, each widened to uint64
     only for the product; log[x] = i for x != 0.  The build peaks at 12
     bytes per element (antilog, log and the arange scattered into it, all
-    uint32); past LOG_TABLE_BOUND, m >= 29 and so every order that uint32
-    cannot index, a UsageError refuses the field before order-1 is
-    factored or anything is allocated.  t generates iff t^((order-1)/p)
-    != 1 for every prime p | order-1: under GF(2^8)'s non-primitive
-    x^8+x^4+x^3+x+1, t = 2 has order 51 and g is 3.  One scatter checks
-    it: when the order-1 powers hit every nonzero element, by pigeonhole
-    each is hit once and 0 is not.
+    uint32), which check_field_bytes refuses from m = 29 on, and so every
+    order that uint32 cannot index, before order-1 is factored or anything
+    is allocated.  t generates iff t^((order-1)/p) != 1 for every prime
+    p | order-1: under GF(2^8)'s non-primitive x^8+x^4+x^3+x+1, t = 2 has
+    order 51 and g is 3.  One scatter checks it: when the order-1 powers
+    hit every nonzero element, by pigeonhole each is hit once and 0 is not.
     """
+    check_field_bytes(ctx, 12, "log tables")
     order = ctx.order
-    if 12 * order > LOG_TABLE_BOUND:
-        raise UsageError(f"log tables of {ctx!r} would hold {12 * order} bytes at their "
-                         f"peak, above the bound of {LOG_TABLE_BOUND}")
     cyc = order - 1
     cofactors = [cyc // p for p in gf2poly._prime_factors(cyc)]
     g = next((t for t in range(2, order) if all(
@@ -208,8 +215,8 @@ def _spot_points(m: int) -> np.ndarray:
     They are distinct for m >= 13: by the three-distance theorem the
     fractions {i/phi}, i <= 4095, lie at least ||2584/phi|| > 2^-13 apart
     (2584 the largest Fibonacci number <= 4095).  At m = 12 only 3657 are;
-    permutes samples only where the orbit representatives outnumber them,
-    which is m >= 16, and reads f's values there from the row store
+    permutes_each samples only where the orbit representatives outnumber
+    them, which is m >= 16, and reads f's values there from the row store
     (_sample_points)."""
     i = np.arange(1, SPOT_CHECK_POINTS + 1, dtype=np.uint64)
     pts = (i * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - m)
@@ -307,8 +314,11 @@ def _power_rows(ctx: FieldContext, points, *args) -> _Rows:
     packed by _pack in fields of dtype.  A point set returns (xs,
     shifts): row d holds x^d at each x of xs or, if shifts is a column,
     the sum of (x + a)^d over its a.  The point sets are _orbit_points
-    and _sample_points (permutes) and, per radius, _oracle_images and
-    _oracle_translates (power_sum_identity)."""
+    and _sample_points (permutes_each) and, per radius, _oracle_images
+    and _oracle_translates (power_sum_identity).  Every row is read
+    through the log tables, so they are asked for first: a field too
+    large for them is refused before any point set is built."""
+    log_tables(ctx)
     return _Rows({}, points, args, _kept_row_bytes(ctx), np.dtype("<u2" if ctx.m <= 16 else "<u4"))
 
 
@@ -319,10 +329,10 @@ def _kept_row_bytes(ctx: FieldContext) -> list[int]:
 
 
 def _power_row_sum(ctx: FieldContext, rows: _Rows, supports) -> list[int]:
-    """[XOR over the exponents d of row d of rows, for each exponent
-    iterable of supports]; rows is a _power_rows of ctx, and each sum is
-    one int XOR per row, each value in its own field of rows.dtype.  The
-    rows that the maps miss are built together, in one _build_rows pass.
+    """[XOR over the exponents d of row d of rows, for each iterable of
+    distinct exponents of supports]; rows is a _power_rows of ctx, and
+    each sum is one int XOR per row, each value in its own field of
+    rows.dtype.  The rows that the maps miss are built together, in one _build_rows pass.
     The first of them are kept while the context's rows, over all point
     sets, still fit POWER_ROW_BUDGET bytes; the others serve this call and
     are dropped, so no verdict depends on the budget.  The store is not
@@ -330,31 +340,29 @@ def _power_row_sum(ctx: FieldContext, rows: _Rows, supports) -> list[int]:
     tests/test_field.py::test_no_module_imports_threads enforces that."""
     kept = rows.kept
     sums = []
-    odd = {}  # missing d -> {map: whether it reads row d an odd number of times}
+    readers = {}  # missing d -> [the maps that read row d]
     for exponents in supports:
         acc = 0
         for d in exponents:
             row = kept.get(d)
             if row is None:
-                reads, j = odd.setdefault(d, {}), len(sums)
-                reads[j] = not reads.get(j)
+                readers.setdefault(d, []).append(len(sums))
             else:
                 acc ^= row
         sums.append(acc)
-    if not odd:
+    if not readers:
         return sums
-    missing = list(odd)
+    missing = list(readers)
     nbytes = rows.dtype.itemsize * rows.points(ctx, *rows.args)[0].size
     total = rows.budget
     keep = missing[:max(0, (POWER_ROW_BUDGET - total[0]) // nbytes)]
-    drop = {d: js for d in missing[len(keep):] if (js := [j for j, o in odd[d].items() if o])}
+    drop = {d: readers[d] for d in missing[len(keep):]}
     built, dropped = _build_rows(ctx, rows, keep, drop)
     total[0] += nbytes * len(keep)
     kept.update(zip(keep, built))
     for d, row in zip(keep, built):
-        for j, o in odd[d].items():
-            if o:
-                sums[j] ^= row
+        for j in readers[d]:
+            sums[j] ^= row
     for j, row in enumerate(dropped):
         sums[j] ^= row
     return sums
@@ -484,11 +492,6 @@ def block_size(ctx: FieldContext) -> int:
     return max(1, BLOCK_IDS // _orbit_classes(ctx)[0].size)
 
 
-def permutes(f, ctx: FieldContext) -> bool:
-    """Whether the DensePolyF2 f permutes the field: permutes_each([f], ctx)[0]."""
-    return permutes_each([f], ctx)[0]
-
-
 def permutes_each(fs, ctx: FieldContext) -> list[bool]:
     """[whether f permutes the field, for each DensePolyF2 f of fs],
     decided exactly on one point per orbit of x -> x^2; any other f raises
@@ -520,7 +523,7 @@ def permutes_each(fs, ctx: FieldContext) -> list[bool]:
     fs = list(fs)
     for f in fs:
         if not isinstance(f, poly.DensePolyF2):
-            raise TypeError(f"permutes needs a DensePolyF2, got {type(f).__name__}")
+            raise TypeError(f"permutes_each needs a DensePolyF2, got {type(f).__name__}")
         if f.ctx is not ctx:
             raise ValueError("context mismatch")
     points, ids = _orbit_classes(ctx)
@@ -548,7 +551,7 @@ def permutes_each(fs, ctx: FieldContext) -> list[bool]:
 
 
 def _sample_points(ctx: FieldContext) -> tuple[np.ndarray, None]:
-    """The _spot_points of ctx's width (permutes); see _power_rows."""
+    """The _spot_points of ctx's width (permutes_each); see _power_rows."""
     return _spot_points(ctx.m), None
 
 

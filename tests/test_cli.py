@@ -18,7 +18,7 @@ import pytest
 from permpoly import cli, gnq, poly, scan
 from permpoly.cli import (COMMANDS, EXIT_FAIL, EXIT_OK, EXIT_USAGE, OPTIONS,
                           LSpecError, parse_lspec)
-from permpoly.field import UsageError
+from permpoly.field import DEGREE_CAP, UsageError
 from permpoly.poly import Add, FrobQ, Pow, S, Var
 
 
@@ -114,6 +114,23 @@ def test_each_missing_required_option_is_a_usage_error(name, tmp_path):
         args = _resolve(_argv(name, dest) + ["--config", str(cfg)])
         assert getattr(args, dest) == OPTIONS[dest].parse(_sample(dest))
     assert _resolve(_argv(name)).func is COMMANDS[name].func
+
+
+def test_readme_lists_exactly_the_options_of_the_table():
+    # README's option table names each key, its flag and the commands that
+    # take it; no other flag of permpoly is named anywhere in README
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(--[\w-]+)[^|]*\| ([^|]*) \|$", section, re.M)
+    flags = {dest: opt.flag for dest, opt in OPTIONS.items()}
+    assert {dest: flag for dest, flag, _ in rows} == flags
+    for dest, _, taken_by in rows:
+        named = set(COMMANDS) if taken_by.startswith("all") else \
+            set(re.findall(r"`([\w-]+)`", taken_by)) & set(COMMANDS)
+        assert named == {name for name, c in COMMANDS.items() if dest in cli._options(c)}, dest
+    # pip's and pytest's flags aside
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", readme)) <= {
+        *flags.values(), "--config", "--help", "--no-build-isolation", "--durations"}
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
@@ -237,19 +254,64 @@ def test_gnq_memo_bound_aborts_as_verification_failure(capsys, monkeypatch):
     assert "verification aborted" in capsys.readouterr().err
 
 
-def test_override_ceilings_raises_the_degree_ceiling(tmp_path, capsys):
+def test_gnq_runs_to_the_degree_cap_and_override_ceilings_is_gone(tmp_path, capsys):
+    # gnq allocates no whole-field array, so it runs to the packed engine's cap
+    for e in (31, 32):
+        assert cli.main(["gnq", "--n", "1", "--q", "2", "--e", str(e)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("= 1\n")
+    assert cli.main(["gnq", "--n", "1", "--q", "2", "--e", "33"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: degree 33 = 1*33 exceeds the cap of 32, past which the packed engine "
+        "cannot multiply\n")
+    # no flag or config key lifts the cap
     argv = ["gnq", "--n", "1", "--q", "2", "--e", "31"]
-    assert cli.main(argv) == EXIT_USAGE
-    assert "exceeds ceiling 30" in capsys.readouterr().err
-    assert cli.main(argv + ["--override-ceilings"]) == EXIT_OK
-    assert capsys.readouterr().out.endswith("= 1\n")
-    assert cli.main(["gnq", "--n", "1", "--q", "2", "--e", "33",
-                     "--override-ceilings"]) == EXIT_USAGE
-    assert "exceeds ceiling 32" in capsys.readouterr().err
+    assert cli.main(argv + ["--override-ceilings"]) == EXIT_USAGE
+    assert "unrecognized arguments: --override-ceilings" in capsys.readouterr().err
     cfg = tmp_path / "big.cfg"
     cfg.write_text("override_ceilings = true\n")
-    assert cli.main(argv + ["--config", str(cfg)]) == EXIT_OK
-    assert capsys.readouterr().out.endswith("= 1\n")
+    assert cli.main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown key 'override_ceilings'\n"
+
+
+def _tripwire(real, passes=lambda *args: False):
+    """real, wrapped to raise AssertionError unless passes(*args)."""
+    def wired(*args):
+        if passes(*args):
+            return real(*args)
+        raise AssertionError(f"{real.__name__}{args} ran")
+    return wired
+
+
+@pytest.mark.parametrize("argv, arrays, per_element", [
+    pytest.param(["probe-t1-odd", "--k", "5"],
+                 "exhaustive scan arrays of GF(4^15) mod x^30+x+1", 5, id="probe-t1-odd-k5"),
+    pytest.param(["t2", "--q", "2", "--k", "10", "--L", "S(11)^2"],
+                 "exhaustive scan arrays of GF(2^30) mod x^30+x+1", 5, id="t2-q2-k10"),
+    pytest.param(["oracle", "--n", "16383", "--q", "2", "--e", "29"],
+                 "log tables of GF(2^29) mod x^29+x^2+1", 12, id="oracle-e29"),
+    pytest.param(["oracle", "--n", "16383", "--q", "2", "--e", "31"],
+                 "log tables of GF(2^31) mod x^31+x^3+1", 12, id="oracle-e31"),
+    pytest.param(["oracle", "--n", "16383", "--q", "2", "--e", "32"],
+                 "log tables of GF(2^32) mod x^32+x^7+x^3+x^2+1", 12, id="oracle-e32"),
+    pytest.param(["search", "--q", "2", "--e", "32", "--from", "1", "--to", "2"],
+                 "log tables of GF(2^32) mod x^32+x^7+x^3+x^2+1", 12, id="search-e32"),
+])
+def test_past_the_byte_bound_exits_2_before_allocating(argv, arrays, per_element, capsys,
+                                                       monkeypatch):
+    # tripwires in front of every whole-field array, point set and log
+    # table build; only a Hamming ball of at most 2^16 points and the
+    # factoring of a field degree pass
+    for name in ("_block_values", "field_values", "_oracle_translates"):
+        monkeypatch.setattr(scan, name, _tripwire(getattr(scan, name)))
+    monkeypatch.setattr(scan, "_hamming_ball", _tripwire(
+        scan._hamming_ball, lambda m, radius: scan._ball_size(m, radius) <= 1 << 16))
+    monkeypatch.setattr(scan.gf2poly, "_prime_factors", _tripwire(
+        scan.gf2poly._prime_factors, lambda n: n <= DEGREE_CAP))
+    assert cli.main(argv) == EXIT_USAGE
+    order = 1 << int(re.search(r"mod x\^(\d+)", arrays)[1])
+    assert capsys.readouterr().err == (
+        f"error: {arrays} would hold {per_element * order} bytes at their peak, "
+        f"above the bound of 4294967296\n")
 
 
 @pytest.mark.parametrize("argv", [

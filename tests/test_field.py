@@ -4,9 +4,6 @@ trace laws, subfield membership, the per-context memo."""
 import ast
 import functools
 import random
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +13,8 @@ from hypothesis import strategies as st
 
 import permpoly
 from permpoly import gf2poly, scan
-from permpoly.field import (enumerate_elements, eval_S, frobenius_q,
+from permpoly.field import (DEGREE_CAP, FieldContext, UsageError,
+                            enumerate_elements, eval_S, frobenius_q,
                             in_subfield, make_field, trace_absolute,
                             trace_to_subfield)
 from permpoly.gf2poly import BitPoly, bp_find_irreducible
@@ -64,9 +62,12 @@ def test_make_field_modulus_rules():
         make_field(2, 6, modulus=BitPoly.from_string("x^11+x^2+1"))
     alt = make_field(2, 6, modulus=BitPoly.from_string("x^12+x^6+x^4+x+1"))
     assert alt.modulus.bits != ctx.modulus.bits
-    with pytest.raises(ValueError):
-        make_field(2, 16)  # degree 32 over the ceiling
-    make_field(2, 16, max_degree=32)
+    # the packed engine's cap, 32, is the only degree limit
+    assert make_field(2, 16).m == make_field(1, 32).m == DEGREE_CAP == 32
+    for s, e in ((1, 33), (3, 11)):
+        message = f"^degree {s * e} = {s}\\*{e} exceeds the cap of 32"
+        with pytest.raises(UsageError, match=message):
+            make_field(s, e)
 
 
 def test_frobenius_is_q_power_map(f64):
@@ -83,7 +84,8 @@ def test_frobenius_is_q_power_map(f64):
 
 @functools.cache
 def _wide_field(s: int, e: int):
-    return make_field(s, e, max_degree=64)
+    # past make_field's cap: scalar arithmetic works at any degree
+    return FieldContext(s, e, bp_find_irreducible(s * e))
 
 
 @given(data=st.data())
@@ -223,26 +225,6 @@ def test_per_context_memo_stores_nothing_when_the_build_raises():
     assert scan.subfield_elements(ctx, 3).size == 4 ** 3
 
 
-def test_per_context_memo_threads_get_one_object():
-    ctx = make_field(2, 6)  # fresh: every thread races to build
-    barrier = threading.Barrier(8)
-
-    def build():
-        barrier.wait(timeout=60)
-        return scan.subfield_elements(ctx, 2)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(build) for _ in range(8)]
-            built = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(old)
-    assert all(b is built[0] for b in built)
-    assert built[0].size == 4 ** 2
-
-
 def test_only_field_names_the_context_cache():
     # per-context state goes through field.per_context; no other module
     # reads or writes FieldContext._cache
@@ -259,8 +241,9 @@ def test_only_field_names_the_context_cache():
 
 
 def test_no_module_imports_threads():
-    # the package runs in one thread: the row store (scan._power_row_sum)
-    # inserts rows and counts their bytes without a lock
+    # the package runs in one thread: field.per_context stores a built value
+    # as it is, and the row store (scan._power_row_sum) inserts rows and
+    # counts their bytes, without a lock
     offenders = []
     for path in sorted(Path(permpoly.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -277,8 +260,8 @@ def test_no_module_imports_threads():
 
 def test_only_the_row_store_reads_the_row_budget():
     # the budget decides only which rows a context keeps, so only the
-    # store's one evaluator reads it; permutes and power_sum_identity take
-    # their rows from it at every field order
+    # store's one evaluator reads it; permutes_each and power_sum_identity
+    # take their rows from it at every field order
     name = "POWER_ROW_BUDGET"
     readers = set()
     for path in sorted(Path(permpoly.__file__).parent.glob("*.py")):

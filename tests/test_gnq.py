@@ -313,7 +313,7 @@ def test_rows_hold_values_above_16_bits(kept_rows):
     # the orbit rows past the spot sample
     ctx = make_field(1, 17)
     for d in (3, 5):
-        assert scan.permutes(DensePolyF2.from_exponents(ctx, [d]), ctx)
+        assert scan.permutes_each([DensePolyF2.from_exponents(ctx, [d])], ctx)[0]
     rows = scan._power_rows(ctx, scan._orbit_points)
     points = scan._orbit_classes(ctx)[0]
     assert rows.dtype.itemsize == 4 and set(rows.kept) == {3, 5}
@@ -836,8 +836,8 @@ def test_search_is_the_same_in_one_block(monkeypatch):
 
 
 def test_search_fills_only_the_power_rows_it_reads(kept_rows):
-    # permutes reads orbit rows for every n; only the oracle of a hit reads
-    # rows at the oracle's points, and no other point set keeps rows
+    # permutes_each reads orbit rows for every n; only the oracle of a hit
+    # reads rows at the oracle's points, and no other point set keeps rows
     ctx = make_field(2, 6)
     hits = [t.n for t in search_desirable(4, 6, 1, 50, ctx=ctx)]
     support, hit_support = set(), set()

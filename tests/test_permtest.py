@@ -3,6 +3,7 @@ other and against the gcd law, shift witnesses, the case-2 kernel."""
 
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permpoly import permtest, scan
-from permpoly.field import (eval_S, frobenius_q, make_field, trace_absolute,
-                            trace_to_subfield)
+from permpoly.field import (UsageError, eval_S, frobenius_q, make_field,
+                            trace_absolute, trace_to_subfield)
 from permpoly.permtest import (CHARSUM_MAX_ORDER, PPReport, charsum_pp_test,
                                charsum_single, is_pp_exhaustive,
                                kernel_check_case2, shift_witness)
@@ -79,10 +80,17 @@ def test_exhaustive_collision_pair_is_genuine(f4):
     assert expr_eval(cube, x1) == expr_eval(cube, x2) == rep.witness
 
 
-def test_exhaustive_order_ceiling():
-    huge = make_field(2, 16, max_degree=32)  # 2^32 elements
-    with pytest.raises(ValueError):
-        is_pp_exhaustive(Var(), huge)
+def test_exhaustive_order_ceiling(monkeypatch):
+    # 5 bytes per element: GF(2^29) is admitted, GF(2^30) refused before
+    # any value is computed
+    monkeypatch.setattr(scan, "field_values", mock.Mock(side_effect=AssertionError))
+    for ctx in (make_field(2, 15), make_field(2, 16)):
+        message = (f"^exhaustive scan arrays of {re.escape(repr(ctx))} would hold "
+                   f"{5 * ctx.order} bytes at their peak")
+        with pytest.raises(UsageError, match=message):
+            is_pp_exhaustive(Var(), ctx)
+    with pytest.raises(AssertionError):
+        is_pp_exhaustive(Var(), make_field(1, 29))
 
 
 def test_charsum_single_conventions(f16):

@@ -78,7 +78,7 @@ def test_dense_mul_folds_like_the_masked_fold():
 
 def test_dense_mul_allocates_nothing_field_sized():
     # GF(4^15) has order 2^30; an order-bit mask alone would take 128 MB
-    ctx = make_field(2, 15, max_degree=30)
+    ctx = make_field(2, 15)
     a, b = s_dense(ctx, 3), s_dense(ctx, 4)
     tracemalloc.start()
     try:

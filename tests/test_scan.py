@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permpoly import gnq, poly, scan
-from permpoly.field import UsageError, eval_S, frobenius_q, make_field
+from permpoly.field import FieldContext, UsageError, eval_S, frobenius_q, make_field
+from permpoly.gf2poly import bp_find_irreducible
 from permpoly.poly import (Add, Const, DensePolyF2, FrobQ, LinPoly, Mul, Pow,
                            S, Var, build_t1_g, degree_bound, expr_eval)
 
@@ -283,7 +284,8 @@ def test_log_tables_use_the_least_generator_and_build_once(m, monkeypatch):
 
 
 def test_log_tables_refuse_orders_above_2_32_before_factoring(monkeypatch):
-    ctx = make_field(1, 61, max_degree=64)  # 2^61 - 1 is prime
+    # past make_field's cap of 32; 2^61 - 1 is prime
+    ctx = FieldContext(1, 61, bp_find_irreducible(61))
 
     def refuse(n):
         raise AssertionError("factored")
@@ -314,7 +316,7 @@ def test_permutes_agrees_with_the_whole_field_scan(s, e, n_to, monkeypatch):
         g = gnq.gnq_recurrence(n, ctx.q, ctx)
         monkeypatch.setattr(scan, "bijection_from_values", spy)
         with mock.patch.object(scan, "field_values", side_effect=AssertionError):
-            verdict = scan.permutes(g, ctx)
+            verdict = scan.permutes_each([g], ctx)[0]
         monkeypatch.undo()
         full.append(scan.bijection_from_values(g.eval_on_field(), ctx.order))
         assert verdict is full[-1], n
@@ -329,15 +331,15 @@ def test_permutes_decides_on_the_orbits_when_the_sample_misses(monkeypatch):
     # gcd(3, 2^14 - 1) = gcd(3, 2^16 - 1) = 3 and gcd(3, 2^13 - 1) = 1
     cube = DensePolyF2.from_exponents(make_field(2, 7), [3])
     with mock.patch.object(scan, "_spot_points", side_effect=AssertionError):
-        assert scan.permutes(cube, cube.ctx) is False  # m = 14: no sample
+        assert scan.permutes_each([cube], cube.ctx)[0] is False  # m = 14: no sample
     wide = DensePolyF2.from_exponents(make_field(2, 8), [3])
     monkeypatch.setattr(scan, "_spot_points", lambda m: np.arange(1, 3, dtype=np.uint64))
     with mock.patch.object(scan, "bijection_from_values",
                            wraps=scan.bijection_from_values) as bijection:
-        assert scan.permutes(wide, wide.ctx) is False
+        assert scan.permutes_each([wide], wide.ctx)[0] is False
     assert bijection.call_count == 1
     odd = make_field(1, 13)
-    assert scan.permutes(DensePolyF2.from_exponents(odd, [3]), odd) is True
+    assert scan.permutes_each([DensePolyF2.from_exponents(odd, [3])], odd)[0] is True
 
 
 def _necklaces(m):
@@ -403,7 +405,8 @@ def test_permutes_matches_the_whole_field_bijection(se, data):
     else:
         exps = [data.draw(st.integers(0, 4 * ctx.order))]
     g = DensePolyF2.from_exponents(ctx, exps)
-    assert scan.permutes(g, ctx) is scan.bijection_from_values(g.eval_on_field(), ctx.order)
+    assert scan.permutes_each([g], ctx) == [scan.bijection_from_values(g.eval_on_field(),
+                                                                       ctx.order)]
 
 
 @st.composite
@@ -440,7 +443,7 @@ def test_permutes_each_decides_a_mixed_block_map_by_map(m, data):
 ])
 def test_permutes_planted_maps(s, e, exps, want):
     ctx = make_field(s, e)
-    assert scan.permutes(DensePolyF2.from_exponents(ctx, exps), ctx) is want
+    assert scan.permutes_each([DensePolyF2.from_exponents(ctx, exps)], ctx)[0] is want
 
 
 def test_permutes_runs_the_sample_only_where_it_is_smaller():
@@ -452,7 +455,7 @@ def test_permutes_runs_the_sample_only_where_it_is_smaller():
             with mock.patch.object(scan, "_spot_points", wraps=scan._spot_points) as spots, \
                     mock.patch.object(scan, "bijection_from_values",
                                       wraps=scan.bijection_from_values) as bijection:
-                assert scan.permutes(g, ctx) is pp
+                assert scan.permutes_each([g], ctx)[0] is pp
             assert spots.called is sampled
             # at m = 16 the sample refutes the cube before the orbit verdict
             assert bijection.called is (pp or not sampled)
@@ -462,9 +465,9 @@ def test_permutes_takes_only_a_dense_polynomial():
     ctx = make_field(2, 3)
     for f in (Pow(Var(), 3), Var(), LinPoly(ctx, [ctx.one()] * ctx.m)):
         with pytest.raises(TypeError, match="DensePolyF2"):
-            scan.permutes(f, ctx)
+            scan.permutes_each([f], ctx)
     with pytest.raises(ValueError, match="context mismatch"):
-        scan.permutes(DensePolyF2.from_exponents(make_field(2, 3), [1]), ctx)
+        scan.permutes_each([DensePolyF2.from_exponents(make_field(2, 3), [1])], ctx)
 
 
 def test_permutes_keeps_orbit_rows_at_every_order(row_point_sets):
@@ -473,7 +476,7 @@ def test_permutes_keeps_orbit_rows_at_every_order(row_point_sets):
     # gcd(5, 2^18 - 1) = 1
     for e, support in ((6, {0, 1, 5, 21}), (7, {0, 1, 5, 21}), (8, {0, 7}), (9, {0, 5})):
         ctx = make_field(2, e)
-        scan.permutes(DensePolyF2.from_exponents(ctx, support), ctx)
+        scan.permutes_each([DensePolyF2.from_exponents(ctx, support)], ctx)
         rows = scan._power_rows(ctx, scan._orbit_points)
         points = scan._orbit_classes(ctx)[0]
         sampled = {scan._sample_points} if e >= 8 else set()
@@ -586,9 +589,9 @@ def test_power_rows_are_built_once_and_packed(monkeypatch):
             assert scan._kept_row_bytes(ctx) == [rows.dtype.itemsize * size * len(exponents)]
 
 
-# GF(4^3): exponent 0, order - 1 and its repeat 2 order - 1, each x^d
-# with 0^d = 0 for d >= 1, and 5 read twice, so its terms cancel
-SEVERAL = (0, 63, 5, 127, 9, 5, 9, 9)
+# GF(4^3): exponent 0, and order - 1 and 2 order - 1, whose rows are equal,
+# so their terms cancel; each x^d with 0^d = 0 for d >= 1
+SEVERAL = (0, 63, 5, 127, 9)
 
 
 @pytest.mark.parametrize("budget_rows", [None, 0, 2])
@@ -620,10 +623,9 @@ def test_one_call_builds_every_missing_row(points, chunk, budget_rows, monkeypat
     for _ in range(2):
         got = scan._unpack(scan._power_row_sum(ctx, rows, [SEVERAL]), xs.size, rows.dtype)[0]
         assert np.array_equal(got, expect)
-    # one build per call that misses a row: a dropped row is built only
-    # where it counts, and 5, read twice, counts nowhere
-    kept = [0, 63, 5, 127, 9][:budget_rows]
-    dropped = [d for d in (0, 63, 127, 9) if d not in kept]
+    # one build per call that misses a row
+    kept = list(SEVERAL[:budget_rows])
+    dropped = [d for d in SEVERAL if d not in kept]
     assert calls == [(kept, dropped)] + ([([], dropped)] if dropped else [])
     assert set(rows.kept) == set(kept)
     for d in kept:
@@ -637,13 +639,12 @@ def test_row_builds_keep_within_a_few_rows(points, monkeypatch):
     # each read builds the rows it misses in one call; the bytes counted
     # are the bytes kept, within the budget of three rows, after every
     # call.  Two inputs, each on a fresh context (seed, reads, exponents
-    # below, exponents per read): every read of the first misses several
-    # rows at once, the second reads a few of many rows
+    # below, distinct exponents per read): every read of the first misses
+    # several rows at once, the second reads a few of many rows
     monkeypatch.setattr(scan, "DEFAULT_CHUNK", 100)
     for seed, count, top, (lo, hi) in ((22, 200, 4096, (2, 9)), (14, 400, 300, (1, 12))):
         rng = random.Random(seed)
-        reads = [[rng.randrange(top) for _ in range(rng.randrange(lo, hi))]
-                 for _ in range(count)]
+        reads = [rng.sample(range(top), rng.randrange(lo, hi)) for _ in range(count)]
         ctx = make_field(2, 6)
         args = _row_args(ctx, points)
         xs = points(ctx, *args)[0]
@@ -667,7 +668,7 @@ def test_row_builds_keep_within_a_few_rows(points, monkeypatch):
 @pytest.mark.parametrize("s, e, q", [(1, 16, 2), (2, 8, 4)])
 def test_spot_rows_refute_as_direct_evaluation_does(s, e, q, monkeypatch):
     # m = 16: the orbit representatives outnumber the spot points, so
-    # permutes reads g's rows at them first and stops on a collision
+    # permutes_each reads g's rows at them first and stops on a collision
     ctx = make_field(s, e)
     spots = scan._spot_points(ctx.m)
     rows = scan._power_rows(ctx, scan._sample_points)
@@ -681,7 +682,7 @@ def test_spot_rows_refute_as_direct_evaluation_does(s, e, q, monkeypatch):
         assert np.array_equal(got, direct), n
         collides = np.unique(direct).size < spots.size
         bijection.reset_mock()
-        verdict = scan.permutes(g, ctx)
+        verdict = scan.permutes_each([g], ctx)[0]
         assert bijection.called is not collides, n
         assert not (collides and verdict), n
         refuted += collides
@@ -694,7 +695,7 @@ def test_permutes_matches_brute_force_at_e8():
     ctx = make_field(2, 8)
     for n in range(1, 301):
         g = gnq.gnq_recurrence(n, 4, ctx)
-        assert scan.permutes(g, ctx) is scan.bijection_from_values(
+        assert scan.permutes_each([g], ctx)[0] is scan.bijection_from_values(
             g.eval_on_field(), ctx.order), n
 
 
@@ -889,7 +890,7 @@ def test_spot_points_are_fixed_and_spread():
 
 
 def test_spot_points_are_distinct_from_m13():
-    # permutes needs distinct inputs; at m = 12 only 3657 of 4095 are
+    # permutes_each needs distinct inputs; at m = 12 only 3657 of 4095 are
     assert np.unique(scan._spot_points(12)).size == 3657
     for m in range(13, 31):
         assert np.unique(scan._spot_points(m)).size == scan.SPOT_CHECK_POINTS, m
